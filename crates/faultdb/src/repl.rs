@@ -33,10 +33,12 @@
 //! accepting writes after a failover.
 //!
 //! Durability discipline, both directions: the primary ships only bytes
-//! already fsynced into its WAL (it flushes before every scan), and the
+//! already written to its WAL (it flushes before every scan), and the
 //! replica flushes its own WAL before advancing the cursor it will
-//! announce — fsync-before-ack on each hop, so a crash anywhere merely
-//! rewinds the cursor to durable truth and reships.
+//! announce — write-before-ack on each hop, so a process crash anywhere
+//! merely rewinds the cursor to what is on disk and reships. A flush is
+//! a plain write; each side fsyncs its WAL only when a seal rotates it,
+//! so a power loss can rewind a side to its last seal.
 //!
 //! Fencing: the catalog carries a monotonic epoch, bumped by promotion
 //! (manual `PROMOTE` on the query port, or automatic after a health-check
@@ -279,7 +281,7 @@ pub(crate) fn serve_shipping<R: Read>(
     }
 
     // Everything shipped comes off disk: flush so the scan sees every
-    // acked byte (fsync-before-ship).
+    // acked byte (write-before-ship; no fsync).
     live.flush()?;
     let mut cursor = match check_cursor(live.dir(), records, crc)? {
         CursorCheck::Ok(c) => c,
@@ -827,7 +829,8 @@ fn sync_once(
                 ) else {
                     soft!("unparseable batch end: {text}");
                 };
-                // fsync-before-ack: durable before the cursor advances.
+                // write-before-ack: in the WAL file before the cursor
+                // advances (no fsync; that waits for the next seal).
                 live.flush()?;
                 let now = live.status();
                 if now.records != records || now.stream_crc != crc {

@@ -24,7 +24,7 @@
 //!   A *live* directory (WAL segments + generations + CATALOG) gets the
 //!   extended live fsck: WAL salvage, half-sealed generation promotion
 //!   or quarantine, and catalog rollback, same conservation law;
-//! - `uc analyze <dir> [--threads N]` / `uc analyze --db <file>` — run
+//! - `uc analyze <dir>` / `uc analyze --db <file>` — run
 //!   the extraction methodology and print the log-derivable analyses.
 //!   With `--db` the report comes from a sealed fault database instead of
 //!   re-ingesting text logs; stdout is byte-identical between the two
@@ -42,9 +42,10 @@
 //!   single-threaded engine;
 //! - `uc serve <livedir> --ingest x [--ingest-addr host:port]` — the live
 //!   variant: open (or create) a streaming-ingest database directory,
-//!   accept framed record pushes on the ingest endpoint (acked only
-//!   after a WAL fsync), answer snapshot-isolated queries on the query
-//!   endpoint during ingest, and seal a generation on drain. SIGINT,
+//!   accept framed record pushes on the ingest endpoint (acked once
+//!   written to the WAL, which is fsynced when a generation seals),
+//!   answer snapshot-isolated queries on the query endpoint during
+//!   ingest, and seal a generation on drain. SIGINT,
 //!   SIGTERM, and the `SHUTDOWN` command all drain gracefully.
 //!   `--selftest N` runs the chaos end-to-end check instead: N
 //!   fault-injected clients stream into an under-provisioned server and
@@ -67,12 +68,17 @@
 //!   exports the table; `--selftest x` runs the end-to-end determinism
 //!   and bound check instead.
 //!
-//! Argument handling is deliberately bare: flags are `--key value` pairs,
-//! validated per subcommand. Unknown subcommands or flags print usage to
-//! stderr and exit 2; runtime failures exit 1. `uc help` (or `--help`)
-//! prints the usage table — generated from the same command table that
-//! drives dispatch, so the two cannot drift apart.
+//! Argument handling is deliberately bare: flags are `--key value` pairs.
+//! Each subcommand's row in [`COMMANDS`] declares its flags and
+//! positional count, and `main` checks them before the handler runs;
+//! `--threads N` is the one flag every subcommand takes. Handlers return
+//! a [`Fail`], which `main` alone maps to an exit code: usage errors
+//! print usage to stderr and exit 2, runtime failures exit 1. `uc help`
+//! (or `--help`) prints the usage table — generated from the same
+//! command table that drives dispatch, so the two cannot drift apart.
 
+use std::fmt::Display;
+use std::ops::RangeInclusive;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -142,6 +148,27 @@ fn spawn_signal_watcher(on_term: impl Fn() + Send + 'static) {
     });
 }
 
+/// Why a subcommand failed. `main` alone turns it into an exit code, so
+/// scripts can tell "you called me wrong" from "the work failed".
+enum Fail {
+    /// Called wrong: the message and the usage table on stderr, exit 2.
+    Usage(String),
+    /// The work failed: the message on stderr, exit 1.
+    Run(String),
+}
+
+/// `map_err` adapter for a runtime failure reported as `<what>: <error>`.
+fn run_err<E: Display>(what: impl Display) -> impl FnOnce(E) -> Fail {
+    move |e| Fail::Run(format!("{what}: {e}"))
+}
+
+/// The one flag every subcommand takes: `--threads N` caps every worker
+/// pool for the rest of the process (same knob as the UC_THREADS
+/// environment variable, which it overrides). All parallel stages are
+/// deterministic, so this only trades wall-clock time — never output
+/// bytes.
+const THREADS: &str = "threads";
+
 struct Args {
     positional: Vec<String>,
     flags: Vec<(String, String)>,
@@ -163,31 +190,6 @@ impl Args {
         Args { positional, flags }
     }
 
-    /// Reject flags outside `allowed` and positional counts outside
-    /// `min_pos..=max_pos` — every subcommand's first line of defense.
-    fn validate(
-        &self,
-        cmd: &str,
-        allowed: &[&str],
-        min_pos: usize,
-        max_pos: usize,
-    ) -> Result<(), String> {
-        for (k, _) in &self.flags {
-            if !allowed.contains(&k.as_str()) {
-                return Err(format!("unknown flag --{k} for `uc {cmd}`"));
-            }
-        }
-        let n = self.positional.len();
-        if n < min_pos || n > max_pos {
-            return Err(match (min_pos, max_pos) {
-                (a, b) if a == b => format!("`uc {cmd}` takes {a} positional argument(s), got {n}"),
-                (a, _) if n < a => format!("`uc {cmd}` needs at least {a} positional argument(s)"),
-                (_, b) => format!("`uc {cmd}` takes at most {b} positional argument(s), got {n}"),
-            });
-        }
-        Ok(())
-    }
-
     fn get(&self, key: &str) -> Option<&str> {
         self.flags
             .iter()
@@ -199,38 +201,51 @@ impl Args {
         self.flags.iter().any(|(k, _)| k == key)
     }
 
-    /// Parse a numeric flag strictly: present-but-garbage is a usage
-    /// error, not a silent default. Overflow is garbage too — every
-    /// numeric flag follows the same contract (usage message on stderr,
-    /// exit 2), so `--workers 99999999999999999999` and `--workers x`
-    /// fail identically instead of one overflowing into a cast.
-    fn get_u64_strict(&self, key: &str, default: u64) -> Result<u64, String> {
-        match self.get(key) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| format!("--{key} requires a non-negative integer, got {v:?}")),
-        }
+    /// Parse a numeric flag strictly: absent is `default`, and
+    /// present-but-garbage is a usage error, not a silent default.
+    /// Overflowing `T` is garbage too — every numeric flag follows the
+    /// same contract (usage message on stderr, exit 2), so `--workers
+    /// 99999999999999999999` and `--workers x` fail identically instead
+    /// of one overflowing into a truncating cast.
+    fn num<T: TryFrom<u64>>(&self, key: &str, default: T) -> Result<T, Fail> {
+        self.num_min(key, default, 0)
     }
 
-    /// Like [`Args::get_u64_strict`] but for flags that land in a `u32`
-    /// (`--max-attempts`): a value above `u32::MAX` is a usage error,
-    /// never a silent truncating `as` cast.
-    fn get_u32_strict(&self, key: &str, default: u32) -> Result<u32, String> {
-        let v = self.get_u64_strict(key, u64::from(default))?;
-        u32::try_from(v)
-            .map_err(|_| format!("--{key} must fit in 32 bits (max {}), got {v}", u32::MAX))
+    /// [`Args::num`] for flags with a lower bound on the value given;
+    /// `default` may sit below it (0 as "off" when the flag is absent).
+    fn num_min<T: TryFrom<u64>>(&self, key: &str, default: T, min: u64) -> Result<T, Fail> {
+        let Some(v) = self.get(key) else {
+            return Ok(default);
+        };
+        let n: u64 = v.parse().map_err(|_| {
+            Fail::Usage(format!(
+                "--{key} requires a non-negative integer, got {v:?}"
+            ))
+        })?;
+        if n < min {
+            return Err(Fail::Usage(format!(
+                "--{key} must be at least {min}, got {n}"
+            )));
+        }
+        T::try_from(n).map_err(|_| {
+            let ty = std::any::type_name::<T>();
+            Fail::Usage(format!("--{key} {n} does not fit in {ty}"))
+        })
     }
 }
 
 /// One row per subcommand: the name `main` dispatches on, the usage
-/// line(s) `uc help` prints, and the handler. Dispatch and the usage
-/// table are generated from this single array, so a subcommand cannot
-/// exist in one and be missing from the other.
+/// line(s) `uc help` prints, the flags and positional count `main`
+/// checks before dispatch, and the handler. Dispatch, validation and
+/// the usage table all come from this single array, so a subcommand
+/// cannot exist in one and be missing from another.
 struct Command {
     name: &'static str,
     usage: &'static [&'static str],
-    run: fn(&Args) -> ExitCode,
+    /// Every flag the subcommand takes besides the global [`THREADS`].
+    flags: &'static [&'static str],
+    positional: RangeInclusive<usize>,
+    run: fn(&Args) -> Result<(), Fail>,
 }
 
 const COMMANDS: &[Command] = &[
@@ -240,72 +255,105 @@ const COMMANDS: &[Command] = &[
             "uc campaign --out <dir> [--db <file>] [--seed N] [--blades N] [--compact x] [--resume x] [--durable x]",
             "uc campaign --db <file> [--seed N] [--blades N] [--resume x]",
         ],
+        flags: &["out", "db", "seed", "blades", "compact", "resume", "durable"],
+        positional: 0..=0,
         run: cmd_campaign,
     },
     Command {
         name: "fsck",
         usage: &["uc fsck <dir>"],
+        flags: &[],
+        positional: 1..=1,
         run: cmd_fsck,
     },
     Command {
         name: "analyze",
-        usage: &[
-            "uc analyze <dir> [--threads N]",
-            "uc analyze --db <file> [--threads N]",
-        ],
+        usage: &["uc analyze <dir>", "uc analyze --db <file>"],
+        flags: &["db"],
+        positional: 0..=1,
         run: cmd_analyze,
     },
     Command {
         name: "build-db",
         usage: &["uc build-db <logdir> <db> [--rows-per-block N] [--shard N] [--encoding v1|v2]"],
+        flags: &["rows-per-block", "shard", "encoding"],
+        positional: 2..=2,
         run: cmd_build_db,
     },
     Command {
         name: "query",
         usage: &["uc query <db> <expr...> [--timeout-ms N] [--explain x]"],
+        flags: &["timeout-ms", "explain"],
+        positional: 2..=usize::MAX,
         run: cmd_query,
     },
     Command {
         name: "serve",
         usage: &[
             "uc serve <db> [--addr host:port] [--workers N] [--queue N] [--timeout-ms N] [--selftest N]",
-            "uc serve <livedir> --ingest x [--ingest-addr host:port] [--addr host:port] [--selftest N] [--chaos-seed N]",
+            "uc serve <livedir> --ingest x [--ingest-addr host:port] [--addr host:port] [--workers N] [--queue N] [--timeout-ms N] [--selftest N] [--chaos-seed N]",
             "uc serve <livedir> --ingest x --replica-of host:port [--auto-promote-ms N] [...]",
             "uc serve --ingest x --selftest-repl x [--chaos-seed N]",
         ],
+        flags: &[
+            "addr",
+            "workers",
+            "queue",
+            "timeout-ms",
+            "selftest",
+            "selftest-repl",
+            "ingest",
+            "ingest-addr",
+            "chaos-seed",
+            "replica-of",
+            "auto-promote-ms",
+        ],
+        positional: 0..=1,
         run: cmd_serve,
     },
     Command {
         name: "stream",
         usage: &["uc stream <addr> <logdir> [--batch N] [--max-attempts N] [--chaos-seed N] [--seal x]"],
+        flags: &["batch", "max-attempts", "chaos-seed", "seal"],
+        positional: 2..=2,
         run: cmd_stream,
     },
     Command {
         name: "scrub",
         usage: &["uc scrub <livedir> [--dry-run x] [--rate-mb N] [--watch-ms N]"],
+        flags: &["dry-run", "rate-mb", "watch-ms"],
+        positional: 1..=1,
         run: cmd_scrub,
     },
     Command {
         name: "promote",
         usage: &["uc promote <host:port>"],
+        flags: &[],
+        positional: 1..=1,
         run: cmd_promote,
     },
     Command {
         name: "policy",
         usage: &[
-            "uc policy <db|livedir> [--policy never|always-checkpoint|threshold|bandit|oracle|all] [--seed N] [--train-days D] [--threshold N] [--csv <file>] [--threads N]",
+            "uc policy <db|livedir> [--policy never|always-checkpoint|threshold|bandit|oracle|all] [--seed N] [--train-days D] [--threshold N] [--csv <file>]",
             "uc policy --selftest x [--seed N]",
         ],
+        flags: &["policy", "seed", "train-days", "threshold", "csv", "selftest"],
+        positional: 0..=1,
         run: cmd_policy,
     },
     Command {
         name: "scan",
         usage: &["uc scan [--mb N] [--iters N] [--pattern alternating|incrementing|checkerboard] [--parallel x]"],
+        flags: &["mb", "iters", "pattern", "parallel"],
+        positional: 0..=0,
         run: cmd_scan,
     },
     Command {
         name: "report",
-        usage: &["uc report [--seed N] [--blades N] [--csv <dir>] [--threads N]"],
+        usage: &["uc report [--seed N] [--blades N] [--csv <dir>]"],
+        flags: &["seed", "blades", "csv"],
+        positional: 0..=0,
         run: cmd_report,
     },
 ];
@@ -313,57 +361,41 @@ const COMMANDS: &[Command] = &[
 /// The usage table, generated from [`COMMANDS`].
 fn usage_text() -> String {
     let mut out = String::from("usage:\n");
-    for cmd in COMMANDS {
-        for line in cmd.usage {
-            out.push_str("  ");
-            out.push_str(line);
-            out.push('\n');
-        }
+    for line in COMMANDS.iter().flat_map(|cmd| cmd.usage) {
+        out.push_str("  ");
+        out.push_str(line);
+        out.push('\n');
     }
+    out.push_str(&format!(
+        "  uc <subcommand> ... [--{THREADS} N]   (any subcommand: cap worker threads)\n"
+    ));
     out.push_str("  uc help | uc --help\n");
     out.push_str("  uc --version");
     out
 }
 
-/// Usage errors (unknown subcommand, bad flag) exit 2 so scripts can
-/// tell "you called me wrong" from "the work failed" (exit 1).
-fn bad_usage(msg: &str) -> ExitCode {
-    eprintln!("uc: {msg}");
-    eprintln!("{}", usage_text());
-    ExitCode::from(2)
-}
-
-fn config_for(args: &Args) -> Result<CampaignConfig, String> {
-    let seed = args.get_u64_strict("seed", 42)?;
-    Ok(match args.get_u64_strict("blades", 0)? {
+fn config_for(args: &Args) -> Result<CampaignConfig, Fail> {
+    let seed = args.num("seed", 42)?;
+    Ok(match args.num::<u64>("blades", 0)? {
         0 => CampaignConfig::paper_default(seed),
         b => CampaignConfig::small(seed, b.clamp(6, 63) as u32),
     })
 }
 
-fn cmd_campaign(args: &Args) -> ExitCode {
-    if let Err(e) = args.validate(
-        "campaign",
-        &[
-            "out", "db", "seed", "blades", "compact", "resume", "durable", "threads",
-        ],
-        0,
-        0,
-    ) {
-        return bad_usage(&e);
-    }
+fn cmd_campaign(args: &Args) -> Result<(), Fail> {
     let out = args.get("out");
     let db = args.get("db");
     if out.is_none() && db.is_none() {
-        return bad_usage("campaign requires --out <dir> and/or --db <file>");
+        return Err(Fail::Usage(
+            "campaign requires --out <dir> and/or --db <file>".into(),
+        ));
     }
     if out.is_none() && (args.has("compact") || args.has("durable")) {
-        return bad_usage("--compact/--durable shape the text log layout and need --out <dir>");
+        return Err(Fail::Usage(
+            "--compact/--durable shape the text log layout and need --out <dir>".into(),
+        ));
     }
-    let cfg = match config_for(args) {
-        Ok(c) => c,
-        Err(e) => return bad_usage(&e),
-    };
+    let cfg = config_for(args)?;
     let resume = args.has("resume");
     // Checkpoints live next to whichever output exists: under the log
     // directory as before, or as a `<db>.checkpoints` sibling when the
@@ -375,10 +407,10 @@ fn cmd_campaign(args: &Args) -> ExitCode {
     if !resume {
         // Stale checkpoints from an earlier run (possibly another seed)
         // must not leak into a fresh campaign.
-        if let Err(e) = checkpoint::clear_checkpoints(&ckpt_dir) {
-            eprintln!("failed to clear checkpoints in {}: {e}", ckpt_dir.display());
-            return ExitCode::FAILURE;
-        }
+        checkpoint::clear_checkpoints(&ckpt_dir).map_err(run_err(format!(
+            "failed to clear checkpoints in {}",
+            ckpt_dir.display()
+        )))?;
     }
     eprintln!(
         "running campaign: seed {}, {} candidate nodes{}...",
@@ -391,19 +423,14 @@ fn cmd_campaign(args: &Args) -> ExitCode {
     // exists unless `--out` asks for it too. Without `--db` this is the
     // classic text-only run. Either way the campaign executes once.
     let (result, sealed) = if let Some(db_path) = db {
-        let db_path = PathBuf::from(db_path);
-        match unprotected_computing::direct::campaign_to_db(
+        let output = unprotected_computing::direct::campaign_to_db(
             &cfg,
             &ckpt_dir,
-            &db_path,
+            &PathBuf::from(db_path),
             &WriteOptions::default(),
-        ) {
-            Ok(output) => (output.result, Some(output.summary)),
-            Err(e) => {
-                eprintln!("campaign --db: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+        )
+        .map_err(run_err("campaign --db"))?;
+        (output.result, Some(output.summary))
     } else {
         (checkpoint::run_campaign_checkpointed(&cfg, &ckpt_dir), None)
     };
@@ -455,58 +482,37 @@ fn cmd_campaign(args: &Args) -> ExitCode {
             } else {
                 write_cluster_log
             };
-            match write(&dir, &result.cluster_log()) {
-                Ok(n) => eprintln!("wrote {n} node log files to {}", dir.display()),
-                Err(e) => {
-                    eprintln!("failed to write logs: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
+            let n = write(&dir, &result.cluster_log()).map_err(run_err("failed to write logs"))?;
+            eprintln!("wrote {n} node log files to {}", dir.display());
         }
         let report = Report::build(&result);
         // Atomic (tmp + fsync + rename): a crash mid-write must never leave a
         // half-rendered report.txt next to intact logs.
-        match write_text_atomic(&dir, "report.txt", &render::full_report(&report)) {
-            Ok(path) => eprintln!("report at {}", path.display()),
-            Err(e) => {
-                eprintln!("failed to write report: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+        let path = write_text_atomic(&dir, "report.txt", &render::full_report(&report))
+            .map_err(run_err("failed to write report"))?;
+        eprintln!("report at {}", path.display());
         println!("{}", render::headline(&report));
     } else {
         // Database-only run: the headline still prints (the report is
         // derived in memory), there's just no report.txt to point at.
         println!("{}", render::headline(&Report::build(&result)));
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-fn cmd_analyze(args: &Args) -> ExitCode {
-    if let Err(e) = args.validate("analyze", &["threads", "db"], 0, 1) {
-        return bad_usage(&e);
-    }
+fn cmd_analyze(args: &Args) -> Result<(), Fail> {
     let snapshot = if let Some(db_path) = args.get("db") {
         if !args.positional.is_empty() {
-            return bad_usage("analyze takes either a log directory or --db <file>, not both");
+            return Err(Fail::Usage(
+                "analyze takes either a log directory or --db <file>, not both".into(),
+            ));
         }
         let t0 = std::time::Instant::now();
         // Either shape works: a single `.ucfdb` file or a sharded root
         // directory; both reconstruct the identical snapshot.
-        let db = match uc_faultdb::Engine::open_auto(&PathBuf::from(db_path)) {
-            Ok(db) => db,
-            Err(e) => {
-                eprintln!("analyze: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let snap = match db.snapshot() {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("analyze: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
+        let db =
+            uc_faultdb::Engine::open_auto(&PathBuf::from(db_path)).map_err(run_err("analyze"))?;
+        let snap = db.snapshot().map_err(run_err("analyze"))?;
         eprintln!(
             "opened {db_path}: {} faults in {} blocks, decoded in {:?}",
             db.rows(),
@@ -516,7 +522,9 @@ fn cmd_analyze(args: &Args) -> ExitCode {
         snap
     } else {
         let Some(dir) = args.positional.first() else {
-            return bad_usage("analyze requires a log directory (or --db <file>)");
+            return Err(Fail::Usage(
+                "analyze requires a log directory (or --db <file>)".into(),
+            ));
         };
         // Recovering, parallel load: `read_cluster_log_recovering` lossy-parses
         // each node-log file on its own worker (the full-scale campaign writes
@@ -524,13 +532,8 @@ fn cmd_analyze(args: &Args) -> ExitCode {
         // accounting deterministically.
         let dir_path = PathBuf::from(dir);
         let t0 = std::time::Instant::now();
-        let (cluster, stats) = match uc_faultlog::ingest::read_cluster_log_recovering(&dir_path) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("analyze: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
+        let (cluster, stats) = uc_faultlog::ingest::read_cluster_log_recovering(&dir_path)
+            .map_err(run_err("analyze"))?;
         let file_count = cluster.node_logs().len() + stats.files_unreadable as usize;
         eprintln!(
             "parsed {} files in {:?} ({} worker threads)",
@@ -545,49 +548,41 @@ fn cmd_analyze(args: &Args) -> ExitCode {
     // snapshot alone (see faultdb::Snapshot), which is what makes `--db`
     // a drop-in replacement for re-ingesting the text logs.
     print!("{}", snapshot.report_text());
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-fn cmd_build_db(args: &Args) -> ExitCode {
-    if let Err(e) = args.validate(
-        "build-db",
-        &["rows-per-block", "threads", "shard", "encoding"],
-        2,
-        2,
-    ) {
-        return bad_usage(&e);
-    }
-    let rows_per_block = match args.get_u64_strict("rows-per-block", 0) {
-        Ok(0) => WriteOptions::default().rows_per_block,
+fn cmd_build_db(args: &Args) -> Result<(), Fail> {
+    let rows_per_block = match args.num("rows-per-block", 0)? {
+        0 => WriteOptions::default().rows_per_block,
         // The writer clamps internally; a flag outside its range is a
         // user mistake worth a loud usage error, not a silent clamp.
-        Ok(n) if n <= (1 << 20) => n as usize,
-        Ok(n) => {
-            return bad_usage(&format!(
+        n if n <= (1 << 20) => n,
+        n => {
+            return Err(Fail::Usage(format!(
                 "--rows-per-block {n} exceeds the maximum of {}",
                 1u64 << 20
-            ))
+            )))
         }
-        Err(e) => return bad_usage(&e),
     };
     let encoding = match args.get("encoding") {
         None | Some("v2") => uc_faultdb::FileEncoding::V2,
         Some("v1") => uc_faultdb::FileEncoding::V1,
-        Some(other) => return bad_usage(&format!("--encoding must be v1 or v2, not {other:?}")),
+        Some(other) => {
+            return Err(Fail::Usage(format!(
+                "--encoding must be v1 or v2, not {other:?}"
+            )))
+        }
     };
-    let shard_windows = match args.get_u64_strict("shard", 0) {
-        Ok(n) if n <= (1 << 16) => n as usize,
-        Ok(n) => {
-            return bad_usage(&format!(
+    // Absent means one file; an explicit `--shard` needs a window count.
+    let shard_windows = match args.num_min("shard", 0, 1)? {
+        n if n <= (1 << 16) => n,
+        n => {
+            return Err(Fail::Usage(format!(
                 "--shard {n} exceeds the maximum of {}",
                 1u64 << 16
-            ))
+            )))
         }
-        Err(e) => return bad_usage(&e),
     };
-    if args.has("shard") && shard_windows == 0 {
-        return bad_usage("--shard requires a positive time-window count");
-    }
     let opts = WriteOptions {
         rows_per_block,
         encoding,
@@ -598,317 +593,191 @@ fn cmd_build_db(args: &Args) -> ExitCode {
     if shard_windows > 0 {
         // `--shard N`: seal a (time window × rack) root directory
         // instead of a single file; queries over it answer identically.
-        return match uc_faultdb::build_sharded_db(&logdir, &out, shard_windows, &opts) {
-            Ok(summary) => {
-                println!(
-                    "built {}: {} faults in {} shards, {} bytes",
-                    summary.dir.display(),
-                    summary.rows,
-                    summary.shards,
-                    summary.bytes
-                );
-                eprintln!("ingest + extract + seal took {:?}", t0.elapsed());
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("build-db: {e}");
-                ExitCode::FAILURE
-            }
-        };
+        let summary = uc_faultdb::build_sharded_db(&logdir, &out, shard_windows, &opts)
+            .map_err(run_err("build-db"))?;
+        println!(
+            "built {}: {} faults in {} shards, {} bytes",
+            summary.dir.display(),
+            summary.rows,
+            summary.shards,
+            summary.bytes
+        );
+    } else {
+        let summary = uc_faultdb::build_db(&logdir, &out, &opts).map_err(run_err("build-db"))?;
+        println!(
+            "built {}: {} faults in {} blocks, {} bytes",
+            summary.path.display(),
+            summary.rows,
+            summary.blocks,
+            summary.bytes
+        );
     }
-    match uc_faultdb::build_db(&logdir, &out, &opts) {
-        Ok(summary) => {
-            println!(
-                "built {}: {} faults in {} blocks, {} bytes",
-                summary.path.display(),
-                summary.rows,
-                summary.blocks,
-                summary.bytes
-            );
-            eprintln!("ingest + extract + seal took {:?}", t0.elapsed());
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("build-db: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    eprintln!("ingest + extract + seal took {:?}", t0.elapsed());
+    Ok(())
 }
 
-fn cmd_query(args: &Args) -> ExitCode {
-    if let Err(e) = args.validate(
-        "query",
-        &["timeout-ms", "threads", "explain"],
-        2,
-        usize::MAX,
-    ) {
-        return bad_usage(&e);
-    }
-    let timeout_ms = match args.get_u64_strict("timeout-ms", 0) {
-        Ok(n) => n,
-        Err(e) => return bad_usage(&e),
-    };
+fn cmd_query(args: &Args) -> Result<(), Fail> {
+    let timeout_ms = args.num("timeout-ms", 0)?;
     let db_path = PathBuf::from(&args.positional[0]);
     let expr = args.positional[1..].join(" ");
     // `open_auto` serves both shapes: a single `.ucfdb` file or a
     // sharded root directory (detected by its ROOT catalog).
-    let db = match uc_faultdb::Engine::open_auto(&db_path) {
-        Ok(db) => db,
-        Err(e) => {
-            eprintln!("query: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let db = uc_faultdb::Engine::open_auto(&db_path).map_err(run_err("query"))?;
     if args.has("explain") {
         // Print the plan — shard and block pruning, per-block encodings,
         // the kernel that would run — without scanning anything.
-        return match db.explain(&expr) {
-            Ok(lines) => {
-                for line in &lines {
-                    println!("{line}");
-                }
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("query: {e}");
-                ExitCode::FAILURE
-            }
-        };
+        for line in db.explain(&expr).map_err(run_err("query"))? {
+            println!("{line}");
+        }
+        return Ok(());
     }
     let opts = QueryOptions {
         deadline: (timeout_ms > 0)
             .then(|| std::time::Instant::now() + Duration::from_millis(timeout_ms)),
     };
     let t0 = std::time::Instant::now();
-    match db.query(&expr, &opts) {
-        Ok(result) => {
-            for line in &result.lines {
-                println!("{line}");
-            }
-            eprintln!(
-                "matched {} rows; scanned {}/{} shards, {}/{} blocks ({} rows) in {:?}",
-                result.matched,
-                result.shards_scanned,
-                result.shards_total,
-                result.blocks_scanned,
-                result.blocks_total,
-                result.rows_scanned,
-                t0.elapsed()
-            );
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("query: {e}");
-            ExitCode::FAILURE
-        }
+    let result = db.query(&expr, &opts).map_err(run_err("query"))?;
+    for line in &result.lines {
+        println!("{line}");
     }
+    eprintln!(
+        "matched {} rows; scanned {}/{} shards, {}/{} blocks ({} rows) in {:?}",
+        result.matched,
+        result.shards_scanned,
+        result.shards_total,
+        result.blocks_scanned,
+        result.blocks_total,
+        result.rows_scanned,
+        t0.elapsed()
+    );
+    Ok(())
 }
 
-fn cmd_serve(args: &Args) -> ExitCode {
-    if let Err(e) = args.validate(
-        "serve",
-        &[
-            "addr",
-            "workers",
-            "queue",
-            "timeout-ms",
-            "selftest",
-            "selftest-repl",
-            "threads",
-            "ingest",
-            "ingest-addr",
-            "chaos-seed",
-            "replica-of",
-            "auto-promote-ms",
-        ],
-        0,
-        1,
-    ) {
-        return bad_usage(&e);
-    }
-    let workers = match args.get_u64_strict("workers", 4) {
-        Ok(n) if n >= 1 => n as usize,
-        Ok(_) => return bad_usage("--workers must be at least 1"),
-        Err(e) => return bad_usage(&e),
+fn cmd_serve(args: &Args) -> Result<(), Fail> {
+    // The query endpoint's config, shared by the static and live servers.
+    let query_cfg = ServeConfig {
+        addr: args.get("addr").unwrap_or("127.0.0.1:7878").to_string(),
+        workers: args.num_min("workers", 4, 1)?,
+        queue: args.num_min("queue", 16, 1)?,
+        request_timeout: Duration::from_millis(args.num::<u64>("timeout-ms", 5_000)?.max(1)),
+        ..ServeConfig::default()
     };
-    let queue = match args.get_u64_strict("queue", 16) {
-        Ok(n) if n >= 1 => n as usize,
-        Ok(_) => return bad_usage("--queue must be at least 1"),
-        Err(e) => return bad_usage(&e),
-    };
-    let timeout_ms = match args.get_u64_strict("timeout-ms", 5_000) {
-        Ok(n) => n,
-        Err(e) => return bad_usage(&e),
-    };
-    let selftest = match args.get_u64_strict("selftest", 0) {
-        Ok(n) => n,
-        Err(e) => return bad_usage(&e),
-    };
-    if args.has("selftest") && selftest == 0 {
-        return bad_usage("--selftest requires a positive client count");
-    }
-    if args.has("ingest-addr") && !args.has("ingest") {
-        return bad_usage("--ingest-addr only makes sense with --ingest");
-    }
-    if args.has("replica-of") && !args.has("ingest") {
-        return bad_usage("--replica-of only makes sense with --ingest");
-    }
-    if args.has("selftest-repl") && !args.has("ingest") {
-        return bad_usage("--selftest-repl only makes sense with --ingest");
-    }
-    if args.has("auto-promote-ms") && !args.has("replica-of") {
-        return bad_usage("--auto-promote-ms only makes sense with --replica-of");
+    let selftest = args.num_min("selftest", 0, 1)?;
+    for (flag, needs) in [
+        ("ingest-addr", "ingest"),
+        ("replica-of", "ingest"),
+        ("selftest-repl", "ingest"),
+        ("chaos-seed", "ingest"),
+        ("auto-promote-ms", "replica-of"),
+    ] {
+        if args.has(flag) && !args.has(needs) {
+            return Err(Fail::Usage(format!(
+                "--{flag} only makes sense with --{needs}"
+            )));
+        }
     }
     if args.has("replica-of") && selftest > 0 {
-        return bad_usage("--selftest and --replica-of are mutually exclusive");
+        return Err(Fail::Usage(
+            "--selftest and --replica-of are mutually exclusive".into(),
+        ));
     }
     if !args.has("selftest-repl") && args.positional.is_empty() {
-        return bad_usage("serve needs a database path (or --selftest-repl)");
+        return Err(Fail::Usage(
+            "serve needs a database path (or --selftest-repl)".into(),
+        ));
     }
 
     if args.has("ingest") {
-        return cmd_serve_ingest(args, selftest);
+        return cmd_serve_ingest(args, selftest, &query_cfg);
     }
 
     let db_path = PathBuf::from(&args.positional[0]);
-    let db = match uc_faultdb::Engine::open_auto(&db_path) {
-        Ok(db) => db,
-        Err(e) => {
-            eprintln!("serve: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let db = uc_faultdb::Engine::open_auto(&db_path).map_err(run_err("serve"))?;
 
     if selftest > 0 {
-        match uc_faultdb::selftest(db.clone(), selftest as usize) {
-            Ok(report) => {
-                println!(
-                    "selftest: {} clients, {} requests, {} ok, {} overloaded rejections, {} mismatches",
-                    report.clients,
-                    report.requests,
-                    report.ok,
-                    report.overloaded_rejections,
-                    report.mismatches
-                );
-                let cache = db.cache_stats();
-                eprintln!(
-                    "cache: {} hits, {} misses, {} evictions ({:.1}% hit rate)",
-                    cache.hits,
-                    cache.misses,
-                    cache.evictions,
-                    100.0 * cache.hit_rate()
-                );
-                if report.mismatches == 0 {
-                    ExitCode::SUCCESS
-                } else {
-                    eprintln!("selftest FAILED: concurrent responses diverged from the single-threaded engine");
-                    ExitCode::FAILURE
-                }
-            }
-            Err(e) => {
-                eprintln!("selftest: {e}");
-                ExitCode::FAILURE
-            }
+        let report = uc_faultdb::selftest(db.clone(), selftest).map_err(run_err("selftest"))?;
+        println!(
+            "selftest: {} clients, {} requests, {} ok, {} overloaded rejections, {} mismatches",
+            report.clients,
+            report.requests,
+            report.ok,
+            report.overloaded_rejections,
+            report.mismatches
+        );
+        let cache = db.cache_stats();
+        eprintln!(
+            "cache: {} hits, {} misses, {} evictions ({:.1}% hit rate)",
+            cache.hits,
+            cache.misses,
+            cache.evictions,
+            100.0 * cache.hit_rate()
+        );
+        if report.mismatches > 0 {
+            return Err(Fail::Run(
+                "selftest FAILED: concurrent responses diverged from the single-threaded engine"
+                    .into(),
+            ));
         }
-    } else {
-        let cfg = ServeConfig {
-            addr: args.get("addr").unwrap_or("127.0.0.1:7878").to_string(),
-            workers,
-            queue,
-            request_timeout: Duration::from_millis(timeout_ms.max(1)),
-            ..ServeConfig::default()
-        };
-        match uc_faultdb::Server::start(db, &cfg) {
-            Ok(server) => {
-                eprintln!(
-                    "serving {} on {} ({} workers, queue {}); send SHUTDOWN or SIGINT/SIGTERM to stop",
-                    db_path.display(),
-                    server.local_addr(),
-                    cfg.workers,
-                    cfg.queue
-                );
-                let handle = server.shutdown_handle();
-                spawn_signal_watcher(move || handle.shutdown());
-                let stats = server.join();
-                eprintln!(
-                    "served {} requests, rejected {} overloaded connections",
-                    stats.served, stats.rejected
-                );
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("serve: {e}");
-                ExitCode::FAILURE
-            }
-        }
+        return Ok(());
     }
+
+    let server = uc_faultdb::Server::start(db, &query_cfg).map_err(run_err("serve"))?;
+    eprintln!(
+        "serving {} on {} ({} workers, queue {}); send SHUTDOWN or SIGINT/SIGTERM to stop",
+        db_path.display(),
+        server.local_addr(),
+        query_cfg.workers,
+        query_cfg.queue
+    );
+    let handle = server.shutdown_handle();
+    spawn_signal_watcher(move || handle.shutdown());
+    let stats = server.join();
+    eprintln!(
+        "served {} requests, rejected {} overloaded connections",
+        stats.served, stats.rejected
+    );
+    Ok(())
 }
 
 /// `uc serve <livedir> --ingest`: a live database with a framed push
 /// endpoint for nodes and the usual query endpoint for readers, both
 /// draining gracefully on SHUTDOWN or SIGINT/SIGTERM. With
 /// `--selftest N`, runs the chaos-driven end-to-end check instead.
-fn cmd_serve_ingest(args: &Args, selftest: u64) -> ExitCode {
+fn cmd_serve_ingest(args: &Args, selftest: usize, query_cfg: &ServeConfig) -> Result<(), Fail> {
     if args.has("selftest-repl") {
-        let seed = match args.get_u64_strict("chaos-seed", 1) {
-            Ok(n) => n,
-            Err(e) => return bad_usage(&e),
-        };
-        return match uc_faultdb::repl_selftest(seed) {
-            Ok(report) => {
-                println!("{}", report.render());
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("replication selftest FAILED: {e}");
-                ExitCode::FAILURE
-            }
-        };
+        let report = uc_faultdb::repl_selftest(args.num("chaos-seed", 1)?)
+            .map_err(run_err("replication selftest FAILED"))?;
+        println!("{}", report.render());
+        return Ok(());
     }
 
     let dir = PathBuf::from(&args.positional[0]);
 
     if selftest > 0 {
-        let seed = match args.get_u64_strict("chaos-seed", 1) {
-            Ok(n) => n,
-            Err(e) => return bad_usage(&e),
-        };
-        return match uc_faultdb::ingest_selftest(&dir, selftest as usize, seed) {
-            Ok(report) => {
-                println!(
-                    "ingest selftest: {} clients, {}/{} records acked, {} reconnects, \
-                     {} chaos events, {} sheds, {} mismatches",
-                    report.clients,
-                    report.records_acked,
-                    report.records_sent,
-                    report.reconnects,
-                    report.chaos_events,
-                    report.sheds,
-                    report.mismatches
-                );
-                if report.mismatches == 0 && report.records_acked == report.records_sent {
-                    ExitCode::SUCCESS
-                } else {
-                    eprintln!(
-                        "ingest selftest FAILED: live database diverged from the batch oracle"
-                    );
-                    ExitCode::FAILURE
-                }
-            }
-            Err(e) => {
-                eprintln!("ingest selftest: {e}");
-                ExitCode::FAILURE
-            }
-        };
+        let seed = args.num("chaos-seed", 1)?;
+        let report = uc_faultdb::ingest_selftest(&dir, selftest, seed)
+            .map_err(run_err("ingest selftest"))?;
+        println!(
+            "ingest selftest: {} clients, {}/{} records acked, {} reconnects, \
+             {} chaos events, {} sheds, {} mismatches",
+            report.clients,
+            report.records_acked,
+            report.records_sent,
+            report.reconnects,
+            report.chaos_events,
+            report.sheds,
+            report.mismatches
+        );
+        if report.mismatches > 0 || report.records_acked != report.records_sent {
+            return Err(Fail::Run(
+                "ingest selftest FAILED: live database diverged from the batch oracle".into(),
+            ));
+        }
+        return Ok(());
     }
 
-    let (live, open) = match uc_faultdb::LiveDb::open(&dir) {
-        Ok(pair) => pair,
-        Err(e) => {
-            eprintln!("serve --ingest: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let auto_promote_ms = args.num("auto-promote-ms", 0)?;
+    let (live, open) = uc_faultdb::LiveDb::open(&dir).map_err(run_err("serve --ingest"))?;
     let live = Arc::new(live);
     eprintln!(
         "opened live db {}: {} records replayed from {} WAL segment(s), {} gen {} ({} torn bytes trimmed)",
@@ -929,13 +798,9 @@ fn cmd_serve_ingest(args: &Args, selftest: u64) -> ExitCode {
     // PROMOTE, manual or automatic). Both answer PROMOTE and report
     // repl_* STATS lines over the query wire.
     let (role, repl) = if let Some(upstream) = args.get("replica-of") {
-        let auto_ms = match args.get_u64_strict("auto-promote-ms", 0) {
-            Ok(n) => n,
-            Err(e) => return bad_usage(&e),
-        };
         let mut rcfg = uc_faultdb::ReplicaConfig::new(upstream);
-        if auto_ms > 0 {
-            rcfg.auto_promote_after = Some(Duration::from_millis(auto_ms));
+        if auto_promote_ms > 0 {
+            rcfg.auto_promote_after = Some(Duration::from_millis(auto_promote_ms));
         }
         let repl = Arc::new(uc_faultdb::Replication::start(Arc::clone(&live), rcfg));
         (repl.role(), Some(repl))
@@ -960,39 +825,32 @@ fn cmd_serve_ingest(args: &Args, selftest: u64) -> ExitCode {
             .to_string(),
         ..IngestConfig::default()
     };
-    let ingest = match uc_faultdb::IngestServer::start_with_role(
+    let ingest = uc_faultdb::IngestServer::start_with_role(
         Arc::clone(&live),
         &ingest_cfg,
         Some(Arc::clone(&role)),
-    ) {
+    )
+    .map_err(run_err("serve --ingest"))?;
+    let query = match uc_faultdb::Server::start_with_admin(live.handle(), query_cfg, Some(admin)) {
         Ok(s) => s,
         Err(e) => {
-            eprintln!("serve --ingest: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let query_cfg = ServeConfig {
-        addr: args.get("addr").unwrap_or("127.0.0.1:7878").to_string(),
-        ..ServeConfig::default()
-    };
-    let query = match uc_faultdb::Server::start_with_admin(live.handle(), &query_cfg, Some(admin)) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("serve --ingest: {e}");
             ingest.shutdown();
             ingest.join();
-            return ExitCode::FAILURE;
+            return Err(Fail::Run(format!("serve --ingest: {e}")));
         }
     };
+    let (workers, queue) = (query_cfg.workers, query_cfg.queue);
     match args.get("replica-of") {
         Some(upstream) => eprintln!(
             "replica of {upstream}: ingest on {} (readonly), queries on {}; \
+             {workers} workers, queue {queue}; \
              send PROMOTE to take over, SHUTDOWN or SIGINT/SIGTERM to stop",
             ingest.local_addr(),
             query.local_addr()
         ),
         None => eprintln!(
-            "ingest on {}, queries on {}; send SHUTDOWN or SIGINT/SIGTERM to stop",
+            "ingest on {}, queries on {}; {workers} workers, queue {queue}; \
+             send SHUTDOWN or SIGINT/SIGTERM to stop",
             ingest.local_addr(),
             query.local_addr()
         ),
@@ -1022,9 +880,8 @@ fn cmd_serve_ingest(args: &Args, selftest: u64) -> ExitCode {
     // seal markers, never from its own clock.
     if role.is_readonly() {
         drop(repl);
-    } else if let Err(e) = live.seal() {
-        eprintln!("final seal failed: {e}");
-        return ExitCode::FAILURE;
+    } else {
+        live.seal().map_err(run_err("final seal failed"))?;
     }
     let status = live.status();
     eprintln!(
@@ -1039,52 +896,25 @@ fn cmd_serve_ingest(args: &Args, selftest: u64) -> ExitCode {
         status.generation,
         status.gen_records
     );
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 /// `uc stream <addr> <logdir>`: push every `node-*.log` in a directory
 /// to a live ingest server, one resilient session per node.
-fn cmd_stream(args: &Args) -> ExitCode {
-    if let Err(e) = args.validate(
-        "stream",
-        &["batch", "chaos-seed", "seal", "max-attempts", "threads"],
-        2,
-        2,
-    ) {
-        return bad_usage(&e);
-    }
-    let batch = match args.get_u64_strict("batch", 64) {
-        Ok(n) if n >= 1 => n as usize,
-        Ok(_) => return bad_usage("--batch must be at least 1"),
-        Err(e) => return bad_usage(&e),
-    };
-    let max_attempts = match args.get_u32_strict("max-attempts", 10) {
-        Ok(n) if n >= 1 => n,
-        Ok(_) => return bad_usage("--max-attempts must be at least 1"),
-        Err(e) => return bad_usage(&e),
-    };
-    let chaos_seed = match args.get_u64_strict("chaos-seed", 0) {
-        Ok(n) => n,
-        Err(e) => return bad_usage(&e),
-    };
+fn cmd_stream(args: &Args) -> Result<(), Fail> {
+    let batch = args.num_min("batch", 64, 1)?;
+    let max_attempts = args.num_min("max-attempts", 10, 1)?;
+    let chaos_seed = args.num("chaos-seed", 0)?;
     let addr = {
         use std::net::ToSocketAddrs;
-        match args.positional[0].to_socket_addrs() {
-            Ok(mut addrs) => match addrs.next() {
-                Some(a) => a,
-                None => return bad_usage("stream address resolved to nothing"),
-            },
-            Err(e) => return bad_usage(&format!("bad stream address {}: {e}", args.positional[0])),
-        }
+        let text = &args.positional[0];
+        text.to_socket_addrs()
+            .map_err(|e| Fail::Usage(format!("bad stream address {text}: {e}")))?
+            .next()
+            .ok_or_else(|| Fail::Usage("stream address resolved to nothing".into()))?
     };
     let logdir = PathBuf::from(&args.positional[1]);
-    let paths = match uc_faultlog::ingest::node_log_paths(&logdir) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("stream: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let paths = uc_faultlog::ingest::node_log_paths(&logdir).map_err(run_err("stream"))?;
 
     let opts = StreamOptions {
         batch,
@@ -1141,11 +971,10 @@ fn cmd_stream(args: &Args) -> ExitCode {
          {failures} failures in {:?}",
         t0.elapsed()
     );
-    if failures == 0 {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
+    if failures > 0 {
+        return Err(Fail::Run(format!("stream: {failures} failure(s)")));
     }
+    Ok(())
 }
 
 /// Ask the server to seal a generation using a node-less session: HELLO
@@ -1161,82 +990,48 @@ fn seal_remote(addr: std::net::SocketAddr) -> Result<(), uc_faultdb::DbError> {
     uc_faultdb::stream_lines(addr, node, &[], &opts, None).map(drop)
 }
 
-fn cmd_fsck(args: &Args) -> ExitCode {
-    if let Err(e) = args.validate("fsck", &["threads"], 1, 1) {
-        return bad_usage(&e);
-    }
+fn cmd_fsck(args: &Args) -> Result<(), Fail> {
+    const VIOLATED: &str = "fsck: CONSERVATION VIOLATED — this is a bug, bytes were lost";
     let dir = PathBuf::from(&args.positional[0]);
+    let what = format!("fsck {}", dir.display());
     // Live ingest directories carry WAL segments, sealed generations, and
     // a catalog on top of the durable segment format; their fsck enforces
     // the same conservation law but also promotes or rolls back torn
     // generation seals.
     if uc_faultdb::is_live_dir(&dir) {
-        return match uc_faultdb::fsck_live_dir(&dir) {
-            Ok(report) => {
-                eprintln!("fsck (live) {}:", dir.display());
-                eprintln!("{}", report.render());
-                if report.is_conserved() {
-                    ExitCode::SUCCESS
-                } else {
-                    eprintln!("fsck: CONSERVATION VIOLATED — this is a bug, bytes were lost");
-                    ExitCode::FAILURE
-                }
-            }
-            Err(e) => {
-                eprintln!("fsck {}: {e}", dir.display());
-                ExitCode::FAILURE
-            }
-        };
+        let report = uc_faultdb::fsck_live_dir(&dir).map_err(run_err(&what))?;
+        eprintln!("fsck (live) {}:", dir.display());
+        eprintln!("{}", report.render());
+        if !report.is_conserved() {
+            return Err(Fail::Run(VIOLATED.into()));
+        }
+        return Ok(());
     }
-    // A sharded root: quarantine torn seals (shard tmps and ROOT.tmp),
-    // then validate the catalog CRC, every shard footer, the
+    // A crash inside `uc campaign --db`, `uc build-db` or a sharded
+    // build can leave a half-written `*.ucfdb.tmp` (or shard tmp, or
+    // ROOT.tmp) in its write-then-rename window; the sealed databases
+    // themselves are never damaged. Quarantine the residue into
+    // `.lost+found` like any other torn tail.
+    for (name, bytes) in uc_faultdb::quarantine_db_tmps(&dir).map_err(run_err(&what))? {
+        eprintln!("quarantined torn db seal {name} ({bytes} bytes) to .lost+found");
+    }
+    // A sharded root: validate the catalog CRC, every shard footer, the
     // catalog-vs-shard row agreement, and every block payload CRC.
     if uc_faultdb::is_root_dir(&dir) {
-        match uc_faultdb::quarantine_db_tmps(&dir) {
-            Ok(moved) => {
-                for (name, bytes) in &moved {
-                    eprintln!("quarantined torn db seal {name} ({bytes} bytes) to .lost+found");
-                }
-            }
-            Err(e) => {
-                eprintln!("fsck {}: {e}", dir.display());
-                return ExitCode::FAILURE;
-            }
-        }
-        return match uc_faultdb::RootDb::open(&dir).and_then(|db| {
-            db.verify_deep()?;
-            Ok(db)
-        }) {
-            Ok(db) => {
-                eprintln!("fsck (root) {}:", dir.display());
-                eprintln!(
-                    "  {} shards, {} rows, {} blocks — catalog and every block CRC verified",
-                    db.shard_count(),
-                    db.rows(),
-                    db.blocks()
-                );
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("fsck {}: {e}", dir.display());
-                ExitCode::FAILURE
-            }
-        };
-    }
-    // A crash inside `uc campaign --db` (or `uc build-db`) can leave a
-    // half-written `*.ucfdb.tmp` in its write-then-rename window; the
-    // sealed databases themselves are never damaged. Quarantine the
-    // residue into `.lost+found` like any other torn tail.
-    match uc_faultdb::quarantine_db_tmps(&dir) {
-        Ok(moved) => {
-            for (name, bytes) in &moved {
-                eprintln!("quarantined torn db seal {name} ({bytes} bytes) to .lost+found");
-            }
-        }
-        Err(e) => {
-            eprintln!("fsck {}: {e}", dir.display());
-            return ExitCode::FAILURE;
-        }
+        let db = uc_faultdb::RootDb::open(&dir)
+            .and_then(|db| {
+                db.verify_deep()?;
+                Ok(db)
+            })
+            .map_err(run_err(&what))?;
+        eprintln!("fsck (root) {}:", dir.display());
+        eprintln!(
+            "  {} shards, {} rows, {} blocks — catalog and every block CRC verified",
+            db.shard_count(),
+            db.rows(),
+            db.blocks()
+        );
+        return Ok(());
     }
     let mut targets = vec![dir.clone()];
     let ckpt_dir = dir.join(".checkpoints");
@@ -1245,48 +1040,26 @@ fn cmd_fsck(args: &Args) -> ExitCode {
     }
     let mut conserved = true;
     for target in targets {
-        match uc_faultlog::durable::fsck_dir(&target) {
-            Ok(report) => {
-                eprintln!("fsck {}:", target.display());
-                eprintln!("{}", report.summary());
-                conserved &= report.is_conserved();
-            }
-            Err(e) => {
-                eprintln!("fsck {}: {e}", target.display());
-                return ExitCode::FAILURE;
-            }
-        }
+        let report = uc_faultlog::durable::fsck_dir(&target)
+            .map_err(run_err(format!("fsck {}", target.display())))?;
+        eprintln!("fsck {}:", target.display());
+        eprintln!("{}", report.summary());
+        conserved &= report.is_conserved();
     }
-    if conserved {
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("fsck: CONSERVATION VIOLATED — this is a bug, bytes were lost");
-        ExitCode::FAILURE
+    if !conserved {
+        return Err(Fail::Run(VIOLATED.into()));
     }
+    Ok(())
 }
 
 /// `uc scrub <livedir>`: walk every sealed generation and WAL segment
 /// verifying CRCs, repair damaged generations by resealing from the WAL,
 /// and quarantine unrecoverables under the fsck conservation law. With
 /// `--watch-ms N`, patrol continuously until SIGINT/SIGTERM.
-fn cmd_scrub(args: &Args) -> ExitCode {
-    if let Err(e) = args.validate(
-        "scrub",
-        &["dry-run", "rate-mb", "watch-ms", "threads"],
-        1,
-        1,
-    ) {
-        return bad_usage(&e);
-    }
+fn cmd_scrub(args: &Args) -> Result<(), Fail> {
     let dir = PathBuf::from(&args.positional[0]);
-    let rate_mb = match args.get_u64_strict("rate-mb", 0) {
-        Ok(n) => n,
-        Err(e) => return bad_usage(&e),
-    };
-    let watch_ms = match args.get_u64_strict("watch-ms", 0) {
-        Ok(n) => n,
-        Err(e) => return bad_usage(&e),
-    };
+    let rate_mb: u64 = args.num("rate-mb", 0)?;
+    let watch_ms = args.num("watch-ms", 0)?;
     let cfg = uc_faultdb::ScrubConfig {
         repair: !args.has("dry-run"),
         max_bytes_per_sec: if rate_mb > 0 {
@@ -1317,105 +1090,75 @@ fn cmd_scrub(args: &Args) -> ExitCode {
             eprintln!("{report}");
         }
         eprintln!("scrub: {rounds} rounds, {repaired} generations repaired, {busy} busy skips");
-        return ExitCode::SUCCESS;
+        return Ok(());
     }
 
-    match uc_faultdb::scrub_live_dir(&dir, &cfg) {
-        Ok(report) => {
-            eprintln!("scrub {}:", dir.display());
-            eprintln!("{}", report.render());
-            if !report.is_conserved() {
-                eprintln!("scrub: CONSERVATION VIOLATED — this is a bug, bytes were lost");
-                ExitCode::FAILURE
-            } else if report.gens_unrecoverable > 0 {
-                eprintln!(
-                    "scrub: {} generation(s) unrecoverable — quarantined to .lost+found",
-                    report.gens_unrecoverable
-                );
-                ExitCode::FAILURE
-            } else {
-                ExitCode::SUCCESS
-            }
-        }
-        Err(e) => {
-            eprintln!("scrub {}: {e}", dir.display());
-            ExitCode::FAILURE
-        }
+    let report = uc_faultdb::scrub_live_dir(&dir, &cfg)
+        .map_err(run_err(format!("scrub {}", dir.display())))?;
+    eprintln!("scrub {}:", dir.display());
+    eprintln!("{}", report.render());
+    if !report.is_conserved() {
+        return Err(Fail::Run(
+            "scrub: CONSERVATION VIOLATED — this is a bug, bytes were lost".into(),
+        ));
     }
+    if report.gens_unrecoverable > 0 {
+        return Err(Fail::Run(format!(
+            "scrub: {} generation(s) unrecoverable — quarantined to .lost+found",
+            report.gens_unrecoverable
+        )));
+    }
+    Ok(())
 }
 
 /// `uc promote <addr>`: ask a serving node (primary or replica) over its
 /// query port to stop following and start accepting writes at a bumped
 /// epoch. The old primary, if partitioned away, is fenced on reconnect.
-fn cmd_promote(args: &Args) -> ExitCode {
-    if let Err(e) = args.validate("promote", &[], 1, 1) {
-        return bad_usage(&e);
-    }
+fn cmd_promote(args: &Args) -> Result<(), Fail> {
     use std::net::ToSocketAddrs;
-    let addr = match args.positional[0].to_socket_addrs() {
-        Ok(mut addrs) => match addrs.next() {
-            Some(a) => a,
-            None => return bad_usage("promote: address resolved to nothing"),
-        },
-        Err(e) => {
-            eprintln!("promote {}: {e}", args.positional[0]);
-            return ExitCode::FAILURE;
-        }
-    };
-    let mut client = match uc_faultdb::Client::connect(addr) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("promote {addr}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match client.request("PROMOTE") {
-        Ok(uc_faultdb::Response::Ok(lines)) => {
+    let text = &args.positional[0];
+    // An address that fails to resolve is a runtime failure (the name
+    // may resolve later); one that resolves to nothing is a usage error.
+    let addr = text
+        .to_socket_addrs()
+        .map_err(run_err(format!("promote {text}")))?
+        .next()
+        .ok_or_else(|| Fail::Usage("promote: address resolved to nothing".into()))?;
+    let mut client =
+        uc_faultdb::Client::connect(addr).map_err(run_err(format!("promote {addr}")))?;
+    match client
+        .request("PROMOTE")
+        .map_err(run_err(format!("promote {addr}")))?
+    {
+        uc_faultdb::Response::Ok(lines) => {
             for line in &lines {
                 println!("{line}");
             }
             eprintln!("promoted: {addr} now accepts writes");
-            ExitCode::SUCCESS
+            Ok(())
         }
-        Ok(uc_faultdb::Response::Err { kind, message }) => {
-            eprintln!("promote {addr}: {kind}: {message}");
-            ExitCode::FAILURE
-        }
-        Err(e) => {
-            eprintln!("promote {addr}: {e}");
-            ExitCode::FAILURE
+        uc_faultdb::Response::Err { kind, message } => {
+            Err(Fail::Run(format!("promote {addr}: {kind}: {message}")))
         }
     }
 }
 
-fn cmd_scan(args: &Args) -> ExitCode {
-    if let Err(e) = args.validate(
-        "scan",
-        &["mb", "iters", "pattern", "parallel", "threads"],
-        0,
-        0,
-    ) {
-        return bad_usage(&e);
-    }
-    let mb = match args.get_u64_strict("mb", 256) {
-        // The scanner takes bytes; reject sizes whose byte count would
-        // overflow instead of wrapping in the multiply below.
-        Ok(n) if n.checked_mul(1024 * 1024).is_some() => n,
-        Ok(n) => return bad_usage(&format!("--mb {n} is too large (byte count overflows)")),
-        Err(e) => return bad_usage(&e),
-    };
-    let iters = match args.get_u64_strict("iters", 4) {
-        Ok(n) => n,
-        Err(e) => return bad_usage(&e),
-    };
+fn cmd_scan(args: &Args) -> Result<(), Fail> {
+    let mb: u64 = args.num("mb", 256)?;
+    // The scanner takes bytes; reject sizes whose byte count would
+    // overflow instead of wrapping in the multiply.
+    let bytes = mb
+        .checked_mul(1024 * 1024)
+        .ok_or_else(|| Fail::Usage(format!("--mb {mb} is too large (byte count overflows)")))?;
+    let iters = args.num("iters", 4)?;
     let pattern = match args.get("pattern") {
         Some("incrementing") => Pattern::incrementing(),
         Some("checkerboard") => Pattern::Checkerboard,
         Some("alternating") | None => Pattern::Alternating,
         Some(other) => {
-            return bad_usage(&format!(
+            return Err(Fail::Usage(format!(
                 "--pattern must be alternating|incrementing|checkerboard, got {other:?}"
-            ))
+            )))
         }
     };
     let parallel = args.has("parallel");
@@ -1426,9 +1169,9 @@ fn cmd_scan(args: &Args) -> ExitCode {
     );
     let t0 = std::time::Instant::now();
     let report = if parallel {
-        run_host_scan_parallel(mb * 1024 * 1024, iters, pattern, None)
+        run_host_scan_parallel(bytes, iters, pattern, None)
     } else {
-        run_host_scan(mb * 1024 * 1024, iters, pattern)
+        run_host_scan(bytes, iters, pattern)
     };
     let secs = t0.elapsed().as_secs_f64();
     println!(
@@ -1450,7 +1193,7 @@ fn cmd_scan(args: &Args) -> ExitCode {
     if report.errors.is_empty() {
         println!("no corruption observed (expected on ECC-protected hosts)");
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 /// Open a replay source for `uc policy`: a sealed `.ucfdb` file, a
@@ -1475,107 +1218,60 @@ fn open_replay_engine(path: &std::path::Path) -> Result<uc_faultdb::Engine, Stri
 
 /// `uc policy <db|livedir>`: day-replay the stored fault stream through
 /// the mitigation policy engine and print the cost-vs-coverage table.
-fn cmd_policy(args: &Args) -> ExitCode {
+fn cmd_policy(args: &Args) -> Result<(), Fail> {
     use uc_policy::{render_csv, render_table, run_comparison, PolicyKind, ReplayConfig};
 
-    if let Err(e) = args.validate(
-        "policy",
-        &[
-            "policy",
-            "seed",
-            "train-days",
-            "threshold",
-            "csv",
-            "selftest",
-            "threads",
-        ],
-        0,
-        1,
-    ) {
-        return bad_usage(&e);
-    }
-    let seed = match args.get_u64_strict("seed", 0) {
-        Ok(n) => n,
-        Err(e) => return bad_usage(&e),
-    };
+    let seed = args.num("seed", 0)?;
     if args.has("selftest") {
         if !args.positional.is_empty() {
-            return bad_usage("policy --selftest builds its own corpus and takes no database path");
+            return Err(Fail::Usage(
+                "policy --selftest builds its own corpus and takes no database path".into(),
+            ));
         }
-        return match unprotected_computing::policyrun::policy_selftest(seed) {
-            Ok(report) => {
-                println!("{report}");
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("policy selftest FAILED: {e}");
-                ExitCode::FAILURE
-            }
-        };
+        let report = unprotected_computing::policyrun::policy_selftest(seed)
+            .map_err(run_err("policy selftest FAILED"))?;
+        println!("{report}");
+        return Ok(());
     }
     let Some(path) = args.positional.first() else {
-        return bad_usage("policy requires a database path (or --selftest x)");
+        return Err(Fail::Usage(
+            "policy requires a database path (or --selftest x)".into(),
+        ));
     };
     let kinds: Vec<PolicyKind> = match args.get("policy") {
         None | Some("all") => PolicyKind::ALL.to_vec(),
-        Some(name) => match PolicyKind::parse(name) {
-            Some(k) => vec![k],
-            None => {
-                return bad_usage(&format!(
-                    "--policy must be never|always-checkpoint|threshold|bandit|oracle|all, got {name:?}"
-                ))
-            }
-        },
+        Some(name) => vec![PolicyKind::parse(name).ok_or_else(|| {
+            Fail::Usage(format!(
+                "--policy must be never|always-checkpoint|threshold|bandit|oracle|all, got {name:?}"
+            ))
+        })?],
     };
-    let train_days = if args.has("train-days") {
-        match args.get_u64_strict("train-days", 0) {
-            Ok(n) => match i64::try_from(n) {
-                Ok(d) => Some(d),
-                Err(_) => return bad_usage(&format!("--train-days {n} is too large")),
-            },
-            Err(e) => return bad_usage(&e),
-        }
+    let train_days: Option<i64> = if args.has("train-days") {
+        Some(args.num("train-days", 0)?)
     } else {
         None
     };
-    let threshold = match args.get_u32_strict("threshold", 3) {
-        Ok(n) if n >= 1 => n,
-        Ok(_) => return bad_usage("--threshold must be at least 1"),
-        Err(e) => return bad_usage(&e),
-    };
+    let threshold = args.num_min("threshold", 3, 1)?;
 
     let path = PathBuf::from(path);
-    let db = match open_replay_engine(&path) {
-        Ok(db) => db,
-        Err(e) => {
-            eprintln!("policy: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let db = open_replay_engine(&path).map_err(run_err("policy"))?;
     let t0 = std::time::Instant::now();
-    let days = match db.collect_days() {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("policy: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let days = db.collect_days().map_err(run_err("policy"))?;
     if days.is_empty() {
         println!(
             "policy: {} holds no faults; nothing to replay",
             path.display()
         );
-        return ExitCode::SUCCESS;
+        return Ok(());
     }
     if let Some(td) = train_days {
         // A training window that swallows the whole stream leaves no
         // evaluation days — every total would be vacuously zero.
         if td >= days.len() as i64 {
-            eprintln!(
+            return Err(Fail::Run(format!(
                 "policy: --train-days {td} leaves no evaluation days (stream spans {} days)",
                 days.len()
-            );
-            return ExitCode::FAILURE;
+            )));
         }
     }
     let cfg = ReplayConfig {
@@ -1593,72 +1289,120 @@ fn cmd_policy(args: &Args) -> ExitCode {
         t0.elapsed()
     );
     if let Some(csv_path) = args.get("csv") {
-        if let Err(e) = std::fs::write(csv_path, render_csv(&cmp)) {
-            eprintln!("policy: failed to write {csv_path}: {e}");
-            return ExitCode::FAILURE;
-        }
+        std::fs::write(csv_path, render_csv(&cmp))
+            .map_err(run_err(format!("policy: failed to write {csv_path}")))?;
         eprintln!("wrote CSV to {csv_path}");
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-fn cmd_report(args: &Args) -> ExitCode {
-    if let Err(e) = args.validate("report", &["seed", "blades", "csv", "threads"], 0, 0) {
-        return bad_usage(&e);
-    }
-    let cfg = match config_for(args) {
-        Ok(c) => c,
-        Err(e) => return bad_usage(&e),
-    };
+fn cmd_report(args: &Args) -> Result<(), Fail> {
+    let cfg = config_for(args)?;
     let result = run_campaign(&cfg);
     let report = Report::build(&result);
     if let Some(dir) = args.get("csv") {
-        match unprotected_core::csv::write_all(&report, &PathBuf::from(dir)) {
-            Ok(paths) => eprintln!("wrote {} CSV series to {dir}", paths.len()),
-            Err(e) => {
-                eprintln!("failed to write CSVs: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+        let paths = unprotected_core::csv::write_all(&report, &PathBuf::from(dir))
+            .map_err(run_err("failed to write CSVs"))?;
+        eprintln!("wrote {} CSV series to {dir}", paths.len());
     }
     println!("{}", render::full_report(&report));
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-fn main() -> ExitCode {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
+/// Check the subcommand's flags and positional count against its
+/// [`COMMANDS`] row, apply `--threads`, and run it.
+fn dispatch(raw: &[String]) -> Result<(), Fail> {
     let Some((cmd, rest)) = raw.split_first() else {
-        return bad_usage("missing subcommand");
+        return Err(Fail::Usage("missing subcommand".into()));
     };
     if cmd == "--version" {
         println!("uc {}", env!("CARGO_PKG_VERSION"));
-        return ExitCode::SUCCESS;
+        return Ok(());
     }
     if cmd == "help" || cmd == "--help" {
         // Asked-for usage goes to stdout and exits 0, unlike the exit-2
         // stderr copy a *wrong* invocation gets.
         println!("{}", usage_text());
-        return ExitCode::SUCCESS;
+        return Ok(());
     }
+    let command = COMMANDS
+        .iter()
+        .find(|c| c.name == cmd.as_str())
+        .ok_or_else(|| Fail::Usage(format!("unknown subcommand {cmd:?}")))?;
     let args = Args::parse(rest);
-    // `--threads N` caps every worker pool for the rest of the process
-    // (same knob as the UC_THREADS environment variable, which it
-    // overrides). All parallel stages are deterministic, so this only
-    // trades wall-clock time — never output bytes.
-    if args.has("threads") {
-        // Same strict contract as every other numeric flag: garbage and
-        // overflow are both usage errors (exit 2), zero is rejected.
-        match args.get_u64_strict("threads", 0) {
-            Ok(n) if n >= 1 => match usize::try_from(n) {
-                Ok(n) => uc_parallel::set_thread_limit(Some(n)),
-                Err(_) => return bad_usage(&format!("--threads {n} is too large")),
+    if let Some((k, _)) = args
+        .flags
+        .iter()
+        .find(|(k, _)| k != THREADS && !command.flags.contains(&k.as_str()))
+    {
+        return Err(Fail::Usage(format!("unknown flag --{k} for `uc {cmd}`")));
+    }
+    let n = args.positional.len();
+    if !command.positional.contains(&n) {
+        return Err(Fail::Usage(
+            match (*command.positional.start(), *command.positional.end()) {
+                (a, b) if a == b => {
+                    format!("`uc {cmd}` takes {a} positional argument(s), got {n}")
+                }
+                (a, _) if n < a => format!("`uc {cmd}` needs at least {a} positional argument(s)"),
+                (_, b) => format!("`uc {cmd}` takes at most {b} positional argument(s), got {n}"),
             },
-            Ok(_) => return bad_usage("--threads requires a positive integer, got \"0\""),
-            Err(e) => return bad_usage(&e),
+        ));
+    }
+    // Zero is rejected when given, so 0 here means the flag is absent.
+    let threads = args.num_min(THREADS, 0, 1)?;
+    if threads > 0 {
+        uc_parallel::set_thread_limit(Some(threads));
+    }
+    (command.run)(&args)
+}
+
+fn main() -> ExitCode {
+    let raw: Vec<String> = std::env::args().skip(1).collect();
+    match dispatch(&raw) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(Fail::Usage(msg)) => {
+            eprintln!("uc: {msg}");
+            eprintln!("{}", usage_text());
+            ExitCode::from(2)
+        }
+        Err(Fail::Run(msg)) => {
+            eprintln!("{msg}");
+            ExitCode::FAILURE
         }
     }
-    match COMMANDS.iter().find(|c| c.name == cmd.as_str()) {
-        Some(command) => (command.run)(&args),
-        None => bad_usage(&format!("unknown subcommand {cmd:?}")),
+}
+
+#[cfg(test)]
+mod tests {
+    use super::COMMANDS;
+
+    /// A row's flags and its usage lines name the same flags: nothing is
+    /// accepted but undocumented, or documented but rejected.
+    #[test]
+    fn every_declared_flag_appears_in_its_usage() {
+        for cmd in COMMANDS {
+            let documented: Vec<&str> = cmd
+                .usage
+                .iter()
+                .flat_map(|line| line.split_whitespace())
+                .filter_map(|word| word.trim_start_matches('[').strip_prefix("--"))
+                .map(|flag| flag.trim_end_matches(']'))
+                .collect();
+            for flag in cmd.flags {
+                assert!(
+                    documented.contains(flag),
+                    "`uc {}` accepts --{flag} but its usage omits it",
+                    cmd.name
+                );
+            }
+            for flag in &documented {
+                assert!(
+                    cmd.flags.contains(flag),
+                    "`uc {}` documents --{flag} but rejects it",
+                    cmd.name
+                );
+            }
+        }
     }
 }

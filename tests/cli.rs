@@ -7,8 +7,9 @@
 //! build-db → query → analyze parity between the text and `--db` paths.
 
 use std::fs;
-use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::io::BufReader;
+use std::path::{Path, PathBuf};
+use std::process::{Child, ChildStderr, Command, Output, Stdio};
 
 fn uc(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_uc"))
@@ -80,6 +81,64 @@ fn runtime_failure_is_exit_1_not_2() {
     let out = uc(&["analyze", "/nonexistent/uc-cli-test"]);
     assert_eq!(out.status.code(), Some(1));
     assert!(!stderr(&out).contains("usage:"), "{}", stderr(&out));
+}
+
+/// The exit-code contract, once per subcommand: a usage error exits 2
+/// with usage on stderr, and a well-formed call whose work fails exits 1
+/// without it. Every runtime failure here is local (a missing path, a
+/// file where a directory belongs, an address that does not parse), so
+/// no row resolves a host name or needs a database.
+#[test]
+fn every_subcommand_keeps_the_exit_code_contract() {
+    let usage_errors: &[&[&str]] = &[
+        &["campaign", "--out", "x", "extra"],
+        &["fsck"],
+        &["analyze", "a", "b"],
+        &["build-db", "a"],
+        &["query", "db"],
+        &["serve"],
+        &["stream", "127.0.0.1:1"],
+        &["scrub", "a", "b"],
+        &["promote"],
+        &["policy", "--frob", "x"],
+        &["scan", "--iters", "x"],
+        &["report", "extra"],
+    ];
+    for args in usage_errors {
+        let out = uc(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {}", stderr(&out));
+        assert!(
+            stderr(&out).contains("usage:"),
+            "{args:?}: {}",
+            stderr(&out)
+        );
+    }
+
+    let file = std::env::temp_dir().join(format!("uc-cli-contract-{}", std::process::id()));
+    fs::write(&file, b"a file, not a directory").unwrap();
+    let missing = "/nonexistent/uc-cli-contract";
+    let runtime_failures: &[&[&str]] = &[
+        &["campaign", "--out", file.to_str().unwrap()],
+        &["fsck", missing],
+        &["analyze", missing],
+        &["build-db", missing, "/nonexistent/uc-cli-contract.fdb"],
+        &["query", missing, "count"],
+        &["serve", missing],
+        &["stream", "127.0.0.1:1", missing],
+        &["scrub", missing],
+        &["promote", "not-an-address"],
+        &["policy", missing],
+    ];
+    for args in runtime_failures {
+        let out = uc(args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {}", stderr(&out));
+        assert!(
+            !stderr(&out).contains("usage:"),
+            "{args:?}: {}",
+            stderr(&out)
+        );
+    }
+    let _ = fs::remove_file(&file);
 }
 
 /// A tiny on-disk log directory: 2 nodes, a START/END pair and a handful
@@ -158,6 +217,13 @@ fn ingest_addr_without_ingest_is_a_usage_error() {
 }
 
 #[test]
+fn chaos_seed_without_ingest_is_a_usage_error() {
+    let out = uc(&["serve", "somedir", "--chaos-seed", "7"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(stderr(&out).contains("--chaos-seed"), "{}", stderr(&out));
+}
+
+#[test]
 fn ingest_selftest_passes_through_the_binary() {
     let base = std::env::temp_dir().join(format!("uc-cli-ingest-self-{}", std::process::id()));
     let _ = fs::remove_dir_all(&base);
@@ -180,37 +246,33 @@ fn ingest_selftest_passes_through_the_binary() {
     let _ = fs::remove_dir_all(&base);
 }
 
-/// The full operational loop through the shell: start a live server,
-/// `uc stream` real node logs into it with a final seal, query the
-/// records back over TCP, stop the server with SIGTERM (the graceful
-/// path, exit 0), and fsck the directory it leaves behind.
-#[cfg(unix)]
-#[test]
-fn stream_serve_ingest_sigterm_and_fsck_end_to_end() {
+/// A live server child. If an assertion fails, the server must die with
+/// the test — a leaked child keeps the harness pipes open forever.
+struct KillOnDrop(Child);
+impl Drop for KillOnDrop {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+/// A `uc serve --ingest` child and what its banner said.
+struct LiveServer {
+    child: KillOnDrop,
+    /// The child's stderr, read up to and including the banner line.
+    reader: BufReader<ChildStderr>,
+    /// Everything the child printed up to and including the banner.
+    banner: String,
+    ingest_addr: String,
+    query_addr: String,
+}
+
+/// Start `uc serve <live> --ingest x` with `extra` flags and read its
+/// stderr up to the banner. Port 0 on both endpoints: the server prints
+/// the bound addresses.
+fn spawn_live_server(live: &Path, extra: &[&str]) -> LiveServer {
     use std::io::BufRead;
 
-    extern "C" {
-        fn kill(pid: i32, sig: i32) -> i32;
-    }
-    const SIGTERM: i32 = 15;
-
-    let base = std::env::temp_dir().join(format!("uc-cli-ingest-e2e-{}", std::process::id()));
-    let _ = fs::remove_dir_all(&base);
-    let logs = base.join("logs");
-    write_tiny_logs(&logs);
-    let live = base.join("live");
-
-    // If an assertion below fails, the server must die with the test —
-    // a leaked child keeps the harness pipes open forever.
-    struct KillOnDrop(std::process::Child);
-    impl Drop for KillOnDrop {
-        fn drop(&mut self) {
-            let _ = self.0.kill();
-            let _ = self.0.wait();
-        }
-    }
-
-    // Port 0 on both endpoints: the server prints the bound addresses.
     let child = Command::new(env!("CARGO_BIN_EXE_uc"))
         .args([
             "serve",
@@ -222,11 +284,12 @@ fn stream_serve_ingest_sigterm_and_fsck_end_to_end() {
             "--addr",
             "127.0.0.1:0",
         ])
-        .stderr(std::process::Stdio::piped())
+        .args(extra)
+        .stderr(Stdio::piped())
         .spawn()
         .expect("spawn uc serve --ingest");
     let mut child = KillOnDrop(child);
-    let mut reader = std::io::BufReader::new(child.0.stderr.take().unwrap());
+    let mut reader = BufReader::new(child.0.stderr.take().unwrap());
     let mut banner = String::new();
     let (ingest_addr, query_addr) = loop {
         let mut line = String::new();
@@ -244,6 +307,60 @@ fn stream_serve_ingest_sigterm_and_fsck_end_to_end() {
             );
         }
     };
+    LiveServer {
+        child,
+        reader,
+        banner,
+        ingest_addr,
+        query_addr,
+    }
+}
+
+/// The live server builds its query endpoint from `--workers`, `--queue`
+/// and `--timeout-ms`, as the static server does; its banner names the
+/// workers and queue it runs with.
+#[test]
+fn serve_ingest_applies_query_server_flags() {
+    let base = std::env::temp_dir().join(format!("uc-cli-ingest-flags-{}", std::process::id()));
+    let _ = fs::remove_dir_all(&base);
+    let server = spawn_live_server(
+        &base.join("live"),
+        &["--workers", "1", "--queue", "3", "--timeout-ms", "250"],
+    );
+    assert!(
+        server.banner.contains("; 1 workers, queue 3;"),
+        "{}",
+        server.banner
+    );
+    drop(server);
+    let _ = fs::remove_dir_all(&base);
+}
+
+/// The full operational loop through the shell: start a live server,
+/// `uc stream` real node logs into it with a final seal, query the
+/// records back over TCP, stop the server with SIGTERM (the graceful
+/// path, exit 0), and fsck the directory it leaves behind.
+#[cfg(unix)]
+#[test]
+fn stream_serve_ingest_sigterm_and_fsck_end_to_end() {
+    extern "C" {
+        fn kill(pid: i32, sig: i32) -> i32;
+    }
+    const SIGTERM: i32 = 15;
+
+    let base = std::env::temp_dir().join(format!("uc-cli-ingest-e2e-{}", std::process::id()));
+    let _ = fs::remove_dir_all(&base);
+    let logs = base.join("logs");
+    write_tiny_logs(&logs);
+    let live = base.join("live");
+
+    let LiveServer {
+        mut child,
+        mut reader,
+        banner,
+        ingest_addr,
+        query_addr,
+    } = spawn_live_server(&live, &[]);
 
     let streamed = uc(&[
         "stream",

@@ -9,6 +9,7 @@
 
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
@@ -17,8 +18,16 @@ use unprotected_computing::faultdb::{FaultDb, Snapshot, WriteOptions};
 use unprotected_computing::faultlog::ingest::{recover_text, IngestStats};
 use unprotected_computing::faultlog::store::ClusterLog;
 
-/// Build one clean database, once, and hand back its bytes.
-fn clean_db_bytes() -> (Vec<u8>, Snapshot) {
+/// The clean database's bytes and snapshot, built once per test binary.
+/// Tests run on parallel threads and share one scratch directory, so
+/// the build happens behind a `OnceLock` and nothing deletes the
+/// directory while another test writes into it.
+fn clean_db() -> &'static (Vec<u8>, Snapshot) {
+    static CLEAN: OnceLock<(Vec<u8>, Snapshot)> = OnceLock::new();
+    CLEAN.get_or_init(build_clean_db)
+}
+
+fn build_clean_db() -> (Vec<u8>, Snapshot) {
     let mut stats = IngestStats::default();
     let mut logs = Vec::new();
     for name in ["01-01", "02-05"] {
@@ -39,7 +48,6 @@ fn clean_db_bytes() -> (Vec<u8>, Snapshot) {
     }
     let snap = Snapshot::from_cluster(&ClusterLog::new(logs), stats);
     let dir = std::env::temp_dir().join(format!("uc-fdb-dmg-{}", std::process::id()));
-    let _ = fs::remove_dir_all(&dir);
     fs::create_dir_all(&dir).unwrap();
     let path = dir.join("clean.fdb");
     write_db(
@@ -75,7 +83,7 @@ proptest! {
     /// error; it never silently yields different faults.
     #[test]
     fn any_single_bit_flip_is_detected(seed in 0usize..usize::MAX, bit in 0u8..8) {
-        let (clean, _snap) = clean_db_bytes();
+        let (clean, _snap) = clean_db();
         let offset = seed % clean.len();
         let mut damaged = clean.clone();
         damaged[offset] ^= 1 << bit;
@@ -92,14 +100,14 @@ proptest! {
     /// unlikely by construction) reads back the identical snapshot.
     #[test]
     fn truncation_never_yields_wrong_results(cut in 0usize..usize::MAX) {
-        let (clean, snap) = clean_db_bytes();
+        let (clean, snap) = clean_db();
         let cut = cut % clean.len(); // strictly shorter than the file
         let path = write_tmp(&format!("cut-{cut}"), &clean[..cut]);
         let outcome = read_all(&path);
         let _ = fs::remove_file(&path);
         match outcome {
             Err(_) => {} // typed refusal: the expected outcome
-            Ok(back) => prop_assert_eq!(back, snap),
+            Ok(back) => prop_assert_eq!(&back, snap),
         }
     }
 }
@@ -109,7 +117,7 @@ proptest! {
 #[test]
 fn block_damage_error_names_the_block() {
     use unprotected_computing::faultdb::DbError;
-    let (clean, _snap) = clean_db_bytes();
+    let (clean, _snap) = clean_db();
     // Flip a byte early in the first block's payload (right after magic).
     let mut damaged = clean.clone();
     damaged[8] ^= 0x40;
@@ -126,7 +134,7 @@ fn block_damage_error_names_the_block() {
 /// trailer is located from the end of the file.
 #[test]
 fn appended_garbage_is_detected() {
-    let (clean, _snap) = clean_db_bytes();
+    let (clean, _snap) = clean_db();
     let mut damaged = clean.clone();
     damaged.extend_from_slice(b"tail of junk");
     let path = write_tmp("append", &damaged);
