@@ -162,3 +162,10 @@ impl DbError {
         }
     }
 }
+
+/// The one retry rule for a peer's `ERR <kind>`: a shed or a transient
+/// server-side failure may pass on a retry; any other kind means the
+/// session itself is wrong (gap, bad node, fenced …).
+pub(crate) fn retryable(kind: &str) -> bool {
+    matches!(kind, "overloaded" | "io" | "timeout")
+}

@@ -26,7 +26,7 @@
 //! bitmap. The trailer carries the footer's own extent and CRC, so
 //! validation is outside-in: magic → trailer → footer CRC → per-block
 //! CRC on decode. Any truncation or bit flip is caught by one of those
-//! checks and surfaces as a typed [`DbError`](crate::DbError) — never as
+//! checks and surfaces as a typed [`DbError`] — never as
 //! silently wrong rows.
 //!
 //! Files are sealed with the same tmp + fsync + rename discipline as

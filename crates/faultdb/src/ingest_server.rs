@@ -11,14 +11,16 @@
 //! ```text
 //! HELLO <node>        open a session for one node  → ACK <next-seq>
 //! REC <seq> <line>    push record <seq> (no per-record reply)
-//! FLUSH               make everything pushed durable → ACK <next-seq>
+//! FLUSH               write pushes to the WAL (fsynced at the next seal) → ACK <next-seq>
 //! SEAL                flush + rebuild the served generation → ACK <next-seq>
 //! BYE                 flush + close                 → ACK <next-seq>
 //! ```
 //!
 //! Server payloads are `ACK <next-seq>` or `ERR <kind>: <message>`. The
 //! `ACK` is the *only* durability signal: it is sent after the WAL
-//! flush, never before, and it carries the server's cursor. A client
+//! write, never before, and it carries the server's cursor. The write is
+//! not fsynced until the next seal, so acked records survive a process
+//! crash but a power loss can lose those acked since that seal. A client
 //! that reconnects (after a drop, a garbage frame, a crash) re-HELLOs,
 //! reads the cursor, and resumes from there — records below the cursor
 //! are never re-sent, records the server never flushed are; the
@@ -27,14 +29,14 @@
 //! interleaving of failures. Sequence numbers *ahead* of the cursor are
 //! a client-side bug and are rejected hard (`ERR gap`).
 //!
-//! Hostile-input posture mirrors the query server: bounded admission
-//! (overload ⇒ typed `ERR overloaded`, never a hang), a per-connection
-//! read deadline, a frame-size cap inherited from the segment format,
-//! and any damaged frame ends the connection with a typed error — the
-//! stream past unverifiable bytes is unverifiable too.
+//! Sessions run on the connection runtime the query server uses (bounded
+//! admission shedding with a framed `ERR overloaded`, a per-connection
+//! read deadline, prompt shutdown); a frame-size cap is inherited from
+//! the segment format, and any damaged frame ends the connection with a
+//! typed error — the stream past unverifiable bytes is unverifiable too.
 
 use std::io::{self, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
@@ -45,8 +47,8 @@ use uc_faultlog::chaos::{ChaosStream, NetChaosConfig, NetChaosTally};
 use uc_faultlog::durable::{write_frame, FrameEvent, FrameReader, RetryPolicy, MAGIC};
 
 use crate::catalog::{IngestOutcome, LiveDb};
-use crate::error::DbError;
-use crate::server::Admission;
+use crate::error::{retryable, DbError};
+use crate::listener::ShutdownHandle;
 
 /// Ingest-side tuning; `Default` suits tests.
 #[derive(Clone, Debug)]
@@ -87,49 +89,17 @@ pub struct IngestServerStats {
 
 struct Inner {
     live: Arc<LiveDb>,
-    cfg: IngestConfig,
-    admission: Admission,
-    addr: SocketAddr,
     sessions: AtomicU64,
-    rejected: AtomicU64,
     protocol_errors: AtomicU64,
     /// Replication role, when this node is part of a replicated pair:
     /// replicas refuse pushes, fenced nodes refuse everything.
     role: Option<Arc<crate::repl::Role>>,
 }
 
-impl Inner {
-    fn stats(&self) -> IngestServerStats {
-        IngestServerStats {
-            sessions: self.sessions.load(Ordering::Relaxed),
-            rejected: self.rejected.load(Ordering::Relaxed),
-            protocol_errors: self.protocol_errors.load(Ordering::Relaxed),
-        }
-    }
-
-    fn shutdown(&self) {
-        self.admission.stop();
-        let _ = TcpStream::connect(self.addr);
-    }
-}
-
 /// A running ingest server over a shared [`LiveDb`].
 pub struct IngestServer {
     inner: Arc<Inner>,
-    acceptor: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
-}
-
-/// Cloneable remote control for [`IngestServer::shutdown`].
-#[derive(Clone)]
-pub struct IngestShutdownHandle {
-    inner: Arc<Inner>,
-}
-
-impl IngestShutdownHandle {
-    pub fn shutdown(&self) {
-        self.inner.shutdown();
-    }
+    conns: ShutdownHandle,
 }
 
 impl IngestServer {
@@ -146,93 +116,53 @@ impl IngestServer {
         cfg: &IngestConfig,
         role: Option<Arc<crate::repl::Role>>,
     ) -> Result<IngestServer, DbError> {
-        let listener = TcpListener::bind(&cfg.addr)
-            .map_err(|e| DbError::io(std::path::Path::new(&cfg.addr), e))?;
-        let addr = listener
-            .local_addr()
-            .map_err(|e| DbError::io(std::path::Path::new(&cfg.addr), e))?;
         let inner = Arc::new(Inner {
             live,
-            cfg: cfg.clone(),
-            admission: Admission::new(cfg.queue),
-            addr,
             sessions: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
             protocol_errors: AtomicU64::new(0),
             role,
         });
-
-        let workers = (0..cfg.workers.max(1))
-            .map(|_| {
-                let inner = Arc::clone(&inner);
-                thread::spawn(move || {
-                    while let Some(conn) = inner.admission.pop() {
-                        inner.sessions.fetch_add(1, Ordering::Relaxed);
-                        handle_session(&inner, conn);
-                    }
-                })
-            })
-            .collect();
-
-        let acceptor = {
-            let inner = Arc::clone(&inner);
-            thread::spawn(move || {
-                for stream in listener.incoming() {
-                    if inner.admission.stopping() {
-                        break;
-                    }
-                    let Ok(stream) = stream else { continue };
-                    if let Err(mut refused) = inner.admission.try_push(stream) {
-                        if inner.admission.stopping() {
-                            break;
-                        }
-                        inner.rejected.fetch_add(1, Ordering::Relaxed);
-                        // Framed rejection: the client's frame reader
-                        // parses it like any other server reply.
-                        let _ = refused.write_all(MAGIC);
-                        let _ = write_frame(
-                            &mut refused,
-                            b"ERR overloaded: ingest admission queue full, retry later",
-                        );
-                        let _ = refused.flush();
-                    }
-                }
-            })
-        };
-
-        Ok(IngestServer {
-            inner,
-            acceptor: Some(acceptor),
-            workers,
-        })
+        // Framed rejection: the client's frame reader parses it like any
+        // other server reply.
+        let mut shed = MAGIC.to_vec();
+        shed.extend(uc_faultlog::durable::encode_frame(
+            b"ERR overloaded: ingest admission queue full, retry later",
+        ));
+        let state = Arc::clone(&inner);
+        let conns = crate::listener::start(
+            &cfg.addr,
+            cfg.workers,
+            cfg.queue,
+            cfg.idle_timeout,
+            shed,
+            move |conn, _| handle_session(&state, conn),
+        )?;
+        Ok(IngestServer { inner, conns })
     }
 
     pub fn local_addr(&self) -> SocketAddr {
-        self.inner.addr
+        self.conns.local_addr()
     }
 
     pub fn stats(&self) -> IngestServerStats {
-        self.inner.stats()
+        IngestServerStats {
+            sessions: self.inner.sessions.load(Ordering::Relaxed),
+            rejected: self.conns.rejected(),
+            protocol_errors: self.inner.protocol_errors.load(Ordering::Relaxed),
+        }
     }
 
     pub fn shutdown(&self) {
-        self.inner.shutdown();
+        self.conns.shutdown();
     }
 
-    pub fn shutdown_handle(&self) -> IngestShutdownHandle {
-        IngestShutdownHandle {
-            inner: Arc::clone(&self.inner),
-        }
+    pub fn shutdown_handle(&self) -> ShutdownHandle {
+        self.conns.clone()
     }
 
-    pub fn join(mut self) -> IngestServerStats {
-        if let Some(a) = self.acceptor.take() {
-            let _ = a.join();
-        }
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-        self.inner.stats()
+    pub fn join(self) -> IngestServerStats {
+        self.conns.join();
+        self.stats()
     }
 }
 
@@ -248,17 +178,13 @@ fn ack(w: &mut impl Write, next_seq: u64) -> io::Result<()> {
     w.flush()
 }
 
-fn handle_session(inner: &Inner, stream: TcpStream) {
-    let _ = stream.set_read_timeout(Some(inner.cfg.idle_timeout));
-    let _ = stream.set_nodelay(true);
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
+fn handle_session(inner: &Inner, stream: &TcpStream) {
+    inner.sessions.fetch_add(1, Ordering::Relaxed);
     let mut writer = stream;
     if writer.write_all(MAGIC).is_err() {
         return;
     }
-    let mut reader = FrameReader::new(BufReader::new(read_half));
+    let mut reader = FrameReader::new(BufReader::new(stream));
     match reader.expect_magic() {
         Ok(true) => {}
         Ok(false) | Err(_) => {
@@ -514,7 +440,7 @@ impl Default for StreamOptions {
 /// What a completed stream did.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StreamReport {
-    /// Records the server had durably accepted by the final ACK.
+    /// Records the server had written to its WAL by the final ACK.
     pub acked: u64,
     /// TCP connections opened (1 = no failure ever forced a retry).
     pub connects: u32,
@@ -570,8 +496,9 @@ fn read_reply(wire: &mut Wire) -> io::Result<Result<u64, (String, String)>> {
 /// Stream `lines` (record `i` has sequence number `i`) for one node,
 /// surviving disconnects, injected faults, and overload sheds by
 /// reconnecting and resuming from the server's acked cursor. Returns
-/// only once every record is durably acked (plus the final seal, if
-/// requested) — or a hard, typed failure.
+/// only once every record is acked, i.e. written to the server's WAL and
+/// fsynced at its next seal (plus the final seal, if requested) — or a
+/// hard, typed failure.
 pub fn stream_lines(
     addr: SocketAddr,
     node: NodeId,
@@ -633,19 +560,15 @@ pub fn stream_lines(
 }
 
 fn classify_err(kind: &str, msg: &str) -> AttemptEnd {
-    match kind {
-        // Shed or transient server-side I/O: the record set is intact,
-        // retry with backoff.
-        "overloaded" | "io" | "timeout" => AttemptEnd::Soft(io::Error::new(
+    if retryable(kind) {
+        AttemptEnd::Soft(io::Error::new(
             io::ErrorKind::ConnectionRefused,
             format!("{kind}: {msg}"),
-        )),
-        // Everything else means the session itself is wrong (gap, bad
-        // node, protocol damage the server attributes to us): retrying
-        // the same bytes cannot succeed.
-        _ => AttemptEnd::Hard(DbError::Query(format!(
+        ))
+    } else {
+        AttemptEnd::Hard(DbError::Query(format!(
             "server rejected stream: {kind}: {msg}"
-        ))),
+        )))
     }
 }
 
@@ -1123,6 +1046,36 @@ mod tests {
         assert!(server.stats().rejected >= 1);
         server.shutdown();
         server.join();
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn shutdown_does_not_wait_for_a_polling_replica() {
+        // A replica PULLs every 25 ms, so its SYNC session never idles
+        // out: join must end the session, not wait for the replica.
+        let dir = tmpdir("replshutdown");
+        let (_live, server) = start_pair(&dir.join("primary"), &IngestConfig::default());
+        let (replica, _) = LiveDb::open(&dir.join("replica")).unwrap();
+        let repl = crate::repl::Replication::start(
+            Arc::new(replica),
+            crate::repl::ReplicaConfig::new(&server.local_addr().to_string()),
+        );
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while server.stats().sessions == 0 {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "replica never attached"
+            );
+            thread::sleep(Duration::from_millis(5));
+        }
+        let (tx, rx) = std::sync::mpsc::channel();
+        thread::spawn(move || {
+            server.shutdown();
+            let _ = tx.send(server.join());
+        });
+        rx.recv_timeout(Duration::from_secs(5))
+            .expect("join must not wait for a polling replica");
+        repl.shutdown();
         fs::remove_dir_all(&dir).unwrap();
     }
 

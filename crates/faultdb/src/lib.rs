@@ -10,7 +10,7 @@
 //!
 //! The layers, bottom-up:
 //!
-//! * [`format`] — the on-disk layout: fixed-size row-group blocks,
+//! * [`mod@format`] — the on-disk layout: fixed-size row-group blocks,
 //!   column-major, each with a CRC-32 and a zone map, behind a
 //!   CRC-protected footer; sealed with tmp + fsync + rename.
 //! * [`snapshot`] — what a database stores: faults + report provenance,
@@ -33,18 +33,28 @@
 //!   zone-map-pruned window scan per simulated day, the replay feed for
 //!   the mitigation policy engine (`uc policy`).
 //! * [`build`] — `uc build-db`: log directory in, sealed database out.
-//! * [`server`] — `uc serve`: the line protocol, bounded admission with
-//!   typed overload rejection, graceful shutdown, and the loadgen
-//!   selftest.
+//! * [`direct`] — `uc campaign --db`: recovered node logs folded in
+//!   memory and sealed, byte-identical to the text path's `build-db`.
+//! * `listener` (crate-private) — the connection runtime both servers
+//!   run on: bind, acceptor, bounded admission shedding with a typed
+//!   `ERR overloaded`, worker pool, read deadlines, prompt shutdown.
+//! * [`server`] — `uc serve`: the query line protocol, its client, and
+//!   the loadgen selftest.
 //! * [`wal`] — the streaming write-ahead log: CRC-framed durable
 //!   segments holding every accepted record, replayable after any crash.
 //! * [`catalog`] — the live database: WAL replay, generation sealing
 //!   through the identical batch pipeline (so live answers are
 //!   byte-identical to batch answers), the generation catalog, and
 //!   `fsck` for live directories.
+//! * [`lock`] — the PID-stamped `LOCK` that keeps a live directory
+//!   single-writer.
 //! * [`ingest_server`] — `uc serve --ingest` / `uc stream`: the framed
-//!   TCP push protocol with sequence-numbered idempotent replay, bounded
-//!   admission, per-connection deadlines, and a chaos-driven selftest.
+//!   TCP push protocol with sequence-numbered idempotent replay and a
+//!   chaos-driven selftest.
+//! * [`repl`] — WAL-shipping replicas over the ingest port, and
+//!   epoch-fenced failover.
+//! * [`scrub`] — `uc scrub`: the rate-limited CRC scrubber that reseals
+//!   damaged generations from the WAL.
 //!
 //! Corruption is a first-class outcome, never a wrong answer: every
 //! read path validates CRCs outside-in and surfaces damage as a typed
@@ -61,6 +71,7 @@ pub mod error;
 pub mod format;
 pub mod ingest_server;
 pub mod kernel;
+mod listener;
 pub mod lock;
 pub mod query;
 pub mod repl;
@@ -84,7 +95,7 @@ pub use error::{BlockDamage, DbError};
 pub use format::{FileEncoding, WriteOptions, WriteSummary};
 pub use ingest_server::{
     ingest_selftest, stream_lines, IngestConfig, IngestSelftestReport, IngestServer,
-    IngestServerStats, IngestShutdownHandle, StreamOptions, StreamReport,
+    IngestServerStats, StreamOptions, StreamReport,
 };
 pub use lock::LiveLock;
 pub use query::{parse_query, Query};

@@ -26,7 +26,7 @@
 //! payloads, the same fingerprint the catalog stores per generation. The
 //! `(segment, offset)` pair is advisory position reporting; the primary
 //! *verifies* the cursor by replaying its own on-disk WAL through the
-//! shared sequence discipline ([`ReplayState`]) and checking the CRC at
+//! shared sequence discipline (`ReplayState`) and checking the CRC at
 //! exactly that count. A cursor the primary's history cannot reproduce is
 //! a typed [`DbError::Diverged`] — or [`DbError::Fenced`] when the peer
 //! also announces a stale epoch, the signature of an ex-primary that kept
@@ -63,7 +63,7 @@ use uc_faultlog::durable::{
 };
 
 use crate::catalog::{LiveDb, ReplayState};
-use crate::error::DbError;
+use crate::error::{retryable, DbError};
 use crate::ingest_server::Wire;
 use crate::server::ServerAdmin;
 use crate::wal::{decode_wal_payload, list_wal_segments};
@@ -563,13 +563,9 @@ impl Replication {
         promote_node(&self.live, &self.role, Some(&self.shared))
     }
 
-    /// Stop the sync loop (without promoting) and wait for it.
-    pub fn shutdown(mut self) {
-        self.shared.stop.store(true, Ordering::SeqCst);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
-    }
+    /// Stop the sync loop (without promoting) and wait for it: what
+    /// dropping the handle does.
+    pub fn shutdown(self) {}
 }
 
 impl Drop for Replication {
@@ -894,7 +890,7 @@ fn classify_refusal(kind: &str, msg: &str, local_epoch: u64) -> SessionEnd {
             detail: msg.to_string(),
         }),
         "diverged" => SessionEnd::Fatal(DbError::Diverged(msg.to_string())),
-        "overloaded" | "io" | "timeout" => SessionEnd::Soft(format!("{kind}: {msg}")),
+        _ if retryable(kind) => SessionEnd::Soft(format!("{kind}: {msg}")),
         _ => SessionEnd::Fatal(DbError::Query(format!(
             "upstream rejected sync: {kind}: {msg}"
         ))),

@@ -1,34 +1,25 @@
-//! Line-protocol TCP serving layer over an open [`FaultDb`].
+//! Line-protocol TCP serving layer over an open [`FaultDb`](crate::FaultDb).
 //!
 //! One request is one line; one response is `OK <k>` followed by `k`
 //! payload lines, or `ERR <kind>: <message>` (kinds are
-//! [`DbError::kind`] plus `overloaded` and `badcmd`). Connections are
-//! handled by a fixed worker pool behind a *bounded* admission queue:
-//! when the queue is full the acceptor answers `ERR overloaded: ...`
-//! immediately and closes — load shedding is explicit and typed, never a
+//! [`DbError::kind`] plus `overloaded` and `badcmd`). Connections run on
+//! the crate's connection runtime: a fixed worker pool behind a bounded
+//! admission queue that sheds with a typed `ERR overloaded`, never a
 //! hang. Each query runs under a per-request deadline, surfacing as
-//! `ERR timeout` when the engine trips [`DbError::Timeout`].
-//!
-//! Shutdown is cooperative: the `SHUTDOWN` command (or
-//! [`Server::shutdown`]) sets a stop flag, wakes the workers, and pokes
-//! the acceptor with a self-connection so its blocking `accept` returns.
-//! Workers drain already-admitted connections before exiting, so every
-//! accepted client gets an answer.
-//!
-//! The vendored channel only offers a *blocking* send, which cannot
-//! express "reject instead of wait" — so admission is a hand-rolled
-//! `Mutex<VecDeque>` + `Condvar` with a non-blocking `try_push`.
+//! `ERR timeout` when the engine trips [`DbError::Timeout`]. `SHUTDOWN`
+//! (or [`Server::shutdown`]) answers the requests already sent, then
+//! stops; an idle client does not hold up [`Server::join`].
 
-use std::collections::VecDeque;
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use crate::db::{DbHandle, QueryOptions};
 use crate::error::DbError;
+pub use crate::listener::ShutdownHandle;
 use crate::shard::Engine;
 
 /// Hard cap on one request line. A client that streams bytes without a
@@ -72,65 +63,6 @@ pub struct ServerStats {
     pub rejected: u64,
 }
 
-/// Bounded admission: non-blocking push for the acceptor, blocking pop
-/// for the workers, drained on shutdown. Shared with the ingest server,
-/// which has the same shed-don't-hang contract.
-pub(crate) struct Admission {
-    queue: Mutex<VecDeque<TcpStream>>,
-    cv: Condvar,
-    cap: usize,
-    stop: AtomicBool,
-}
-
-impl Admission {
-    pub(crate) fn new(cap: usize) -> Admission {
-        Admission {
-            queue: Mutex::new(VecDeque::new()),
-            cv: Condvar::new(),
-            cap: cap.max(1),
-            stop: AtomicBool::new(false),
-        }
-    }
-
-    /// Admit or hand the stream back (queue full / stopping).
-    pub(crate) fn try_push(&self, s: TcpStream) -> Result<(), TcpStream> {
-        if self.stop.load(Ordering::Acquire) {
-            return Err(s);
-        }
-        let mut q = self.queue.lock().unwrap_or_else(|e| e.into_inner());
-        if q.len() >= self.cap {
-            return Err(s);
-        }
-        q.push_back(s);
-        drop(q);
-        self.cv.notify_one();
-        Ok(())
-    }
-
-    /// Next admitted connection; `None` once stopped *and* drained.
-    pub(crate) fn pop(&self) -> Option<TcpStream> {
-        let mut q = self.queue.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            if let Some(s) = q.pop_front() {
-                return Some(s);
-            }
-            if self.stop.load(Ordering::Acquire) {
-                return None;
-            }
-            q = self.cv.wait(q).unwrap_or_else(|e| e.into_inner());
-        }
-    }
-
-    pub(crate) fn stop(&self) {
-        self.stop.store(true, Ordering::Release);
-        self.cv.notify_all();
-    }
-
-    pub(crate) fn stopping(&self) -> bool {
-        self.stop.load(Ordering::Acquire)
-    }
-}
-
 /// Node-level administration the query port exposes when the server
 /// fronts a replicated [`crate::catalog::LiveDb`]: extra `STATS` lines
 /// (role, epoch, lag) and the `PROMOTE` failover command. Plain static
@@ -145,47 +77,23 @@ pub trait ServerAdmin: Send + Sync {
 struct Inner {
     db: DbHandle,
     cfg: ServeConfig,
-    admission: Admission,
-    addr: SocketAddr,
     served: AtomicU64,
-    rejected: AtomicU64,
     admin: Option<Arc<dyn ServerAdmin>>,
 }
 
 impl Inner {
-    fn stats(&self) -> ServerStats {
+    fn stats(&self, conns: &ShutdownHandle) -> ServerStats {
         ServerStats {
             served: self.served.load(Ordering::Relaxed),
-            rejected: self.rejected.load(Ordering::Relaxed),
+            rejected: conns.rejected(),
         }
-    }
-
-    /// Begin shutdown; a self-connection unblocks the acceptor.
-    fn shutdown(&self) {
-        self.admission.stop();
-        let _ = TcpStream::connect(self.addr);
     }
 }
 
 /// A running server; drop without [`Server::join`] detaches the threads.
 pub struct Server {
     inner: Arc<Inner>,
-    acceptor: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
-}
-
-/// A cloneable remote control for [`Server::shutdown`] — lets a signal
-/// watcher (or any other thread) stop the server while the main thread
-/// is parked in [`Server::join`].
-#[derive(Clone)]
-pub struct ShutdownHandle {
-    inner: Arc<Inner>,
-}
-
-impl ShutdownHandle {
-    pub fn shutdown(&self) {
-        self.inner.shutdown();
-    }
+    conns: ShutdownHandle,
 }
 
 impl Server {
@@ -204,90 +112,47 @@ impl Server {
         cfg: &ServeConfig,
         admin: Option<Arc<dyn ServerAdmin>>,
     ) -> Result<Server, DbError> {
-        let listener = TcpListener::bind(&cfg.addr)
-            .map_err(|e| DbError::io(std::path::Path::new(&cfg.addr), e))?;
-        let addr = listener
-            .local_addr()
-            .map_err(|e| DbError::io(std::path::Path::new(&cfg.addr), e))?;
         let inner = Arc::new(Inner {
             db: db.into(),
             cfg: cfg.clone(),
-            admission: Admission::new(cfg.queue),
-            addr,
             served: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
             admin,
         });
-
-        let workers = (0..cfg.workers.max(1))
-            .map(|_| {
-                let inner = Arc::clone(&inner);
-                thread::spawn(move || {
-                    while let Some(conn) = inner.admission.pop() {
-                        handle_connection(&inner, conn);
-                    }
-                })
-            })
-            .collect();
-
-        let acceptor = {
-            let inner = Arc::clone(&inner);
-            thread::spawn(move || {
-                for stream in listener.incoming() {
-                    if inner.admission.stop.load(Ordering::Acquire) {
-                        break;
-                    }
-                    let Ok(stream) = stream else { continue };
-                    if let Err(mut refused) = inner.admission.try_push(stream) {
-                        if inner.admission.stop.load(Ordering::Acquire) {
-                            break;
-                        }
-                        inner.rejected.fetch_add(1, Ordering::Relaxed);
-                        let _ = refused
-                            .write_all(b"ERR overloaded: admission queue full, retry later\n");
-                        let _ = refused.flush();
-                    }
-                }
-            })
-        };
-
-        Ok(Server {
-            inner,
-            acceptor: Some(acceptor),
-            workers,
-        })
+        let state = Arc::clone(&inner);
+        let conns = crate::listener::start(
+            &cfg.addr,
+            cfg.workers,
+            cfg.queue,
+            cfg.idle_timeout,
+            b"ERR overloaded: admission queue full, retry later\n".to_vec(),
+            move |conn, conns| handle_connection(&state, conns, conn),
+        )?;
+        Ok(Server { inner, conns })
     }
 
     /// The bound address (resolves port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.inner.addr
+        self.conns.local_addr()
     }
 
     pub fn stats(&self) -> ServerStats {
-        self.inner.stats()
+        self.inner.stats(&self.conns)
     }
 
     /// Ask the server to stop; pair with [`Server::join`].
     pub fn shutdown(&self) {
-        self.inner.shutdown();
+        self.conns.shutdown();
     }
 
     /// A handle other threads can use to trigger the same shutdown.
     pub fn shutdown_handle(&self) -> ShutdownHandle {
-        ShutdownHandle {
-            inner: Arc::clone(&self.inner),
-        }
+        self.conns.clone()
     }
 
     /// Wait for the acceptor and all workers to exit.
-    pub fn join(mut self) -> ServerStats {
-        if let Some(a) = self.acceptor.take() {
-            let _ = a.join();
-        }
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-        self.inner.stats()
+    pub fn join(self) -> ServerStats {
+        self.conns.join();
+        self.stats()
     }
 }
 
@@ -342,13 +207,8 @@ pub(crate) fn read_bounded_line(reader: &mut impl BufRead, cap: usize) -> io::Re
     }
 }
 
-fn handle_connection(inner: &Inner, stream: TcpStream) {
-    let _ = stream.set_read_timeout(Some(inner.cfg.idle_timeout));
-    let _ = stream.set_nodelay(true);
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(read_half);
+fn handle_connection(inner: &Inner, conns: &ShutdownHandle, stream: &TcpStream) {
+    let mut reader = BufReader::new(stream);
     let mut writer = BufWriter::new(stream);
     loop {
         let line = match read_bounded_line(&mut reader, MAX_REQUEST_LINE) {
@@ -369,7 +229,7 @@ fn handle_connection(inner: &Inner, stream: TcpStream) {
             continue;
         }
         inner.served.fetch_add(1, Ordering::Relaxed);
-        let outcome = respond(inner, request, &mut writer);
+        let outcome = respond(inner, conns, request, &mut writer);
         if writer.flush().is_err() {
             return;
         }
@@ -377,7 +237,7 @@ fn handle_connection(inner: &Inner, stream: TcpStream) {
             Outcome::Continue => {}
             Outcome::Close => return,
             Outcome::Shutdown => {
-                inner.shutdown();
+                conns.shutdown();
                 return;
             }
         }
@@ -385,7 +245,7 @@ fn handle_connection(inner: &Inner, stream: TcpStream) {
 }
 
 /// Answer one request line. Write errors surface at the caller's flush.
-fn respond(inner: &Inner, request: &str, w: &mut impl Write) -> Outcome {
+fn respond(inner: &Inner, conns: &ShutdownHandle, request: &str, w: &mut impl Write) -> Outcome {
     match request {
         "QUIT" => {
             let _ = w.write_all(b"OK 0\n");
@@ -402,7 +262,7 @@ fn respond(inner: &Inner, request: &str, w: &mut impl Write) -> Outcome {
         "STATS" => {
             let db = inner.db.current();
             let cache = db.cache_stats();
-            let stats = inner.stats();
+            let stats = inner.stats(conns);
             let mut lines = vec![
                 format!("rows {}", db.rows()),
                 format!("blocks {}", db.blocks()),
@@ -665,6 +525,7 @@ mod tests {
     use super::*;
     use crate::db::FaultDb;
     use crate::format::{write_db, WriteOptions};
+    use crate::listener::Admission;
     use crate::snapshot::Snapshot;
     use std::path::PathBuf;
     use uc_analysis::fault::Fault;
@@ -840,6 +701,34 @@ mod tests {
     }
 
     #[test]
+    fn shutdown_does_not_wait_for_an_idle_client() {
+        // The client stays connected past shutdown, and the default idle
+        // timeout is 30 s: join must not sit it out. A request already
+        // sent when shutdown begins is still answered.
+        let server = Server::start(test_db("idle", 10), &ServeConfig::default()).unwrap();
+        let mut c = Client::connect(server.local_addr()).unwrap();
+        assert_eq!(
+            c.request("PING").unwrap(),
+            Response::Ok(vec!["pong".to_string()])
+        );
+        writeln!(c.writer, "count").unwrap();
+        c.writer.flush().unwrap();
+        let (tx, rx) = std::sync::mpsc::channel();
+        thread::spawn(move || {
+            server.shutdown();
+            let _ = tx.send(server.join());
+        });
+        assert_eq!(
+            c.read_response().unwrap(),
+            Response::Ok(vec!["10".to_string()])
+        );
+        let stats = rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("join must not wait for an idle client");
+        assert_eq!(stats.served, 2);
+    }
+
+    #[test]
     fn overload_is_rejected_typed_not_hung() {
         // One worker, one queue slot; a connection parked in the worker
         // plus one queued means the third is shed immediately.
@@ -901,9 +790,9 @@ mod tests {
         // And a live server whose admission mutex gets poisoned keeps
         // answering queries.
         let server = Server::start(test_db("poison", 120), &ServeConfig::default()).unwrap();
-        let poisoner = Arc::clone(&server.inner);
+        let poisoner = server.shutdown_handle();
         let _ = thread::spawn(move || {
-            let _guard = poisoner.admission.queue.lock().unwrap();
+            let _guard = poisoner.admission().queue.lock().unwrap();
             panic!("simulated worker crash mid-admission");
         })
         .join();

@@ -9,7 +9,7 @@
 //! Writers never call `Io` methods directly: they go through
 //! [`with_retry`], which retries transient failures with bounded
 //! exponential backoff and degrades to a typed
-//! [`DurabilityError`](super::DurabilityError) once the attempt budget is
+//! [`DurabilityError`] once the attempt budget is
 //! exhausted. A campaign keeps running (degraded) on a write failure — the
 //! error is a value, never a panic.
 

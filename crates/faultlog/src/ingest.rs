@@ -434,7 +434,7 @@ pub fn recover_text(text: &str) -> Recovered {
 ///   would hold (two `NaN` temperatures render identically and *are*
 ///   duplicates — float equality would say otherwise);
 /// - `ERROR` records take the typed fast path
-///   ([`LineRecovery::error_record_typed`]): no line rendering, just the
+///   (`LineRecovery::error_record_typed`): no line rendering, just the
 ///   writer→parser normalization of the two non-exact fields (node name
 ///   and `{:.1}` temperature);
 /// - `files_read = 1` and the node falls back to `log.node` when no

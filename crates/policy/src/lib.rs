@@ -21,7 +21,7 @@
 //! * [`policies`] — the [`policies::Policy`] trait: static baselines
 //!   (never / always-checkpoint / threshold-on-count), the bandit, and
 //!   the clairvoyant per-day oracle.
-//! * [`replay`] — the train/eval day-replay driver and the side-by-side
+//! * [`mod@replay`] — the train/eval day-replay driver and the side-by-side
 //!   [`replay::Comparison`]; day-lease semantics make the oracle a
 //!   provable lower bound on every policy's cost.
 //! * [`report`] — the cost-vs-coverage table and CSV export.

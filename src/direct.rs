@@ -14,22 +14,19 @@
 //! * **Producer** — [`run_campaign_checkpointed_with`]'s `on_node` hook
 //!   fires on each supervised simulation worker the moment a node
 //!   completes (fresh or checkpoint-restored; never for a failed node).
-//!   The hook recovers the node's log *in memory* with
-//!   [`recover_log`](uc_faultlog::ingest::recover_log) — proven
-//!   byte-equivalent to writing the node's text file and reading it
-//!   back — and emits the [`Recovered`] into a bounded
+//!   The hook recovers the node's log *in memory* with [`recover_log`]
+//!   — proven byte-equivalent to writing the node's text file and
+//!   reading it back — and emits the [`Recovered`] into a bounded
 //!   [`stage_shared`] channel.
-//! * **Consumer** — folds arrivals into a
-//!   [`DirectFold`](uc_faultdb::direct::DirectFold): an
+//! * **Consumer** — folds arrivals into a [`DirectFold`]: an
 //!   order-insensitive bag, because completion order is
 //!   nondeterministic across thread counts.
-//! * **Seal** — [`seal_recovered`](uc_faultdb::direct::seal_recovered)
-//!   imposes the directory reader's total order (sort by node id),
-//!   merges ingest stats additively, and runs the *identical*
-//!   `Snapshot::from_cluster` → `write_db` tail the text path uses —
-//!   including the tmp + fsync + atomic-rename crash discipline, so a
-//!   crash mid-seal leaves only a `*.ucfdb.tmp` for `uc fsck` to
-//!   quarantine.
+//! * **Seal** — [`seal_recovered`] imposes the directory reader's total
+//!   order (sort by node id), merges ingest stats additively, and runs
+//!   the *identical* `Snapshot::from_cluster` → `write_db` tail the text
+//!   path uses — including the tmp + fsync + atomic-rename crash
+//!   discipline, so a crash mid-seal leaves only a `*.ucfdb.tmp` for
+//!   `uc fsck` to quarantine.
 //!
 //! The contract, enforced by `tests/direct_path.rs`: for the same
 //! config, `campaign --db` produces a file **byte-identical** to

@@ -10,6 +10,7 @@ use std::fs;
 use std::io::BufReader;
 use std::path::{Path, PathBuf};
 use std::process::{Child, ChildStderr, Command, Output, Stdio};
+use std::time::{Duration, Instant};
 
 fn uc(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_uc"))
@@ -299,10 +300,12 @@ fn spawn_live_server(live: &Path, extra: &[&str]) -> LiveServer {
             "server died: {banner}"
         );
         banner.push_str(&line);
-        if let Some(rest) = line.strip_prefix("ingest on ") {
+        // A primary's banner starts `ingest on A, queries on B;`, a
+        // replica's `replica of U: ingest on A (readonly), queries on B;`.
+        if let Some((_, rest)) = line.split_once("ingest on ") {
             let (i, rest) = rest.split_once(", queries on ").unwrap();
             break (
-                i.to_string(),
+                i.trim_end_matches(" (readonly)").to_string(),
                 rest.split(';').next().unwrap().trim().to_string(),
             );
         }
@@ -402,6 +405,166 @@ fn stream_serve_ingest_sigterm_and_fsck_end_to_end() {
         stderr(&fsck)
     );
 
+    let _ = fs::remove_dir_all(&base);
+}
+
+/// Send SIGTERM to a child.
+#[cfg(unix)]
+fn sigterm(child: &Child) {
+    extern "C" {
+        fn kill(pid: i32, sig: i32) -> i32;
+    }
+    const SIGTERM: i32 = 15;
+    // SAFETY: kill(2) takes two integers and touches no memory of ours.
+    assert_eq!(unsafe { kill(child.id() as i32, SIGTERM) }, 0);
+}
+
+/// The child's exit status, or `None` if it is still running after `bound`.
+#[cfg(unix)]
+fn wait_within(child: &mut Child, bound: Duration) -> Option<std::process::ExitStatus> {
+    let deadline = Instant::now() + bound;
+    loop {
+        if let Some(status) = child.try_wait().unwrap() {
+            return Some(status);
+        }
+        if Instant::now() > deadline {
+            return None;
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+}
+
+/// SIGTERM stops a primary promptly even while a replica is attached: the
+/// replica PULLs every 25 ms, so its SYNC session never idles out, and
+/// shutdown must end it rather than wait for the replica to leave.
+#[cfg(unix)]
+#[test]
+fn sigterm_stops_a_primary_with_an_attached_replica() {
+    let base = std::env::temp_dir().join(format!("uc-cli-repl-term-{}", std::process::id()));
+    let _ = fs::remove_dir_all(&base);
+    let logs = base.join("logs");
+    write_tiny_logs(&logs);
+    let LiveServer {
+        mut child,
+        mut reader,
+        banner,
+        ingest_addr,
+        ..
+    } = spawn_live_server(&base.join("primary"), &[]);
+    let replica = spawn_live_server(&base.join("replica"), &["--replica-of", &ingest_addr]);
+
+    let streamed = uc(&["stream", &ingest_addr, logs.to_str().unwrap()]);
+    assert_eq!(streamed.status.code(), Some(0), "{}", stderr(&streamed));
+    // The replica has applied every record, so its SYNC session is live.
+    let mut client = uc_faultdb::Client::connect(replica.query_addr.parse().unwrap()).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(20);
+    loop {
+        match client.request("STATS").unwrap() {
+            uc_faultdb::Response::Ok(lines) if lines.iter().any(|l| l == "repl_applied 28") => {
+                break
+            }
+            other => assert!(
+                Instant::now() < deadline,
+                "replica never caught up: {other:?}"
+            ),
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    drop(client);
+
+    sigterm(&child.0);
+    let status = wait_within(&mut child.0, Duration::from_secs(10))
+        .expect("primary still running 10 s after SIGTERM with a replica attached");
+    let mut rest = String::new();
+    std::io::Read::read_to_string(&mut reader, &mut rest).unwrap();
+    assert_eq!(status.code(), Some(0), "{banner}{rest}");
+    assert!(
+        rest.lines()
+            .any(|l| l.starts_with("served ") && l.contains("; ingested 28 records")),
+        "{rest}"
+    );
+
+    drop(replica);
+    let _ = fs::remove_dir_all(&base);
+}
+
+/// A server out of file descriptors must not spin. With `ulimit -n 20`
+/// and 40 idle clients, the four workers and the queue hold what
+/// descriptors there are, every further `accept` fails with `EMFILE`,
+/// and the acceptor must pause between attempts: the process may use
+/// only a small share of one core.
+#[cfg(target_os = "linux")]
+#[test]
+fn accept_errors_back_off_instead_of_spinning() {
+    use std::io::BufRead;
+    // USER_HZ, the unit of /proc/<pid>/stat CPU times on Linux.
+    const TICKS_PER_SEC: f64 = 100.0;
+
+    let base = std::env::temp_dir().join(format!("uc-cli-emfile-{}", std::process::id()));
+    let _ = fs::remove_dir_all(&base);
+    let logs = base.join("logs");
+    write_tiny_logs(&logs);
+    let db = base.join("faults.fdb");
+    let built = uc(&["build-db", logs.to_str().unwrap(), db.to_str().unwrap()]);
+    assert_eq!(built.status.code(), Some(0), "{}", stderr(&built));
+
+    let child = Command::new("sh")
+        .args([
+            "-c",
+            "ulimit -n 20 && exec \"$0\" serve \"$1\" --addr 127.0.0.1:0",
+            env!("CARGO_BIN_EXE_uc"),
+            db.to_str().unwrap(),
+        ])
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn sh");
+    let mut child = KillOnDrop(child);
+    let mut reader = BufReader::new(child.0.stderr.take().unwrap());
+    let mut banner = String::new();
+    reader.read_line(&mut banner).unwrap();
+    let addr = banner
+        .rsplit_once(" on ")
+        .and_then(|(_, rest)| rest.split_once(" ("))
+        .unwrap_or_else(|| panic!("no address in banner: {banner}"))
+        .0
+        .to_string();
+
+    // One idle client per worker first, so each worker is parked on a
+    // client before descriptors run out; then enough to exhaust them.
+    let connect = |n: usize| -> Vec<std::net::TcpStream> {
+        (0..n)
+            .map(|_| std::net::TcpStream::connect(&addr).unwrap())
+            .collect()
+    };
+    let mut clients = connect(4);
+    std::thread::sleep(Duration::from_millis(300));
+    clients.extend(connect(36));
+    std::thread::sleep(Duration::from_millis(500));
+    let open = fs::read_dir(format!("/proc/{}/fd", child.0.id()))
+        .unwrap()
+        .count();
+    assert_eq!(open, 20, "the server should hold every descriptor it may");
+    let cpu_secs = || -> f64 {
+        let stat = fs::read_to_string(format!("/proc/{}/stat", child.0.id())).unwrap();
+        // Fields after the `(comm)`: state is the 3rd field, utime and
+        // stime the 14th and 15th.
+        let fields: Vec<&str> = stat
+            .rsplit_once(')')
+            .unwrap()
+            .1
+            .split_whitespace()
+            .collect();
+        let ticks: u64 = fields[11].parse::<u64>().unwrap() + fields[12].parse::<u64>().unwrap();
+        ticks as f64 / TICKS_PER_SEC
+    };
+    let before = cpu_secs();
+    std::thread::sleep(Duration::from_secs(2));
+    let used = cpu_secs() - before;
+    assert!(
+        used < 0.5,
+        "server used {used:.2} s of CPU in 2 s with no descriptor left to accept"
+    );
+    drop(clients);
     let _ = fs::remove_dir_all(&base);
 }
 
