@@ -11,7 +11,7 @@
 use std::collections::BTreeMap;
 
 use uc_faultlog::record::LogRecord;
-use uc_faultlog::store::NodeLog;
+use uc_faultlog::store::{LogEntry, NodeLog};
 use uc_simclock::SimTime;
 
 use crate::fault::Fault;
@@ -52,12 +52,13 @@ impl DayVolume {
 
     /// Accumulate from a node's log: START/END pairing with the
     /// conservative hard-reboot rule, as [`DailySeries::add_node_log`].
+    /// O(entries): runs hold only ERROR records, so none is expanded.
     pub fn add_node_log(&mut self, log: &NodeLog) {
         let mut pending: Option<(SimTime, u64)> = None;
-        for rec in log.iter() {
-            match rec {
-                LogRecord::Start(s) => pending = Some((s.time, s.alloc_bytes)),
-                LogRecord::End(e) => {
+        for entry in log.entries() {
+            match entry {
+                LogEntry::One(LogRecord::Start(s)) => pending = Some((s.time, s.alloc_bytes)),
+                LogEntry::One(LogRecord::End(e)) => {
                     if let Some((start, alloc)) = pending.take() {
                         self.add_session(start, e.time, alloc);
                     }
@@ -140,16 +141,17 @@ impl DailySeries {
     }
 
     /// Accumulate scan volume from a node's log (START/END pairing with the
-    /// conservative hard-reboot rule).
+    /// conservative hard-reboot rule). O(entries): runs hold only ERROR
+    /// records, so none is expanded.
     pub fn add_node_log(&mut self, log: &NodeLog) {
         let mut pending: Option<(SimTime, u64)> = None;
-        for rec in log.iter() {
-            match rec {
-                LogRecord::Start(s) => {
+        for entry in log.entries() {
+            match entry {
+                LogEntry::One(LogRecord::Start(s)) => {
                     // A pending START without END: hard reboot, zero credit.
                     pending = Some((s.time, s.alloc_bytes));
                 }
-                LogRecord::End(e) => {
+                LogEntry::One(LogRecord::End(e)) => {
                     if let Some((start, alloc)) = pending.take() {
                         self.add_session(start, e.time, alloc);
                     }
@@ -271,6 +273,54 @@ mod tests {
         let tb = GB3 as f64 / (1u64 << 40) as f64;
         // Only the second session (1 h) counts.
         assert!((s.tb_hours[0] - tb * 1.0).abs() < 1e-9, "{}", s.tb_hours[0]);
+    }
+
+    #[test]
+    fn runs_are_skipped_not_expanded() {
+        // The largest run the parser accepts takes seconds to expand even
+        // in an optimized build; scanned volume comes from the session
+        // markers alone. Bounded on a thread, so a regression fails
+        // instead of stalling.
+        let node = NodeId(3);
+        let mut log = NodeLog::new(node);
+        log.push(LogRecord::Start(StartRecord {
+            time: SimTime::from_secs(0),
+            node,
+            alloc_bytes: GB3,
+            temp: None,
+        }));
+        log.push_run(
+            uc_faultlog::record::ErrorRecord {
+                time: SimTime::from_secs(40),
+                node,
+                vaddr: 0x100,
+                phys_page: 0,
+                expected: 0xffff_ffff,
+                actual: 0xffff_fffe,
+                temp: None,
+            },
+            uc_faultlog::store::MAX_RUN_COUNT,
+            SimDuration::from_secs(40),
+        );
+        log.push(LogRecord::End(EndRecord {
+            time: SimTime::from_secs(7_200),
+            node,
+            temp: None,
+        }));
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let mut volume = DayVolume::default();
+            volume.add_node_log(&log);
+            let mut series = DailySeries::new(0, 1);
+            series.add_node_log(&log);
+            let _ = tx.send((volume, series.tb_hours));
+        });
+        let (volume, series) = rx
+            .recv_timeout(std::time::Duration::from_secs(5))
+            .expect("volume fold did not return within 5 s");
+        let tb = GB3 as f64 / (1u64 << 40) as f64;
+        assert_eq!(volume.iter().collect::<Vec<_>>(), vec![(0, tb * 2.0)]);
+        assert_eq!(series, vec![tb * 2.0]);
     }
 
     #[test]

@@ -223,9 +223,17 @@ pub struct RecoveredExtract {
     pub stats: uc_faultlog::ingest::IngestStats,
 }
 
+/// The paper's flood rule: a node whose raw error logs exceed
+/// `flood_share` of the cluster's total is a flood node, excluded from
+/// extraction as the paper removed its single faulty node.
+pub fn is_flood_node(node_errors: u64, cluster_errors: u64, flood_share: f64) -> bool {
+    node_errors as f64 / cluster_errors.max(1) as f64 > flood_share
+}
+
 /// Run the extraction methodology over a recovering ingest's output. A
 /// node whose raw error logs exceed `flood_share` of the cluster total is
-/// excluded, mirroring the paper's removal of its single faulty node.
+/// excluded ([`is_flood_node`]), mirroring the paper's removal of its
+/// single faulty node.
 /// Per-node extraction runs in parallel; the output is combined by the
 /// k-way merge on [`fault_sort_key`], so two same-instant faults at one
 /// address with different corruption patterns order deterministically (the
@@ -237,11 +245,11 @@ pub fn extract_recovered(
     cfg: &ExtractConfig,
     flood_share: f64,
 ) -> RecoveredExtract {
-    let total_raw = cluster.raw_error_count().max(1);
+    let total_raw = cluster.raw_error_count();
     let mut flood_nodes = Vec::new();
     let mut kept: Vec<&NodeLog> = Vec::new();
     for log in cluster.node_logs() {
-        if log.raw_error_count() as f64 / total_raw as f64 > flood_share {
+        if is_flood_node(log.raw_error_count(), total_raw, flood_share) {
             flood_nodes.extend(log.node);
         } else {
             kept.push(log);

@@ -17,6 +17,9 @@
 //!   latency of each route (plus the derived `direct_speedup`);
 //! * `ingest_mb_per_sec` — recovering text ingest throughput over the
 //!   campaign corpus;
+//! * `recover_records_per_sec` — raw records per second `recover_log`
+//!   recovers in memory from the campaign's completed node logs (the
+//!   direct path's recovery layer, runs kept compact);
 //! * `scan_rows_per_sec` — warm full-scan query throughput over the
 //!   sealed database in the historical v1 fixed layout;
 //! * `scan_packed_rows_per_sec` — the same scan over the v2 packed
@@ -47,8 +50,8 @@ use uc_faultdb::{
     QueryOptions, ReplicaConfig, Replication, Role, ServeConfig, Server, WriteOptions,
 };
 use uc_faultlog::files::write_cluster_log;
-use uc_faultlog::ingest::read_cluster_log_recovering;
-use unprotected_computing::core::{run_campaign_checkpointed, CampaignConfig};
+use uc_faultlog::ingest::{read_cluster_log_recovering, recover_log};
+use unprotected_computing::core::{run_campaign_checkpointed, CampaignConfig, CampaignResult};
 use unprotected_computing::direct::campaign_to_db;
 
 fn bench_dir() -> PathBuf {
@@ -63,8 +66,8 @@ fn cfg() -> CampaignConfig {
 }
 
 /// One full text-path run: campaign → plain text logs → build_db.
-/// Returns (elapsed seconds, corpus bytes, sealed rows).
-fn text_path_once(base: &Path, tag: &str) -> (f64, u64, u64) {
+/// Returns (elapsed seconds, corpus bytes, sealed rows) and the campaign.
+fn text_path_once(base: &Path, tag: &str) -> (f64, u64, u64, CampaignResult) {
     let logs = base.join(format!("text-logs-{tag}"));
     std::fs::create_dir_all(&logs).unwrap();
     let db = base.join(format!("text-{tag}.ucfdb"));
@@ -80,7 +83,7 @@ fn text_path_once(base: &Path, tag: &str) -> (f64, u64, u64) {
         .filter_map(|e| e.metadata().ok())
         .map(|m| m.len())
         .sum();
-    (secs, corpus_bytes, summary.rows)
+    (secs, corpus_bytes, summary.rows, result)
 }
 
 /// One full direct-path run: campaign → in-memory stream → sealed db.
@@ -236,12 +239,32 @@ fn emit_trajectory(quick: bool) {
     let mut text_best = f64::INFINITY;
     let mut corpus_bytes = 0u64;
     let mut rows = 0u64;
+    let mut campaign = None;
     for r in 0..rounds {
-        let (secs, bytes, n) = text_path_once(&base, &r.to_string());
+        let (secs, bytes, n, result) = text_path_once(&base, &r.to_string());
         text_best = text_best.min(secs);
         corpus_bytes = bytes;
         rows = n;
+        campaign = Some(result);
     }
+    let campaign = campaign.expect("at least one round");
+
+    // In-memory recovery of every completed node's log, as the direct
+    // path's node hook runs it.
+    let raw_records: u64 = campaign
+        .completed()
+        .map(|sim| sim.log.raw_record_count())
+        .sum();
+    let mut recover_best = f64::INFINITY;
+    for _ in 0..rounds {
+        let t0 = Instant::now();
+        for sim in campaign.completed() {
+            black_box(recover_log(black_box(&sim.log)));
+        }
+        recover_best = recover_best.min(t0.elapsed().as_secs_f64());
+    }
+    let recover_records_per_sec = raw_records as f64 / recover_best;
+    drop(campaign);
 
     let mut direct_best = f64::INFINITY;
     for r in 0..rounds {
@@ -300,6 +323,7 @@ fn emit_trajectory(quick: bool) {
          \"direct_path_e2e_seconds\": {direct_best:.4},\n  \
          \"direct_speedup\": {:.2},\n  \
          \"ingest_mb_per_sec\": {ingest_mb_per_sec:.1},\n  \
+         \"recover_records_per_sec\": {recover_records_per_sec:.0},\n  \
          \"scan_rows_per_sec\": {scan_rows_per_sec:.0},\n  \
          \"scan_packed_rows_per_sec\": {scan_packed_rows_per_sec:.0},\n  \
          \"shard_fanout_rows_per_sec\": {shard_fanout_rows_per_sec:.0},\n  \

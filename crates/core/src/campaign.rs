@@ -1,7 +1,7 @@
 //! The campaign runner: simulate every scanned node, in parallel,
 //! deterministically.
 
-use uc_analysis::extract::{extract_node_faults, ExtractConfig};
+use uc_analysis::extract::{extract_node_faults, is_flood_node, ExtractConfig};
 use uc_analysis::fault::Fault;
 use uc_cluster::{NodeId, RoleMap};
 use uc_faultlog::store::{ClusterLog, NodeLog};
@@ -119,11 +119,8 @@ impl CampaignResult {
     /// error logs (the flood node at ~98%).
     pub fn flood_nodes(&self, share: f64) -> Vec<NodeId> {
         let total = self.raw_error_logs();
-        if total == 0 {
-            return Vec::new();
-        }
         self.completed()
-            .filter(|o| o.log.raw_error_count() as f64 / total as f64 > share)
+            .filter(|o| is_flood_node(o.log.raw_error_count(), total, share))
             .map(|o| o.node)
             .collect()
     }

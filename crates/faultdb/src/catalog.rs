@@ -4,12 +4,12 @@
 //!
 //! ```text
 //! wal-000001.dlog        sealed WAL segments   (the database of record)
-//! wal-000002.dlog.tmp    active WAL segment    (flushed prefix durable)
+//! wal-000002.dlog.tmp    active WAL segment    (flushed prefix survives a process crash)
 //! gen-000001.ucfdb       sealed generations    (immutable query indexes)
 //! CATALOG                which generation is current, with provenance
 //! ```
 //!
-//! The equivalence contract (ISSUE: "a query over a live database must be
+//! The equivalence contract ("a query over a live database must be
 //! byte-identical to the same query over a freshly batch-built db of the
 //! same records") is earned structurally, not by re-implementing ingest:
 //! the live path accumulates each node's raw record lines verbatim and, at
@@ -209,7 +209,8 @@ impl Catalog {
 /// Verdict on one pushed record.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum IngestOutcome {
-    /// Next in sequence: buffered in the WAL (durable after `flush`).
+    /// Next in sequence: buffered for the WAL. `flush` writes it there,
+    /// where it survives a process crash; it is fsynced at the next seal.
     Accepted,
     /// Sequence number below the cursor: a replay of something already
     /// accepted. Ignored — this is what makes reconnect retries safe.
@@ -448,8 +449,9 @@ impl LiveDb {
     }
 
     /// Judge one pushed record against the node's cursor and, if it is
-    /// the expected next record, buffer it in the WAL. Not durable until
-    /// [`LiveDb::flush`] — callers must not acknowledge before that.
+    /// the expected next record, buffer it for the WAL. Not written to
+    /// the WAL until [`LiveDb::flush`] — callers must not acknowledge
+    /// before that.
     pub fn ingest(&self, node: NodeId, seq: u64, line: &str) -> Result<IngestOutcome, DbError> {
         if line.contains('\n') || line.contains('\r') {
             // One record ⇔ one log line; an embedded newline would break
@@ -490,7 +492,8 @@ impl LiveDb {
             .unwrap_or(0)
     }
 
-    /// Make everything accepted so far durable. The ack boundary.
+    /// Write everything accepted so far to the WAL, where it survives a
+    /// process crash; it is fsynced at the next seal. The ack boundary.
     pub fn flush(&self) -> Result<(), DbError> {
         self.inner.lock().wal.flush()
     }
@@ -1050,6 +1053,38 @@ mod tests {
         assert_eq!(live2.status().records, 4);
         let db = live2.handle().current();
         assert_eq!(db.rows(), 4);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn hostile_errorrun_count_does_not_stall_a_seal() {
+        // Pushed lines are stored unparsed and every seal re-recovers them
+        // all, so one hostile count would stall every later seal if runs
+        // were expanded or their counts wrapped a sum. It is a
+        // `bad_number` drop; the two real errors seal as two faults.
+        let dir = tmpdir("hostile-count");
+        let (live, _) = LiveDb::open(&dir).unwrap();
+        let hostile = format!(
+            "ERRORRUN t=60 node=01-01 vaddr=0x00000400 page=0x000000 expected=0xffffffff \
+             actual=0xfffffffe temp=NA count={} period=40",
+            u64::MAX
+        );
+        live.ingest(n("01-01"), 0, &hostile).unwrap();
+        live.ingest(n("01-02"), 0, &error_line("01-02", 60, "0xfffffffe"))
+            .unwrap();
+        live.ingest(n("01-03"), 0, &error_line("01-03", 60, "0xfffffffe"))
+            .unwrap();
+        let live = std::sync::Arc::new(live);
+        let (tx, rx) = std::sync::mpsc::channel();
+        let sealer = std::sync::Arc::clone(&live);
+        std::thread::spawn(move || {
+            let _ = tx.send(sealer.seal().map(|_| ()));
+        });
+        match rx.recv_timeout(std::time::Duration::from_secs(5)) {
+            Ok(sealed) => sealed.unwrap(),
+            Err(e) => panic!("seal did not return within 5 s: {e:?}"),
+        }
+        assert_eq!(live.handle().current().rows(), 2);
         fs::remove_dir_all(&dir).unwrap();
     }
 

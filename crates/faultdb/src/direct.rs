@@ -10,9 +10,13 @@
 //! This module is the same spine with the two disk trips removed. Each
 //! completed node simulation is recovered *in memory*
 //! ([`uc_faultlog::ingest::recover_log`] — proven byte-equivalent to
-//! writing and re-reading the node's text file), streamed into a fold,
-//! and the fold's product goes through the identical
-//! [`Snapshot::from_cluster`] → [`write_db`] tail. The text path stays
+//! writing and re-reading the node's text file, with each scan-error run
+//! kept as one entry), streamed into a fold, and the fold's product goes
+//! through the identical [`Snapshot::from_cluster`] → [`write_db`] tail.
+//! Runs are expanded only on the nodes that survive the flood filter,
+//! where extraction must see them record by record as the text path
+//! does; the flood node, which holds nearly every raw record, stays
+//! compact and is only counted. The text path stays
 //! around as the differential oracle: for the same seed,
 //! campaign→text→`uc build-db` and campaign→`--db` must produce
 //! byte-identical files, at any thread count, degraded or not
@@ -28,12 +32,13 @@
 
 use std::path::Path;
 
+use uc_analysis::extract::is_flood_node;
 use uc_faultlog::ingest::{IngestStats, Recovered};
 use uc_faultlog::store::{ClusterLog, NodeLog};
 
 use crate::error::DbError;
 use crate::format::{write_db, WriteOptions, WriteSummary};
-use crate::snapshot::Snapshot;
+use crate::snapshot::{Snapshot, FLOOD_SHARE};
 
 /// The streaming fold: accumulate per-node [`Recovered`] contributions
 /// in any order. This is the consumer-side accumulator of the campaign's
@@ -75,11 +80,23 @@ impl DirectFold {
         self.parts.is_empty()
     }
 
-    /// Impose the directory reader's total order and produce exactly
-    /// what [`uc_faultlog::ingest::read_cluster_log_recovering`] returns
-    /// for the equivalent text directory: node logs sorted by node id,
+    /// Impose the directory reader's total order and produce what
+    /// [`uc_faultlog::ingest::read_cluster_log_recovering`] returns for
+    /// the equivalent plain-text directory, as far as
+    /// [`Snapshot::from_cluster`] can tell: node logs sorted by node id,
     /// stats merged additively. (A freshly written campaign directory
     /// has no fsck salvage history, so no fsck counters fold in.)
+    ///
+    /// Runs arrive compact. A node that survives the flood filter (the
+    /// [`is_flood_node`] rule extraction applies, at [`FLOOD_SHARE`]) is
+    /// expanded into the records the text path reads
+    /// ([`NodeLog::into_expanded`]): extraction merges a run into one
+    /// fault but separate records only within its merge window. A flood
+    /// node stays compact: extraction skips it, and the snapshot only
+    /// counts its records and pairs its session markers, which no run
+    /// holds. So the snapshot, and the sealed bytes, are the text path's
+    /// while memory stays O(entries) on the node that holds nearly every
+    /// raw record.
     pub fn into_cluster(self) -> (ClusterLog, IngestStats) {
         let mut stats = IngestStats::default();
         let mut logs: Vec<NodeLog> = Vec::with_capacity(self.parts.len());
@@ -88,6 +105,17 @@ impl DirectFold {
             logs.push(rec.log);
         }
         logs.sort_by_key(|l| l.node.map(|n| n.0));
+        let total_errors = logs.iter().map(NodeLog::raw_error_count).sum();
+        let logs = logs
+            .into_iter()
+            .map(|log| {
+                if is_flood_node(log.raw_error_count(), total_errors, FLOOD_SHARE) {
+                    log
+                } else {
+                    log.into_expanded()
+                }
+            })
+            .collect();
         (ClusterLog::new(logs), stats)
     }
 }
@@ -148,7 +176,7 @@ mod tests {
     use uc_faultlog::ingest::recover_log;
     use uc_faultlog::record::{EndRecord, ErrorRecord, LogRecord, StartRecord, TempC};
     use uc_faultlog::store::NodeLog;
-    use uc_simclock::SimTime;
+    use uc_simclock::{SimDuration, SimTime};
 
     fn node_log(name: &str, errors: usize) -> NodeLog {
         let node = NodeId::from_name(name).unwrap();
@@ -178,6 +206,50 @@ mod tests {
         log
     }
 
+    /// `node_log`'s session with the simulator's compact runs inside:
+    /// runs of `count` records every `period` seconds, the first at
+    /// `first_t`, at the given addresses. With `single`, an ERROR at the
+    /// first run's address and pattern at that time too.
+    fn run_log(
+        name: &str,
+        first_t: i64,
+        vaddrs: &[u64],
+        count: u64,
+        period: i64,
+        single: Option<i64>,
+    ) -> NodeLog {
+        let node = NodeId::from_name(name).unwrap();
+        let error = |t: i64, vaddr: u64| ErrorRecord {
+            time: SimTime::from_secs(t),
+            node,
+            vaddr,
+            phys_page: vaddr >> 12,
+            expected: 0xffff_ffff,
+            actual: 0xffff_7fff,
+            temp: Some(TempC(41.0)),
+        };
+        let mut log = NodeLog::new(node);
+        log.push(LogRecord::Start(StartRecord {
+            time: SimTime::from_secs(0),
+            node,
+            alloc_bytes: 3 << 30,
+            temp: Some(TempC(30.0)),
+        }));
+        for (k, &vaddr) in vaddrs.iter().enumerate() {
+            let first = error(first_t + 7 * k as i64, vaddr);
+            log.push_run(first, count, SimDuration::from_secs(period));
+        }
+        if let Some(t) = single {
+            log.push(LogRecord::Error(error(t, vaddrs[0])));
+        }
+        log.push(LogRecord::End(EndRecord {
+            time: SimTime::from_secs(90_000),
+            node,
+            temp: Some(TempC(31.0)),
+        }));
+        log
+    }
+
     #[test]
     fn direct_seal_is_byte_identical_to_text_build_and_order_insensitive() {
         let base = std::env::temp_dir().join(format!("uc-direct-seal-{}", std::process::id()));
@@ -185,10 +257,24 @@ mod tests {
         let logs_dir = base.join("logs");
         std::fs::create_dir_all(&logs_dir).unwrap();
 
-        let logs: Vec<NodeLog> = ["01-02", "02-05", "01-01"]
+        let mut logs: Vec<NodeLog> = ["01-02", "02-05", "01-01"]
             .iter()
             .map(|n| node_log(n, 12))
             .collect();
+        // A flood node made of runs that overlap in time: 600 of the
+        // 642 raw errors, so it stays compact on the direct side.
+        logs.push(run_log(
+            "03-04",
+            100,
+            &[0x9000, 0x9040, 0x9080],
+            200,
+            40,
+            None,
+        ));
+        // A kept node with a run whose 100 s period exceeds the 45 s merge
+        // window, and an ERROR at its address and pattern inside its span:
+        // the text path reads six records 50–100 s apart, six faults.
+        logs.push(run_log("02-01", 1_000, &[0x500], 5, 100, Some(1_150)));
         write_cluster_log(&logs_dir, &ClusterLog::new(logs.clone())).unwrap();
         let oracle = base.join("oracle.ucfdb");
         crate::build::build_db(&logs_dir, &oracle, &WriteOptions::default()).unwrap();
@@ -200,8 +286,8 @@ mod tests {
         }
         let direct = base.join("direct.ucfdb");
         let (summary, stats) = seal_recovered(fold, &direct, &WriteOptions::default()).unwrap();
-        assert!(summary.rows > 0);
-        assert_eq!(stats.files_read, 3);
+        assert_eq!(summary.rows, 3 * 12 + 6, "one fault per kept-node record");
+        assert_eq!(stats.files_read, 5);
 
         assert_eq!(
             std::fs::read(&oracle).unwrap(),

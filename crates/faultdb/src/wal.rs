@@ -29,9 +29,7 @@
 use std::path::{Path, PathBuf};
 
 use uc_cluster::NodeId;
-use uc_faultlog::durable::{
-    scan_segment_slices, Io, RetryPolicy, SegmentWriter, StdIo, MAX_FRAME_LEN,
-};
+use uc_faultlog::durable::{scan_segment_slices, RetryPolicy, SegmentWriter, StdIo, MAX_FRAME_LEN};
 
 use crate::error::DbError;
 
@@ -205,8 +203,10 @@ impl Wal {
         Ok(payload)
     }
 
-    /// Push everything buffered to disk — the durability boundary the
-    /// server acks behind. A crash after this preserves the prefix.
+    /// Write everything buffered to the active segment file — the
+    /// boundary the server acks behind. Written to the WAL, it survives a
+    /// process crash; it is fsynced at the next seal
+    /// ([`Wal::rotate`]).
     pub fn flush(&mut self) -> Result<(), DbError> {
         self.writer
             .as_mut()
@@ -257,13 +257,6 @@ impl Wal {
 /// the live-directory fsck to report what it delegates.
 pub fn is_wal_name(name: &str) -> bool {
     wal_index_of_name(name).is_some()
-}
-
-// Re-exported for callers that need the raw Io trait for fault-injection
-// tests of the WAL itself.
-#[allow(unused)]
-pub(crate) fn std_io() -> &'static dyn Io {
-    &STD_IO
 }
 
 #[cfg(test)]

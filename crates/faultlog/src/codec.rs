@@ -44,7 +44,7 @@ use uc_cluster::NodeId;
 use uc_simclock::{SimDuration, SimTime};
 
 use crate::record::{EndRecord, ErrorRecord, LogRecord, StartRecord, TempC};
-use crate::store::LogEntry;
+use crate::store::{LogEntry, MAX_RUN_COUNT};
 
 /// A parse failure for one line.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -684,6 +684,16 @@ fn parse_line_fallback(line: &str) -> Result<LogRecord, ParseError> {
     }
 }
 
+/// A run's `count`: 1 to [`MAX_RUN_COUNT`], else `BadNumber`, so no run
+/// that enters from text is empty or large enough to overflow a sum.
+fn val_run_count(v: Option<&str>) -> Result<u64, ParseError> {
+    let count = val_u64("count", v)?;
+    if count == 0 || count > MAX_RUN_COUNT {
+        return Err(ParseError::BadNumber("count", count.to_string()));
+    }
+    Ok(count)
+}
+
 fn errorrun_from_slots(s: &Slots<'_>) -> Result<LogEntry, ParseError> {
     let first = ErrorRecord {
         time: SimTime::from_secs(val_i64("t", s.t)?),
@@ -694,10 +704,7 @@ fn errorrun_from_slots(s: &Slots<'_>) -> Result<LogEntry, ParseError> {
         actual: val_hex("actual", s.actual)? as u32,
         temp: val_temp(s.temp)?,
     };
-    let count = val_u64("count", s.count)?;
-    if count == 0 {
-        return Err(ParseError::BadNumber("count", "0".to_string()));
-    }
+    let count = val_run_count(s.count)?;
     let period = SimDuration::from_secs(val_i64("period", s.period)?);
     Ok(LogEntry::ErrorRun {
         first,
@@ -736,10 +743,7 @@ fn parse_errorrun_fast(rest: &str) -> Option<Result<LogEntry, ParseError>> {
 }
 
 fn build_errorrun(first: ErrorRecord, count: &str, period: &str) -> Result<LogEntry, ParseError> {
-    let count = val_u64("count", Some(count))?;
-    if count == 0 {
-        return Err(ParseError::BadNumber("count", "0".to_string()));
-    }
+    let count = val_run_count(Some(count))?;
     let period = SimDuration::from_secs(val_i64("period", Some(period))?);
     Ok(LogEntry::ErrorRun {
         first,
@@ -915,6 +919,30 @@ mod tests {
     }
 
     #[test]
+    fn errorrun_count_above_the_bound_rejected_on_both_paths() {
+        // The writer's exact shape takes the fast path; a doubled space
+        // sends the same fields through the tolerant fallback.
+        for sep in [" ", "  "] {
+            let line = |count: u64| {
+                format!(
+                    "ERRORRUN t=0 node=01-01 vaddr=0x00000000 page=0x000000 \
+                     expected=0x00000000 actual=0x00000001 temp=NA{sep}count={count} period=40"
+                )
+            };
+            match parse_entry_line(&line(MAX_RUN_COUNT)) {
+                Ok(LogEntry::ErrorRun { count, .. }) => assert_eq!(count, MAX_RUN_COUNT),
+                other => panic!("largest count not kept: {other:?}"),
+            }
+            for count in [MAX_RUN_COUNT + 1, u64::MAX] {
+                assert_eq!(
+                    parse_entry_line(&line(count)),
+                    Err(ParseError::BadNumber("count", count.to_string()))
+                );
+            }
+        }
+    }
+
+    #[test]
     fn exact_temp_roundtrips_bit_for_bit() {
         // A temperature that `{:.1}` cannot represent exactly.
         let r = LogRecord::Error(ErrorRecord {
@@ -1053,8 +1081,8 @@ mod tests {
                     temp: parse_temp(&tokens)?,
                 };
                 let count = parse_u64(&tokens, "count")?;
-                if count == 0 {
-                    return Err(ParseError::BadNumber("count", "0".to_string()));
+                if count == 0 || count > crate::store::MAX_RUN_COUNT {
+                    return Err(ParseError::BadNumber("count", count.to_string()));
                 }
                 let period = uc_simclock::SimDuration::from_secs(parse_i64(&tokens, "period")?);
                 Ok(LogEntry::ErrorRun {

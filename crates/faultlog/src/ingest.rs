@@ -168,13 +168,14 @@ impl IngestStats {
         self.fsck_bytes_quarantined += other.fsck_bytes_quarantined;
     }
 
-    fn classify(&mut self, e: &ParseError) {
+    /// Count `lines` lines dropped for `e`.
+    fn classify(&mut self, e: &ParseError, lines: u64) {
         match e {
-            ParseError::Empty => self.blank_lines += 1,
-            ParseError::UnknownKind(_) => self.bad_kind += 1,
-            ParseError::MissingField(_) => self.bad_field += 1,
-            ParseError::BadNumber(..) => self.bad_number += 1,
-            ParseError::BadNode(_) => self.bad_node += 1,
+            ParseError::Empty => self.blank_lines += lines,
+            ParseError::UnknownKind(_) => self.bad_kind += lines,
+            ParseError::MissingField(_) => self.bad_field += lines,
+            ParseError::BadNumber(..) => self.bad_number += lines,
+            ParseError::BadNode(_) => self.bad_node += lines,
         }
     }
 
@@ -251,6 +252,9 @@ struct LineRecovery {
     last_marker: String,
     last_was_marker: bool,
     high_water: Option<uc_simclock::SimTime>,
+    /// Largest first time among the kept entries (the high-water mark
+    /// also covers the later records of a run kept whole).
+    max_first: Option<uc_simclock::SimTime>,
     in_session: bool,
 }
 
@@ -302,13 +306,13 @@ impl LineRecovery {
                     self.last_marker.push_str(line);
                 }
                 self.stats.records_kept += 1;
-                self.entries.push(entry);
+                self.keep(entry);
             }
             Err(e) => {
                 if final_unterminated {
                     self.stats.torn_final_lines += 1;
                 } else {
-                    self.stats.classify(&e);
+                    self.stats.classify(&e, 1);
                 }
             }
         }
@@ -348,7 +352,7 @@ impl LineRecovery {
         let temp = match crate::codec::val_temp(Some(temp_buf)) {
             Ok(t) => t,
             Err(e) => {
-                self.stats.classify(&e);
+                self.stats.classify(&e, 1);
                 return;
             }
         };
@@ -359,9 +363,77 @@ impl LineRecovery {
         }
         self.last_was_marker = false;
         self.stats.records_kept += 1;
-        self.entries.push(LogEntry::One(LogRecord::Error(
+        self.keep(LogEntry::One(LogRecord::Error(
             crate::record::ErrorRecord { node, temp, ..*rec },
         )));
+    }
+
+    /// Account one in-memory run of `count` `ERROR` records as one kept
+    /// entry, in O(log count). Equivalent to feeding its expanded records
+    /// through [`LineRecovery::error_record_typed`] one by one:
+    ///
+    /// - the records share node and temperature, so the node verdict and
+    ///   the `{:.1}` normalization are taken once, and a drop drops all
+    ///   `count` records under one category;
+    /// - the records' times never decrease, so the ones below the
+    ///   high-water mark are a prefix ([`LogEntry::records_before`]); the
+    ///   mark then rises to the run's last time unless it already lies
+    ///   above it.
+    ///
+    /// The caller keeps the run whole only when no kept entry has a later
+    /// first time; see [`recover_log`].
+    fn error_run_typed(&mut self, run: &LogEntry, reparsed: Option<NodeId>, temp_buf: &mut String) {
+        let LogEntry::ErrorRun {
+            first,
+            count,
+            period,
+        } = *run
+        else {
+            unreachable!("error_run_typed takes runs only");
+        };
+        if count == 0 {
+            // Only an in-memory log can hold an empty run (the parser and
+            // `NodeLog::push_run` reject one); it renders no line.
+            return;
+        }
+        self.stats.lines_read += count;
+        let Some(node) = reparsed else {
+            self.stats.bad_node += count;
+            return;
+        };
+        temp_buf.clear();
+        crate::codec::push_temp(temp_buf, first.temp);
+        let temp = match crate::codec::val_temp(Some(temp_buf)) {
+            Ok(t) => t,
+            Err(e) => {
+                self.stats.classify(&e, count);
+                return;
+            }
+        };
+        let last = run.last_time();
+        self.high_water = Some(match self.high_water {
+            Some(mark) => {
+                self.stats.out_of_order += run.records_before(mark);
+                mark.max(last)
+            }
+            None => last,
+        });
+        self.last_was_marker = false;
+        self.stats.records_kept += count;
+        self.keep(LogEntry::ErrorRun {
+            first: crate::record::ErrorRecord {
+                node,
+                temp,
+                ..first
+            },
+            count,
+            period,
+        });
+    }
+
+    fn keep(&mut self, entry: LogEntry) {
+        self.max_first = self.max_first.max(Some(entry.first_time()));
+        self.entries.push(entry);
     }
 
     /// Feed a whole text in one pass: lines are split at `\n` (with one
@@ -421,13 +493,14 @@ pub fn recover_text(text: &str) -> Recovered {
 
 /// Recover an in-memory [`NodeLog`] exactly as if it had been written to
 /// a plain text file and read back with [`read_node_log_recovering`] —
-/// the byte-identity seam of the direct campaign→db streaming path.
+/// the byte-identity seam of the direct campaign→db streaming path — in
+/// O(entries), not O(records): a run stays one entry.
 ///
 /// The contract, pinned by differential tests against
 /// `recover_text(&log.to_text())`:
 ///
-/// - the record walk is `log.iter()` (runs expanded), the identical
-///   sequence [`NodeLog::to_text`] renders one line per record;
+/// - the walk is `log.entries()`, the sequence [`NodeLog::to_text`]
+///   renders one line per record of;
 /// - session markers (`START`/`END`) and `ALLOCFAIL` are rendered and
 ///   fed through the real line classifier, so duplicate-marker
 ///   suppression and session-gap accounting see the same bytes a file
@@ -437,6 +510,14 @@ pub fn recover_text(text: &str) -> Recovered {
 ///   (`LineRecovery::error_record_typed`): no line rendering, just the
 ///   writer→parser normalization of the two non-exact fields (node name
 ///   and `{:.1}` temperature);
+/// - an `ERRORRUN` stays one entry, its stats added in closed form
+///   (`LineRecovery::error_run_typed`). The stats are the text path's;
+///   the entries are too once runs are expanded
+///   ([`NodeLog::into_expanded`]), because every run kept whole starts
+///   no earlier than every entry kept before it, so the re-sort cannot
+///   move one of its records past a record tied with it in time. A run
+///   that starts earlier is walked record by record, as the text path
+///   reads it (simulator and checkpoint logs never hold one);
 /// - `files_read = 1` and the node falls back to `log.node` when no
 ///   entry names one, mirroring the file-name fallback of the file
 ///   reader (a plain log file is named after `log.node`).
@@ -447,23 +528,41 @@ pub fn recover_log(log: &NodeLog) -> Recovered {
     // One-entry node cache: a node log names one node in virtually every
     // record, so render+reparse validation runs once, not per record.
     let mut node_cache: Option<(NodeId, Option<NodeId>)> = None;
-    for rec in log.iter() {
-        if let LogRecord::Error(e) = &rec {
-            let reparsed = match node_cache {
-                Some((seen, verdict)) if seen == e.node => verdict,
-                _ => {
-                    scratch.clear();
-                    crate::codec::push_node(&mut scratch, e.node);
-                    let verdict = NodeId::from_name(&scratch);
-                    node_cache = Some((e.node, verdict));
-                    verdict
+    let mut reparse = |node: NodeId, scratch: &mut String| match node_cache {
+        Some((seen, verdict)) if seen == node => verdict,
+        _ => {
+            scratch.clear();
+            crate::codec::push_node(scratch, node);
+            let verdict = NodeId::from_name(scratch);
+            node_cache = Some((node, verdict));
+            verdict
+        }
+    };
+    for entry in log.entries() {
+        match entry {
+            LogEntry::One(LogRecord::Error(e)) => {
+                let reparsed = reparse(e.node, &mut scratch);
+                r.error_record_typed(e, reparsed, &mut scratch);
+            }
+            LogEntry::One(rec) => {
+                line.clear();
+                crate::codec::write_record_into(&mut line, rec);
+                r.line(&line, false);
+            }
+            LogEntry::ErrorRun { first, .. } => {
+                let reparsed = reparse(first.node, &mut scratch);
+                if r.max_first.is_some_and(|t| first.time < t) {
+                    // Kept whole, it would sort ahead of an entry kept
+                    // before it; read it as the text path does.
+                    for rec in entry.expand() {
+                        if let LogRecord::Error(e) = &rec {
+                            r.error_record_typed(e, reparsed, &mut scratch);
+                        }
+                    }
+                } else {
+                    r.error_run_typed(entry, reparsed, &mut scratch);
                 }
-            };
-            r.error_record_typed(e, reparsed, &mut scratch);
-        } else {
-            line.clear();
-            crate::codec::write_record_into(&mut line, &rec);
-            r.line(&line, false);
+            }
         }
     }
     let mut rec = r.finish();
@@ -727,6 +826,8 @@ mod tests {
     /// text file and reading it back: same kept records, same stats, same
     /// node fallback. This is the byte-identity seam of the direct
     /// campaign→db path, so every divergence here is a corruption bug.
+    /// Runs stay compact on the direct side, so its records are compared
+    /// with runs expanded in place and re-sorted as the text path sorts.
     fn assert_recover_log_matches_text_path(log: &NodeLog) {
         let direct = recover_log(log);
         let mut oracle = recover_text(&log.to_text());
@@ -736,13 +837,42 @@ mod tests {
         }
         assert_eq!(direct.stats, oracle.stats, "ingest stats diverged");
         assert_eq!(direct.log.node, oracle.log.node, "node diverged");
+        if log
+            .entries()
+            .windows(2)
+            .all(|w| w[0].first_time() <= w[1].first_time())
+        {
+            // In order, every run whose node survives the render+reparse
+            // round trip stays one entry.
+            let reparses = |n: NodeId| {
+                let mut name = String::new();
+                crate::codec::push_node(&mut name, n);
+                NodeId::from_name(&name).is_some()
+            };
+            let kept_runs = log
+                .entries()
+                .iter()
+                .filter(|e| matches!(e, LogEntry::ErrorRun { first, .. } if reparses(first.node)))
+                .count();
+            let direct_runs = direct
+                .log
+                .entries()
+                .iter()
+                .filter(|e| matches!(e, LogEntry::ErrorRun { .. }))
+                .count();
+            assert_eq!(
+                direct_runs, kept_runs,
+                "a run of an in-order log was not kept as one entry"
+            );
+        }
+        let expanded = direct.log.into_expanded();
         assert_eq!(
-            direct.log.entries().len(),
+            expanded.entries().len(),
             oracle.log.entries().len(),
             "entry count diverged"
         );
-        // Entry-level equality through the exact-bit renderer: LogEntry
-        // has no PartialEq, and float `==` would miss NaN-vs-NaN anyway.
+        // Entry-level equality through the exact-bit renderer: float `==`
+        // would miss NaN-vs-NaN.
         let render = |l: &NodeLog| {
             let mut out = String::new();
             for e in l.entries() {
@@ -751,7 +881,7 @@ mod tests {
             }
             out
         };
-        assert_eq!(render(&direct.log), render(&oracle.log), "entries diverged");
+        assert_eq!(render(&expanded), render(&oracle.log), "entries diverged");
     }
 
     fn node(name: &str) -> NodeId {
@@ -888,6 +1018,63 @@ mod tests {
     }
 
     #[test]
+    fn recover_log_keeps_overlapping_runs_whole() {
+        // The flood node's shape: runs of different cells overlap in time,
+        // and their records tie (140 s, 180 s, ...) with each other.
+        let n = node("05-07");
+        let mut log = NodeLog::new(n);
+        for (t, vaddr) in [(100, 0x10), (140, 0x20), (141, 0x30)] {
+            if let LogRecord::Error(first) = err_at(t, n, vaddr, Some(40.0)) {
+                log.push_run(first, 10, uc_simclock::SimDuration::from_secs(40));
+            }
+        }
+        log.push(err_at(150, n, 0x40, None));
+        let rec = recover_log(&log);
+        assert_eq!(rec.log.entries().len(), 4, "runs stay one entry each");
+        assert_eq!(rec.stats.records_kept, 31);
+        assert!(rec.stats.out_of_order > 0);
+        assert_recover_log_matches_text_path(&log);
+    }
+
+    #[test]
+    fn recover_log_walks_a_run_that_starts_before_a_kept_entry() {
+        // Out of first-time order, as only a damaged compact file holds
+        // it: kept whole, the run at t=10 would sort ahead of the single
+        // at t=50 and its own t=50 record would pass the single's, which
+        // the text path reads first.
+        let text = "ERROR t=50 node=01-01 vaddr=0x10 page=0x1 expected=0xffffffff \
+                    actual=0xfffffffe temp=NA\n\
+                    ERRORRUN t=10 node=01-01 vaddr=0x10 page=0x1 expected=0xffffffff \
+                    actual=0xfffffffe temp=NA count=4 period=20\n";
+        let (log, errors) = NodeLog::from_text_compact(text);
+        assert!(errors.is_empty());
+        let rec = recover_log(&log);
+        assert!(
+            rec.log
+                .entries()
+                .iter()
+                .all(|e| matches!(e, LogEntry::One(_))),
+            "the displaced run is walked record by record"
+        );
+        assert_eq!(rec.stats.out_of_order, 2);
+        assert_recover_log_matches_text_path(&log);
+    }
+
+    #[test]
+    fn recover_log_drops_a_run_on_an_unreadable_node_whole() {
+        let good = node("01-01");
+        let mut log = NodeLog::new(good);
+        if let LogRecord::Error(first) = err_at(10, NodeId(u32::MAX), 0x10, Some(30.0)) {
+            log.push_run(first, 5, uc_simclock::SimDuration::from_secs(40));
+        }
+        let rec = recover_log(&log);
+        assert_eq!(rec.stats.bad_node, 5);
+        assert_eq!(rec.stats.lines_read, 5);
+        assert!(rec.stats.is_conserved());
+        assert_recover_log_matches_text_path(&log);
+    }
+
+    #[test]
     fn recover_log_of_empty_log_keeps_the_node_fallback() {
         let log = NodeLog::new(node("03-03"));
         let rec = recover_log(&log);
@@ -898,7 +1085,7 @@ mod tests {
 
     #[test]
     fn hostile_errorrun_extremes_ingest_without_panicking() {
-        // count * period overflows i64 by ~19 orders of magnitude; the
+        // count * period overflows i64 about 4e9 times over; the
         // entry must ingest, sort and report boundaries without panicking
         // or time-travelling (LogEntry::last_time saturates).
         let text = format!(
@@ -908,7 +1095,7 @@ mod tests {
              ERRORRUN t=20 node=01-01 vaddr=0x10 page=0x1 expected=0xffffffff \
              actual=0xfffffffe temp=NA count=3 period=-500\n\
              END t=100 node=01-01 temp=NA\n",
-            u64::MAX,
+            crate::store::MAX_RUN_COUNT,
             i64::MAX
         );
         let rec = recover_text(&text);

@@ -5,7 +5,10 @@
 //! iteration. Storing those as individual records would cost gigabytes, so
 //! [`NodeLog`] holds [`LogEntry`] values where a run of periodic identical
 //! errors is one compact [`LogEntry::ErrorRun`]; iteration expands runs
-//! lazily and all counting is O(entries), not O(records).
+//! lazily and all counting is O(entries), not O(records). The direct
+//! campaign→db path keeps that promise from recovery to seal: runs stay
+//! compact through `ingest::recover_log`, and only the nodes that survive
+//! the flood filter are expanded ([`NodeLog::into_expanded`]).
 
 use std::collections::BinaryHeap;
 
@@ -13,6 +16,16 @@ use uc_cluster::NodeId;
 use uc_simclock::{SimDuration, SimTime};
 
 use crate::record::{ErrorRecord, LogRecord};
+
+/// The largest `count` a run may carry; the parser rejects larger ones
+/// and [`NodeLog::push_run`] asserts it. A run is one stuck cell seen on
+/// every second scan pass of one session, so the simulator's longest run
+/// is one session's scan passes: even a session spanning the paper's whole
+/// 13-month campaign at the fastest 1 s pass repeats fewer than 2^25
+/// times. The bound leaves a wide margin above that and keeps every sum
+/// of counts inside `u64`: overflowing one would take 2^32 maximal runs,
+/// far more entries than memory holds.
+pub const MAX_RUN_COUNT: u64 = 1 << 32;
 
 /// One stored entry: either a single record or a compressed run of
 /// identical-shape periodic errors.
@@ -68,15 +81,34 @@ impl LogEntry {
     /// reject negative periods — the result is clamped to
     /// `[first_time, SimTime::MAX]` instead of panicking or time-travelling.
     pub fn last_time(&self) -> SimTime {
+        self.time_at(self.record_count().saturating_sub(1))
+    }
+
+    /// How many of the entry's records are stamped before `t`. The
+    /// stamps never decrease, so those records are a prefix: a binary
+    /// search over the times [`LogEntry::expand`] gives them.
+    pub(crate) fn records_before(&self, t: SimTime) -> u64 {
+        let (mut below, mut rest) = (0, self.record_count());
+        while below < rest {
+            let mid = below + (rest - below) / 2;
+            if self.time_at(mid) < t {
+                below = mid + 1;
+            } else {
+                rest = mid;
+            }
+        }
+        below
+    }
+
+    /// Timestamp of record `rep` (0-based) of the entry, as
+    /// [`LogEntry::expand`] stamps it: never decreasing in `rep`, clamped
+    /// like [`LogEntry::last_time`].
+    fn time_at(&self, rep: u64) -> SimTime {
         match self {
             LogEntry::One(r) => r.time(),
-            LogEntry::ErrorRun {
-                first,
-                count,
-                period,
-            } => first
-                .time
-                .saturating_add(run_offset(*period, count.saturating_sub(1))),
+            LogEntry::ErrorRun { first, period, .. } => {
+                first.time.saturating_add(run_offset(*period, rep))
+            }
         }
     }
 
@@ -115,16 +147,12 @@ impl Iterator for LogEntryIter<'_> {
                     None
                 }
             }
-            LogEntry::ErrorRun {
-                first,
-                count,
-                period,
-            } => {
+            LogEntry::ErrorRun { first, count, .. } => {
                 if self.next >= *count {
                     return None;
                 }
                 let mut rec = *first;
-                rec.time = first.time.saturating_add(run_offset(*period, self.next));
+                rec.time = self.entry.time_at(self.next);
                 self.next += 1;
                 Some(LogRecord::Error(rec))
             }
@@ -174,6 +202,7 @@ impl NodeLog {
     /// Append a compressed run of periodic identical errors.
     pub fn push_run(&mut self, first: ErrorRecord, count: u64, period: SimDuration) {
         assert!(count > 0, "empty run");
+        assert!(count <= MAX_RUN_COUNT, "run count above MAX_RUN_COUNT");
         assert!(period.as_secs() >= 0, "negative period");
         debug_assert!(
             self.entries
@@ -205,6 +234,24 @@ impl NodeLog {
     /// Iterate raw records in time order, expanding runs.
     pub fn iter(&self) -> impl Iterator<Item = LogRecord> + '_ {
         self.entries.iter().flat_map(LogEntry::expand)
+    }
+
+    /// This log with every run expanded in place into single records,
+    /// then stable-sorted by time as [`NodeLog::from_entries`] sorts: the
+    /// records, in order, that a plain-text round trip of the log recovers
+    /// ([`NodeLog::to_text`] renders [`NodeLog::iter`], and recovery sorts
+    /// what it reads the same way).
+    pub fn into_expanded(self) -> NodeLog {
+        let entries = if self
+            .entries
+            .iter()
+            .any(|e| matches!(e, LogEntry::ErrorRun { .. }))
+        {
+            self.iter().map(LogEntry::One).collect()
+        } else {
+            self.entries
+        };
+        NodeLog::from_entries(self.node, entries)
     }
 
     /// Write as compact text lines: runs stay as one `ERRORRUN` line each.
@@ -415,10 +462,35 @@ mod tests {
 
     #[test]
     fn counting_does_not_expand() {
-        // A trillion-record run is countable instantly.
+        // The largest run is countable instantly.
         let mut log = NodeLog::new(NodeId(0));
-        log.push_run(err(0, 0), 1_000_000_000_000, SimDuration::from_secs(1));
-        assert_eq!(log.raw_error_count(), 1_000_000_000_000);
+        log.push_run(err(0, 0), MAX_RUN_COUNT, SimDuration::from_secs(1));
+        assert_eq!(log.raw_error_count(), MAX_RUN_COUNT);
+    }
+
+    #[test]
+    #[should_panic(expected = "run count above MAX_RUN_COUNT")]
+    fn oversized_run_rejected() {
+        NodeLog::new(NodeId(0)).push_run(err(0, 0), MAX_RUN_COUNT + 1, SimDuration::from_secs(1));
+    }
+
+    #[test]
+    fn into_expanded_interleaves_run_records_by_time() {
+        let mut log = NodeLog::new(NodeId(4));
+        log.push_run(err(4, 10), 3, SimDuration::from_secs(10)); // 10, 20, 30
+        log.push(LogRecord::Error(err(4, 15)));
+        let expanded = log.into_expanded();
+        let times: Vec<i64> = expanded
+            .entries()
+            .iter()
+            .map(|e| e.first_time().as_secs())
+            .collect();
+        assert_eq!(times, vec![10, 15, 20, 30]);
+        assert!(expanded
+            .entries()
+            .iter()
+            .all(|e| matches!(e, LogEntry::One(_))));
+        assert_eq!(expanded.node, Some(NodeId(4)));
     }
 
     #[test]

@@ -28,6 +28,7 @@ HIGHER_IS_BETTER = (
     "campaign_faults_per_sec",
     "direct_speedup",
     "ingest_mb_per_sec",
+    "recover_records_per_sec",
     "scan_rows_per_sec",
     "scan_packed_rows_per_sec",
     "shard_fanout_rows_per_sec",

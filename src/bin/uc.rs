@@ -78,6 +78,7 @@
 //! command table that drives dispatch, so the two cannot drift apart.
 
 use std::fmt::Display;
+use std::io::{self, Write as _};
 use std::ops::RangeInclusive;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -136,12 +137,19 @@ mod sig {
 /// Install the handler and watch for it from a background thread,
 /// running `on_term` (each server's graceful shutdown) when a signal
 /// lands. The watcher dies with the process; no cleanup needed.
+///
+/// `on_term` runs before the notice is written, and the notice ignores
+/// write errors: `eprintln!` panics once stderr's reader is gone, and a
+/// panic here would leave a swallowed signal with no shutdown.
 fn spawn_signal_watcher(on_term: impl Fn() + Send + 'static) {
     sig::install();
     std::thread::spawn(move || loop {
         if sig::triggered() {
-            eprintln!("signal received; draining connections and shutting down");
             on_term();
+            let _ = writeln!(
+                io::stderr(),
+                "signal received; draining connections and shutting down"
+            );
             return;
         }
         std::thread::sleep(Duration::from_millis(50));
@@ -732,9 +740,13 @@ fn cmd_serve(args: &Args) -> Result<(), Fail> {
     let handle = server.shutdown_handle();
     spawn_signal_watcher(move || handle.shutdown());
     let stats = server.join();
-    eprintln!(
+    // After a signal stderr may have no reader; the exit status must not
+    // depend on it (see `spawn_signal_watcher`).
+    let _ = writeln!(
+        io::stderr(),
         "served {} requests, rejected {} overloaded connections",
-        stats.served, stats.rejected
+        stats.served,
+        stats.rejected
     );
     Ok(())
 }
@@ -867,11 +879,19 @@ fn cmd_serve_ingest(args: &Args, selftest: usize, query_cfg: &ServeConfig) -> Re
     let qstats = query.join();
     ingest.shutdown();
     let istats = ingest.join();
+    // From here on stderr may have no reader (see `spawn_signal_watcher`):
+    // a failed write must not skip the final seal or change the exit.
     if let Some(repl) = &repl {
         let rs = repl.stats();
-        eprintln!(
+        let _ = writeln!(
+            io::stderr(),
             "replication: role {}, epoch {}, lag {}, {} connects, {} records applied, {} seals",
-            rs.role, rs.epoch, rs.lag, rs.connects, rs.applied, rs.seals
+            rs.role,
+            rs.epoch,
+            rs.lag,
+            rs.connects,
+            rs.applied,
+            rs.seals
         );
     }
     // One last seal so everything acked is also queryable after restart
@@ -884,7 +904,8 @@ fn cmd_serve_ingest(args: &Args, selftest: usize, query_cfg: &ServeConfig) -> Re
         live.seal().map_err(run_err("final seal failed"))?;
     }
     let status = live.status();
-    eprintln!(
+    let _ = writeln!(
+        io::stderr(),
         "served {} queries ({} shed); ingested {} records over {} sessions ({} shed, {} protocol errors); \
          final generation {} with {} records",
         qstats.served,
@@ -1086,10 +1107,16 @@ fn cmd_scrub(args: &Args) -> Result<(), Fail> {
         let repaired = scrubber.repaired();
         let last = scrubber.last_report();
         scrubber.stop();
+        // stderr may have no reader after a signal (see
+        // `spawn_signal_watcher`).
+        let mut err = io::stderr();
         if let Some(report) = last {
-            eprintln!("{report}");
+            let _ = writeln!(err, "{report}");
         }
-        eprintln!("scrub: {rounds} rounds, {repaired} generations repaired, {busy} busy skips");
+        let _ = writeln!(
+            err,
+            "scrub: {rounds} rounds, {repaired} generations repaired, {busy} busy skips"
+        );
         return Ok(());
     }
 

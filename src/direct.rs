@@ -16,14 +16,17 @@
 //!   completes (fresh or checkpoint-restored; never for a failed node).
 //!   The hook recovers the node's log *in memory* with [`recover_log`]
 //!   — proven byte-equivalent to writing the node's text file and
-//!   reading it back — and emits the [`Recovered`] into a bounded
+//!   reading it back, in O(entries): each scan-error run stays one
+//!   entry — and emits the [`Recovered`] into a bounded
 //!   [`stage_shared`] channel.
 //! * **Consumer** — folds arrivals into a [`DirectFold`]: an
 //!   order-insensitive bag, because completion order is
 //!   nondeterministic across thread counts.
 //! * **Seal** — [`seal_recovered`] imposes the directory reader's total
-//!   order (sort by node id), merges ingest stats additively, and runs
-//!   the *identical* `Snapshot::from_cluster` → `write_db` tail the text
+//!   order (sort by node id), merges ingest stats additively, expands
+//!   runs only on the nodes that survive the flood filter (the flood
+//!   node, with nearly every raw record, stays compact), and runs the
+//!   *identical* `Snapshot::from_cluster` → `write_db` tail the text
 //!   path uses — including the tmp + fsync + atomic-rename crash
 //!   discipline, so a crash mid-seal leaves only a `*.ucfdb.tmp` for
 //!   `uc fsck` to quarantine.

@@ -488,6 +488,49 @@ fn sigterm_stops_a_primary_with_an_attached_replica() {
     let _ = fs::remove_dir_all(&base);
 }
 
+/// SIGTERM stops a server whose stderr has no reader any more (the
+/// terminal or log collector that started it went away): shutdown must
+/// not depend on writing the notices around it. Both the static server
+/// and a live primary, which also seals on the way out.
+#[cfg(unix)]
+#[test]
+fn sigterm_stops_a_server_whose_stderr_reader_is_gone() {
+    use std::io::BufRead;
+
+    let base = std::env::temp_dir().join(format!("uc-cli-closed-stderr-{}", std::process::id()));
+    let _ = fs::remove_dir_all(&base);
+    let logs = base.join("logs");
+    write_tiny_logs(&logs);
+    let db = base.join("faults.fdb");
+    let built = uc(&["build-db", logs.to_str().unwrap(), db.to_str().unwrap()]);
+    assert_eq!(built.status.code(), Some(0), "{}", stderr(&built));
+
+    let child = Command::new(env!("CARGO_BIN_EXE_uc"))
+        .args(["serve", db.to_str().unwrap(), "--addr", "127.0.0.1:0"])
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn uc serve");
+    let mut child = KillOnDrop(child);
+    let mut reader = BufReader::new(child.0.stderr.take().unwrap());
+    let mut banner = String::new();
+    reader.read_line(&mut banner).unwrap();
+    assert!(banner.starts_with("serving "), "{banner}");
+    let live = spawn_live_server(&base.join("live"), &[]);
+    let mut live_child = live.child;
+
+    for (what, child, reader) in [
+        ("serve", &mut child, reader),
+        ("serve --ingest", &mut live_child, live.reader),
+    ] {
+        drop(reader);
+        sigterm(&child.0);
+        let status = wait_within(&mut child.0, Duration::from_secs(10))
+            .unwrap_or_else(|| panic!("{what} still running 10 s after SIGTERM"));
+        assert_eq!(status.code(), Some(0), "{what}");
+    }
+    let _ = fs::remove_dir_all(&base);
+}
+
 /// A server out of file descriptors must not spin. With `ulimit -n 20`
 /// and 40 idle clients, the four workers and the queue hold what
 /// descriptors there are, every further `accept` fails with `EMFILE`,

@@ -14,6 +14,7 @@ use unprotected_computing::core::{run_campaign_checkpointed, CampaignConfig};
 use unprotected_computing::direct::campaign_to_db;
 use unprotected_computing::faultdb::{build_db, WriteOptions};
 use unprotected_computing::faultlog::files::write_cluster_log;
+use unprotected_computing::faultlog::store::LogEntry;
 use unprotected_computing::parallel::with_thread_limit;
 use unprotected_computing::simclock::SimDuration;
 
@@ -76,6 +77,52 @@ fn direct_path_is_byte_identical_across_seeds_and_thread_counts() {
         }
         let _ = std::fs::remove_dir_all(&base);
     }
+}
+
+/// The 14-day windows above hold no scan-error run and no flood node, so
+/// they never reach the compact path: runs kept whole through recovery,
+/// expanded only on the nodes that survive the flood filter. Thirty days
+/// is the shortest window that grows a flood node (seed 42: about 1M raw
+/// records, nearly all in runs on that one node).
+#[test]
+fn flood_window_campaign_is_byte_identical_across_thread_counts() {
+    let base = scratch("flood");
+    let mut cfg = CampaignConfig::small(42, 6);
+    cfg.sched.end = cfg.sched.start + SimDuration::from_days(30);
+
+    // The shape this case exists for: every run sits on the one node the
+    // flood filter excludes.
+    let result = run_campaign_checkpointed(&cfg, &base.join("shape-ckpt"));
+    let flood = result.flood_nodes(0.5);
+    assert_eq!(flood.len(), 1, "the window grows exactly one flood node");
+    let mut runs = 0;
+    for sim in result.completed() {
+        let node_runs = sim
+            .log
+            .entries()
+            .iter()
+            .filter(|e| matches!(e, LogEntry::ErrorRun { .. }))
+            .count();
+        assert!(
+            node_runs == 0 || sim.node == flood[0],
+            "runs on kept node {}",
+            sim.node
+        );
+        runs += node_runs;
+    }
+    assert!(runs > 1_000, "{runs} runs");
+    assert!(result.raw_error_logs() > 500_000);
+    drop(result);
+
+    let oracle = oracle_bytes(&cfg, &base);
+    for threads in [1_usize, 2, 8] {
+        let direct = direct_bytes(&cfg, &base, threads, &format!("t{threads}"));
+        assert_eq!(
+            oracle, direct,
+            "flood window diverged from the text oracle at {threads} thread(s)"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&base);
 }
 
 #[test]

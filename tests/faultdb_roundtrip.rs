@@ -6,10 +6,11 @@
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::PathBuf;
+use std::time::Duration;
 
 use unprotected_computing::faultdb::format::write_db;
 use unprotected_computing::faultdb::{
-    db::QueryOptions, DbOptions, FaultDb, Snapshot, WriteOptions,
+    build_db, db::QueryOptions, DbOptions, FaultDb, Snapshot, WriteOptions,
 };
 use unprotected_computing::faultlog::ingest::{recover_text, IngestStats};
 use unprotected_computing::faultlog::store::ClusterLog;
@@ -210,4 +211,52 @@ fn cache_counters_move_but_results_do_not() {
     // identical answers, proving the cache is invisible to results.
     let db_big = FaultDb::open(&path).unwrap();
     assert_eq!(db_big.query("group class", &opts).unwrap(), first);
+}
+
+/// A hostile `ERRORRUN` count must not hang the build (the day-volume fold
+/// once expanded every run) nor wrap the raw-error sum into a wrong flood
+/// verdict: the line is a `bad_number` drop, and the one real error on
+/// each of the two other nodes seals as a fault. The build runs on a
+/// thread with a bound, so a regression fails instead of hanging.
+#[test]
+fn hostile_errorrun_count_is_dropped_not_expanded_or_summed() {
+    let dir = tempdir("hostile-count");
+    let logs = dir.join("logs");
+    fs::create_dir_all(&logs).unwrap();
+    fs::write(
+        logs.join("node-01-01.log"),
+        format!(
+            "ERRORRUN t=100 node=01-01 vaddr=0x00000100 page=0x000000 expected=0xffffffff \
+             actual=0xfffffffe temp=NA count={} period=40\n",
+            u64::MAX
+        ),
+    )
+    .unwrap();
+    for name in ["01-02", "01-03"] {
+        fs::write(
+            logs.join(format!("node-{name}.log")),
+            format!(
+                "ERROR t=200 node={name} vaddr=0x00000200 page=0x000000 expected=0xffffffff \
+                 actual=0xffff7fff temp=35.0\n"
+            ),
+        )
+        .unwrap();
+    }
+    let db = dir.join("hostile.ucfdb");
+    let (tx, rx) = std::sync::mpsc::channel();
+    let (from, to) = (logs.clone(), db.clone());
+    std::thread::spawn(move || {
+        let _ = tx.send(build_db(&from, &to, &WriteOptions::default()).map(|s| s.rows));
+    });
+    let rows = match rx.recv_timeout(Duration::from_secs(5)) {
+        Ok(built) => built.unwrap(),
+        Err(e) => panic!("build_db did not return within 5 s: {e:?}"),
+    };
+    assert_eq!(rows, 2);
+    let snap = FaultDb::open(&db).unwrap().snapshot().unwrap();
+    assert_eq!(snap.faults.len(), 2);
+    assert!(snap.flood_nodes.is_empty());
+    assert_eq!(snap.stats.bad_number, 1);
+    assert_eq!((snap.raw_records, snap.raw_errors), (2, 2));
+    let _ = fs::remove_dir_all(&dir);
 }
