@@ -72,7 +72,7 @@ pub fn extract_node_faults(log: &NodeLog, cfg: &ExtractConfig) -> Vec<Fault> {
         // Only a forward-in-time recurrence can extend an open fault. A
         // record timestamped *before* the open fault's last sighting is an
         // out-of-order log line (recovering ingest keeps those, and
-        // `NodeLog::from_text` never re-sorts): raw subtraction would hand
+        // `NodeLog::from_text_compact` never re-sorts): raw subtraction would hand
         // back a negative "gap" that always passes the window check,
         // silently merging unrelated faults — and overflows on adversarial
         // timestamps. `checked_elapsed_since` refuses both, so the
@@ -453,7 +453,7 @@ mod tests {
 
     #[test]
     fn out_of_order_recurrence_is_a_new_fault() {
-        // `NodeLog::from_text` keeps file order, so a reordered log reaches
+        // `NodeLog::from_text_compact` keeps file order, so a reordered log reaches
         // extraction with a recurrence timestamped *before* the open
         // fault's last sighting. The raw `rec.time - of.last_seen` gap was
         // negative (always within the window), silently merging the two;
@@ -462,7 +462,7 @@ mod tests {
                     expected=0xffffffff actual=0xfffffffe temp=NA\n\
                     ERROR t=10 node=01-01 vaddr=0x00000100 page=0x000001 \
                     expected=0xffffffff actual=0xfffffffe temp=NA\n";
-        let (log, errors) = NodeLog::from_text(text);
+        let (log, errors) = NodeLog::from_text_compact(text);
         assert!(errors.is_empty());
         let faults = extract_node_faults(&log, &ExtractConfig::default());
         assert_eq!(faults.len(), 2, "reordered recurrence must not merge");

@@ -32,7 +32,7 @@
 //! * `policy_days_per_sec` — mitigation policy replay throughput: total
 //!   policy-days (simulated days × policies compared) per second of the
 //!   full five-policy `uc policy` comparison over the sealed campaign,
-//!   day stream included.
+//!   day feed included.
 //!
 //! Run with `cargo bench -p uc-bench --bench campaign`; `--test` does a
 //! single quick pass (CI smoke) and still emits the JSON.
@@ -188,7 +188,7 @@ fn catchup_mb_per_sec(base: &Path, quick: bool) -> f64 {
 
 /// Mitigation policy replay throughput: the full five-policy
 /// comparison (`uc policy` with `--policy all`) over the sealed
-/// campaign, including the pruned per-day window scans that feed it.
+/// campaign, including the read and day split that feed it.
 /// Reported as policy-days per second — simulated days × policies,
 /// divided by the best wall-clock over N repetitions.
 fn policy_days_per_sec(db_path: &Path, quick: bool) -> f64 {
@@ -246,6 +246,14 @@ fn emit_trajectory(quick: bool) {
         corpus_bytes = bytes;
         rows = n;
         campaign = Some(result);
+        // Only round 0's corpus is read again (ingest throughput below);
+        // a paper-scale text corpus is ~3.7 GB, so later rounds' outputs
+        // go as soon as they are timed.
+        if r > 0 {
+            let _ = std::fs::remove_dir_all(base.join(format!("text-logs-{r}")));
+            let _ = std::fs::remove_dir_all(base.join(format!("text-ckpt-{r}")));
+            let _ = std::fs::remove_file(base.join(format!("text-{r}.ucfdb")));
+        }
     }
     let campaign = campaign.expect("at least one round");
 

@@ -76,11 +76,6 @@ impl VecDevice {
         }
     }
 
-    pub fn with_scrambler(mut self, scrambler: LaneScrambler) -> VecDevice {
-        self.scrambler = scrambler;
-        self
-    }
-
     pub fn geometry(&self) -> Geometry {
         self.geometry
     }

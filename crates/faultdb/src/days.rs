@@ -1,204 +1,70 @@
-//! Day-ordered streaming iteration over an [`Engine`] — the replay feed
-//! for the online mitigation policy engine (`crates/policy`, `uc policy`).
+//! The stored fault stream split by simulated day — the replay feed for
+//! the online mitigation policy engine (`crates/policy`, `uc policy`).
 //!
-//! The policy engine consumes the fault stream one simulated day at a
-//! time. Rather than decoding the whole database up front, [`DayStream`]
-//! issues one window query per day — `time >= d·86400 and
-//! time < (d+1)·86400` — through the normal query path, so zone-map
-//! pruning (block-level for a single file, shard-level then block-level
-//! for a root) skips every block whose time range misses the day. A
-//! year-long database answers each day's pull by touching only the
-//! handful of blocks that overlap it.
+//! [`Engine::collect_days`] reads the sealed stream once, the way
+//! `uc analyze --db` reads it ([`Engine::snapshot`]), and files every
+//! fault under its `SimTime::day_index`: one [`DayFaults`] per day from
+//! the smallest to the largest fault day, **including empty days** (a
+//! policy charges daily costs whether or not faults landed).
 //!
 //! Boundary contract: day `d` covers `[d·86400, (d+1)·86400)` — half-open,
-//! exactly [`SimTime::day_index`]'s `div_euclid` partition — so a fault at
-//! exactly midnight belongs to the *starting* day and to no other. The
-//! stream yields **every** day in the database's span, including empty
-//! ones (a policy charges daily costs whether or not faults landed), and
-//! concatenating the per-day faults reproduces `faults_all()` exactly.
-//! `tests/faultdb_days.rs` proves both properties against a brute-force
-//! `day_index` partition.
+//! exactly `day_index`'s `div_euclid` partition — so a fault at exactly
+//! midnight belongs to the *starting* day and to no other. Each day keeps
+//! its faults in stored order, so for a stream in sort order (every
+//! sealed campaign) concatenating the days reproduces it exactly. The
+//! span is taken over every row, not from the first and last stored row,
+//! so a stream sealed out of sort order is split correctly too.
+//!
+//! The feed holds one entry per day, so its size follows the span, not
+//! the fault count: a span wider than [`MAX_DAY_SPAN`] is refused with a
+//! typed [`DbError::DaySpan`]. `tests/faultdb_days.rs` proves the
+//! partition against a brute-force `day_index` split.
 
-use uc_analysis::extract::merge_sorted_fault_streams;
 use uc_analysis::fault::Fault;
-use uc_simclock::SimTime;
 
 use crate::error::DbError;
-use crate::query::{Action, Pred, Query};
 use crate::shard::Engine;
-use crate::QueryOptions;
+
+/// The widest stream, in days, that [`Engine::collect_days`] lays out:
+/// 2^16 days, about 179 years. The paper's campaign spans about 400. The
+/// feed allocates one entry per day, empty or not, so without a bound two
+/// faults 10^13 s apart would ask for ~116M days of replay.
+pub const MAX_DAY_SPAN: i64 = 1 << 16;
 
 /// One simulated day of the fault stream.
 #[derive(Clone, Debug, PartialEq)]
 pub struct DayFaults {
     /// Day index (`SimTime::day_index` of every fault in `faults`).
     pub day: i64,
-    /// The day's faults in global sort order. May be empty.
+    /// The day's faults in stored (global sort) order. May be empty.
     pub faults: Vec<Fault>,
 }
 
-/// The half-open window query for day `d`: `[d·86400, (d+1)·86400)`.
-fn day_query(day: i64) -> Query {
-    let lo = SimTime::from_secs(day.saturating_mul(86_400));
-    let hi = SimTime::from_secs(day.saturating_add(1).saturating_mul(86_400));
-    Query {
-        action: Action::List { limit: None },
-        pred: Pred::And(Box::new(Pred::TimeGe(lo)), Box::new(Pred::TimeLt(hi))),
-    }
-}
-
 impl Engine {
-    /// Inclusive `(first_day, last_day)` bounds of the stored stream,
-    /// straight from the footer/catalog zone maps — no block is decoded.
-    /// `None` for an empty database.
-    pub fn day_bounds(&self) -> Option<(i64, i64)> {
-        let mut bounds: Option<(i64, i64)> = None;
-        let mut fold = |min_time: i64, max_time: i64| {
-            let lo = SimTime::from_secs(min_time).day_index();
-            let hi = SimTime::from_secs(max_time).day_index();
-            bounds = Some(match bounds {
-                None => (lo, hi),
-                Some((a, b)) => (a.min(lo), b.max(hi)),
-            });
-        };
-        match self {
-            Engine::Single(db) => {
-                for block in &db.footer().blocks {
-                    fold(block.zone.min_time, block.zone.max_time);
-                }
-            }
-            Engine::Root(db) => {
-                for shard in &db.catalog().shards {
-                    fold(shard.zone.min_time, shard.zone.max_time);
-                }
-            }
-        }
-        bounds
-    }
-
-    /// All faults of one day, in global sort order. Zone maps prune the
-    /// scan to blocks overlapping the window; a day outside the stored
-    /// span decodes nothing and returns empty.
-    pub fn faults_on_day(&self, day: i64) -> Result<Vec<Fault>, DbError> {
-        let q = day_query(day);
-        let opts = QueryOptions::default();
-        match self {
-            Engine::Single(db) => {
-                let (mut agg, _) = db.run_partial(&q, &opts, true)?;
-                Ok(std::mem::take(&mut agg.rows))
-            }
-            Engine::Root(db) => {
-                // Mirror the root list path: shards are the unit of
-                // parallelism (sequential inside, so the pool is never
-                // nested), merged with the deterministic k-way merge.
-                let survivors = db.day_survivors(&q);
-                let partials = uc_parallel::par_map(&survivors, |_, &s| {
-                    db.shard(s).run_partial(&q, &opts, false)
-                });
-                let mut streams = Vec::with_capacity(partials.len());
-                for partial in partials {
-                    let (mut agg, _) = partial?;
-                    streams.push(std::mem::take(&mut agg.rows));
-                }
-                Ok(merge_sorted_fault_streams(streams))
-            }
-        }
-    }
-
-    /// Iterate the stored stream one day at a time, **including empty
-    /// days**, from the first stored day through the last. Each pull
-    /// runs one pruned window scan; nothing is buffered across days.
-    pub fn day_stream(&self) -> DayStream<'_> {
-        let bounds = self.day_bounds();
-        DayStream {
-            engine: self,
-            next: bounds.map(|(lo, _)| lo).unwrap_or(0),
-            last: bounds.map(|(_, hi)| hi).unwrap_or(-1),
-            failed: false,
-        }
-    }
-
-    /// Collect the whole day stream; the policy replay driver's feed.
+    /// The stored stream split by day, every day from the first fault
+    /// day through the last, empties included; empty for a database
+    /// without faults. The policy replay driver's feed.
     pub fn collect_days(&self) -> Result<Vec<DayFaults>, DbError> {
-        self.day_stream().collect()
-    }
-}
-
-/// Iterator over [`DayFaults`], day by ascending day. After the first
-/// error the stream fuses (a corrupt block would otherwise error on
-/// every subsequent overlapping day).
-pub struct DayStream<'a> {
-    engine: &'a Engine,
-    next: i64,
-    last: i64,
-    failed: bool,
-}
-
-impl Iterator for DayStream<'_> {
-    type Item = Result<DayFaults, DbError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.failed || self.next > self.last {
-            return None;
-        }
-        let day = self.next;
-        self.next += 1;
-        match self.engine.faults_on_day(day) {
-            Ok(faults) => {
-                debug_assert!(
-                    faults.iter().all(|f| f.time.day_index() == day),
-                    "window query leaked a fault across the day boundary"
-                );
-                Some(Ok(DayFaults { day, faults }))
-            }
-            Err(e) => {
-                self.failed = true;
-                Some(Err(e))
-            }
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn day_query_window_is_half_open() {
-        let q = day_query(3);
-        let mk = |secs: i64| Fault {
-            node: uc_cluster::NodeId(1),
-            time: SimTime::from_secs(secs),
-            vaddr: 0,
-            expected: 0,
-            actual: 1,
-            temp: None,
-            raw_logs: 1,
+        let faults = self.snapshot()?.faults;
+        let day = |f: &Fault| f.time.day_index();
+        let Some(first) = faults.iter().map(day).min() else {
+            return Ok(Vec::new());
         };
-        // First second of day 3 is in; last second of day 2 and the
-        // exact start of day 4 are out.
-        assert!(q.pred.matches(&mk(3 * 86_400)));
-        assert!(q.pred.matches(&mk(4 * 86_400 - 1)));
-        assert!(!q.pred.matches(&mk(3 * 86_400 - 1)));
-        assert!(!q.pred.matches(&mk(4 * 86_400)));
-    }
-
-    #[test]
-    fn negative_days_partition_consistently() {
-        // div_euclid day indexing: second -1 is day -1, second -86400 too.
-        let q = day_query(-1);
-        let mk = |secs: i64| Fault {
-            node: uc_cluster::NodeId(1),
-            time: SimTime::from_secs(secs),
-            vaddr: 0,
-            expected: 0,
-            actual: 1,
-            temp: None,
-            raw_logs: 1,
-        };
-        assert!(q.pred.matches(&mk(-1)));
-        assert!(q.pred.matches(&mk(-86_400)));
-        assert!(!q.pred.matches(&mk(0)));
-        assert!(!q.pred.matches(&mk(-86_401)));
+        let last = faults.iter().map(day).max().unwrap_or(first);
+        // `day_index` of any `SimTime` lies within ±2^47, so the
+        // difference cannot overflow.
+        if last - first >= MAX_DAY_SPAN {
+            return Err(DbError::DaySpan { first, last });
+        }
+        let mut days: Vec<DayFaults> = (first..=last)
+            .map(|day| DayFaults {
+                day,
+                faults: Vec::new(),
+            })
+            .collect();
+        for f in faults {
+            days[(day(&f) - first) as usize].faults.push(f);
+        }
+        Ok(days)
     }
 }

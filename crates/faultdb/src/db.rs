@@ -145,10 +145,6 @@ impl FaultDb {
         &self.path
     }
 
-    pub fn footer(&self) -> &Footer {
-        &self.footer
-    }
-
     /// Total faults stored.
     pub fn rows(&self) -> u64 {
         self.footer.total_rows
@@ -437,8 +433,8 @@ mod tests {
     fn v1_and_v2_files_answer_identically() {
         let v1 = build_enc("encv1", 700, 64, FileEncoding::V1);
         let v2 = build_enc("encv2", 700, 64, FileEncoding::V2);
-        assert_eq!(v1.footer().version, 1);
-        assert_eq!(v2.footer().version, 2);
+        assert_eq!(v1.footer.version, 1);
+        assert_eq!(v2.footer.version, 2);
         assert!(
             v2.size_bytes() < v1.size_bytes(),
             "v2 must compress this narrow-range sample ({} vs {})",

@@ -77,6 +77,9 @@ pub enum DbError {
     Diverged(String),
     /// This node is a syncing replica; writes must go to the primary.
     ReadOnly { upstream: String },
+    /// The fault stream spans more days than the day feed lays out
+    /// ([`crate::days::MAX_DAY_SPAN`]).
+    DaySpan { first: i64, last: i64 },
 }
 
 impl fmt::Display for DbError {
@@ -114,6 +117,12 @@ impl fmt::Display for DbError {
             DbError::ReadOnly { upstream } => {
                 write!(f, "replica of {upstream} is read-only; push to the primary")
             }
+            DbError::DaySpan { first, last } => write!(
+                f,
+                "fault days {first}..={last} span {} days, above the {}-day replay bound",
+                last - first + 1,
+                crate::days::MAX_DAY_SPAN
+            ),
         }
     }
 }
@@ -159,6 +168,7 @@ impl DbError {
             DbError::Fenced { .. } => "fenced",
             DbError::Diverged(_) => "diverged",
             DbError::ReadOnly { .. } => "readonly",
+            DbError::DaySpan { .. } => "span",
         }
     }
 }

@@ -29,9 +29,10 @@
 //! * [`shard`] — the root catalog: (time window × rack) shards behind a
 //!   `UCFDBROOT` index with shard-level zone maps, fan-out queries, and
 //!   the [`shard::Engine`] abstraction over both database shapes.
-//! * [`days`] — day-ordered streaming iteration over either shape: one
-//!   zone-map-pruned window scan per simulated day, the replay feed for
-//!   the mitigation policy engine (`uc policy`).
+//! * [`days`] — the replay feed for the mitigation policy engine
+//!   (`uc policy`): the sealed stream of either shape, read once and
+//!   split by simulated day, empty days included, over a span of at
+//!   most [`days::MAX_DAY_SPAN`] days.
 //! * [`build`] — `uc build-db`: log directory in, sealed database out.
 //! * [`direct`] — `uc campaign --db`: recovered node logs folded in
 //!   memory and sealed, byte-identical to the text path's `build-db`.
@@ -87,7 +88,7 @@ pub use catalog::{
     fsck_live_dir, gen_file_name, is_live_dir, Catalog, GenEntry, IngestOutcome, LiveDb,
     LiveFsckReport, LiveStatus, OpenReport,
 };
-pub use days::{DayFaults, DayStream};
+pub use days::DayFaults;
 pub use db::{BlockPlan, DbHandle, DbOptions, FaultDb, QueryOptions, QueryResult};
 pub use direct::{quarantine_db_tmps, seal_recovered, DirectFold};
 pub use encoding::BlockEncoding;

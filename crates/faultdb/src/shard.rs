@@ -383,10 +383,6 @@ impl RootDb {
         &self.dir
     }
 
-    pub fn catalog(&self) -> &RootCatalog {
-        &self.catalog
-    }
-
     pub fn rows(&self) -> u64 {
         self.catalog.total_rows
     }
@@ -423,17 +419,6 @@ impl RootDb {
             .iter()
             .map(|c| c.load(Ordering::Relaxed))
             .collect()
-    }
-
-    /// One shard by index (the day-stream's fan-out unit).
-    pub(crate) fn shard(&self, index: usize) -> &FaultDb {
-        &self.shards[index]
-    }
-
-    /// [`RootDb::survivors`] for sibling modules (the day stream mirrors
-    /// the list fan-out without rendering a `QueryResult`).
-    pub(crate) fn day_survivors(&self, q: &Query) -> Vec<usize> {
-        self.survivors(q)
     }
 
     /// Shards surviving catalog-level zone pruning, in shard order.
@@ -765,7 +750,7 @@ mod tests {
         let (_dir, db) = build_root("roundtrip", 1000, 4);
         assert_eq!(db.rows(), 1000);
         assert!(db.shard_count() > 4, "windows × racks cells occupied");
-        assert_eq!(db.catalog().windows, 4);
+        assert_eq!(db.catalog.windows, 4);
         let back = db.faults_all().unwrap();
         assert_eq!(back, snapshot(1000).faults, "merge restores sort order");
     }

@@ -101,8 +101,6 @@ pub struct FlakyIo<I: Io> {
 struct FlakyState {
     fail_next: u64,
     poison: Vec<String>,
-    /// Mutating operations attempted (including failed ones).
-    ops: u64,
     /// Failures injected so far.
     injected: u64,
 }
@@ -157,14 +155,8 @@ impl<I: Io> FlakyIo<I> {
             .injected
     }
 
-    /// Mutating operations attempted so far.
-    pub fn mutating_ops(&self) -> u64 {
-        self.state.lock().unwrap_or_else(|e| e.into_inner()).ops
-    }
-
     fn gate(&self, path: &Path) -> io::Result<()> {
         let mut s = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        s.ops += 1;
         let p = path.to_string_lossy();
         if s.poison.iter().any(|needle| p.contains(needle.as_str())) {
             s.injected += 1;

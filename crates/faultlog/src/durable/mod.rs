@@ -17,9 +17,10 @@
 //!   conservation law `bytes_in == bytes_salvaged + bytes_quarantined`.
 //!
 //! This file adds the log-level glue: durable node-log file naming
-//! (`node-BB-SS.dlog`), cluster-wide durable writers that keep going when
-//! a single node's storage fails (degraded, never panicking), and the
-//! text reconstruction used by ingestion.
+//! (`node-BB-SS.dlog`) and cluster-wide durable writers that keep going
+//! when a single node's storage fails (degraded, never panicking).
+//! Ingestion reads the segments back frame by frame
+//! (`ingest::read_node_log_recovering`).
 
 pub mod crc;
 pub mod fsck;
@@ -189,11 +190,6 @@ pub fn write_node_log_durable_compact_with(
     )
 }
 
-/// [`write_node_log_durable_with`] against the real filesystem.
-pub fn write_node_log_durable(dir: &Path, log: &NodeLog) -> Result<SealedSegment, DurabilityError> {
-    write_node_log_durable_with(dir, log, &StdIo, RetryPolicy::default())
-}
-
 /// What a cluster-wide durable write accomplished. A node whose storage
 /// failed permanently lands in `failures`; the rest of the cluster is
 /// still durably on disk — degraded operation, not an abort.
@@ -279,21 +275,6 @@ pub fn write_cluster_log_durable_compact(dir: &Path, cluster: &ClusterLog) -> Du
     write_cluster_log_durable_compact_with(dir, cluster, &StdIo, RetryPolicy::default())
 }
 
-/// Reconstruct line-oriented text from a durable segment file: one line
-/// per valid frame, plus the scan describing any damage. The text is what
-/// the plain-text readers would have seen; a torn tail costs exactly the
-/// unfinished lines, never the whole file.
-pub fn read_durable_text(path: &Path) -> stdio::Result<(String, SegmentScan)> {
-    let bytes = std::fs::read(path)?;
-    let scan = scan_segment_bytes(&bytes);
-    let mut text = String::new();
-    for payload in &scan.payloads {
-        text.push_str(&String::from_utf8_lossy(payload));
-        text.push('\n');
-    }
-    Ok((text, scan))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -357,7 +338,7 @@ mod tests {
         let m = read_manifest(&dir, &StdIo).unwrap();
         assert_eq!(m.entries.len(), 2);
         for sealed in &out.sealed {
-            let (text, scan) = read_durable_text(&sealed.path).unwrap();
+            let scan = scan_segment_bytes(&fs::read(&sealed.path).unwrap());
             assert!(scan.damage.is_none());
             let node = node_of_durable_file_name(&sealed.file_name).unwrap();
             let expect = cluster
@@ -365,8 +346,12 @@ mod tests {
                 .iter()
                 .find(|l| l.node == Some(node))
                 .unwrap();
-            let expect_text: String = expect.iter().map(|r| format_record(&r) + "\n").collect();
-            assert_eq!(text, expect_text);
+            // One frame per raw record line, byte for byte.
+            let expect_frames: Vec<Vec<u8>> = expect
+                .iter()
+                .map(|r| format_record(&r).into_bytes())
+                .collect();
+            assert_eq!(scan.payloads, expect_frames);
         }
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -377,10 +362,10 @@ mod tests {
         let cluster = ClusterLog::new(vec![sample_log(9)]);
         let out = write_cluster_log_durable_compact(&dir, &cluster);
         assert!(out.is_fully_durable());
-        let (text, scan) = read_durable_text(&out.sealed[0].path).unwrap();
+        let scan = scan_segment_bytes(&fs::read(&out.sealed[0].path).unwrap());
         assert!(scan.damage.is_none());
         assert_eq!(scan.payloads.len(), 3, "START + ERRORRUN + END");
-        assert!(text.contains("ERRORRUN"));
+        assert!(scan.payloads[1].starts_with(b"ERRORRUN"));
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -414,10 +399,10 @@ mod tests {
         // Crash mid-way: cut inside the frame after the first boundary.
         let cut = sealed.flush_boundaries[0] as usize + 4;
         fs::write(&sealed.path, &bytes[..cut]).unwrap();
-        let (text, scan) = read_durable_text(&sealed.path).unwrap();
+        let scan = scan_segment_bytes(&fs::read(&sealed.path).unwrap());
         assert!(scan.damage.is_some());
         assert!(scan.valid_bytes >= sealed.flush_boundaries[0]);
-        assert!(!text.is_empty(), "flushed prefix survives");
+        assert!(!scan.payloads.is_empty(), "flushed prefix survives");
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -3,8 +3,9 @@
 //! each node having a separate log file").
 //!
 //! Layout: `<dir>/node-BB-SS.log`, lines in the [`crate::codec`] format.
-//! Reading back tolerates unknown files in the directory and reports
-//! per-line parse failures without aborting the whole load.
+//! There is one reader for a log directory, plain or durable:
+//! [`crate::ingest::read_cluster_log_recovering`], which skips foreign
+//! files and counts damaged lines instead of aborting the load.
 
 use std::fs;
 use std::io::{self, BufWriter, Write};
@@ -12,7 +13,7 @@ use std::path::{Path, PathBuf};
 
 use uc_cluster::NodeId;
 
-use crate::codec::{parse_line, write_entry_into, write_record_into, ParseError};
+use crate::codec::{write_entry_into, write_record_into};
 use crate::ingest::IngestError;
 use crate::store::{ClusterLog, NodeLog};
 
@@ -118,35 +119,6 @@ pub fn write_cluster_log_compact(dir: &Path, cluster: &ClusterLog) -> Result<usi
     Ok(n)
 }
 
-/// Read a directory of (possibly compact) node logs.
-pub fn read_cluster_log_compact(dir: &Path) -> Result<(ClusterLog, LoadIssues), IngestError> {
-    let mut issues = LoadIssues::default();
-    let mut logs: Vec<NodeLog> = Vec::new();
-    let mut entries: Vec<PathBuf> = fs::read_dir(dir)
-        .map_err(|e| IngestError::io(dir, e))?
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .collect();
-    entries.sort();
-    for path in entries {
-        let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
-            issues.skipped_files.push(path);
-            continue;
-        };
-        if node_of_file_name(name).is_none() {
-            issues.skipped_files.push(path.clone());
-            continue;
-        }
-        let text = fs::read_to_string(&path).map_err(|e| IngestError::io(&path, e))?;
-        let (log, errs) = NodeLog::from_text_compact(&text);
-        for (line, e) in errs {
-            issues.bad_lines.push((path.clone(), line, e));
-        }
-        logs.push(log);
-    }
-    logs.sort_by_key(|l| l.node.map(|n| n.0));
-    Ok((ClusterLog::new(logs), issues))
-}
-
 /// Write a whole cluster's logs, one file per node. Returns the number of
 /// files written.
 pub fn write_cluster_log(dir: &Path, cluster: &ClusterLog) -> Result<usize, IngestError> {
@@ -160,63 +132,10 @@ pub fn write_cluster_log(dir: &Path, cluster: &ClusterLog) -> Result<usize, Inge
     Ok(n)
 }
 
-/// Problems encountered while loading a directory.
-#[derive(Debug, Default)]
-pub struct LoadIssues {
-    /// (file, line number, error) triples for unparseable lines.
-    pub bad_lines: Vec<(PathBuf, usize, ParseError)>,
-    /// Files that did not match the node-log naming convention.
-    pub skipped_files: Vec<PathBuf>,
-}
-
-/// Read every `node-*.log` in a directory into a [`ClusterLog`]. Node logs
-/// come back sorted by node id; parse failures are collected, not fatal.
-pub fn read_cluster_log(dir: &Path) -> Result<(ClusterLog, LoadIssues), IngestError> {
-    let mut issues = LoadIssues::default();
-    let mut logs: Vec<NodeLog> = Vec::new();
-    let mut entries: Vec<PathBuf> = fs::read_dir(dir)
-        .map_err(|e| IngestError::io(dir, e))?
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .collect();
-    entries.sort();
-    for path in entries {
-        let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
-            issues.skipped_files.push(path);
-            continue;
-        };
-        let Some(node) = node_of_file_name(name) else {
-            issues.skipped_files.push(path.clone());
-            continue;
-        };
-        // One read, one pass: parse borrows each line out of the file's
-        // bytes instead of allocating a `String` per line. Invalid UTF-8
-        // stays the same typed I/O error `BufReader::lines` used to raise.
-        let bytes = fs::read(&path).map_err(|e| IngestError::io(&path, e))?;
-        let text = String::from_utf8(bytes).map_err(|e| {
-            IngestError::io(
-                &path,
-                io::Error::new(io::ErrorKind::InvalidData, e.to_string()),
-            )
-        })?;
-        let mut log = NodeLog::new(node);
-        for (i, line) in text.lines().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            match parse_line(line) {
-                Ok(rec) => log.push(rec),
-                Err(e) => issues.bad_lines.push((path.clone(), i + 1, e)),
-            }
-        }
-        logs.push(log);
-    }
-    logs.sort_by_key(|l| l.node.map(|n| n.0));
-    Ok((ClusterLog::new(logs), issues))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ingest::read_cluster_log_recovering;
     use crate::record::{EndRecord, ErrorRecord, LogRecord, StartRecord};
     use uc_simclock::{SimDuration, SimTime};
 
@@ -272,8 +191,9 @@ mod tests {
         let cluster = ClusterLog::new(vec![sample_log(10), sample_log(77)]);
         let written = write_cluster_log(&dir, &cluster).unwrap();
         assert_eq!(written, 2);
-        let (loaded, issues) = read_cluster_log(&dir).unwrap();
-        assert!(issues.bad_lines.is_empty());
+        let (loaded, stats) = read_cluster_log_recovering(&dir).unwrap();
+        assert_eq!(stats.dropped(), 0);
+        assert_eq!(stats.records_kept, cluster.raw_record_count());
         assert_eq!(loaded.node_logs().len(), 2);
         assert_eq!(loaded.raw_record_count(), cluster.raw_record_count());
         // Records identical once runs are expanded.
@@ -284,27 +204,11 @@ mod tests {
     }
 
     #[test]
-    fn foreign_files_skipped_and_bad_lines_reported() {
-        let dir = tempdir("issues");
-        fs::create_dir_all(&dir).unwrap();
-        write_node_log(&dir, &sample_log(3)).unwrap();
-        fs::write(dir.join("README.txt"), "not a log").unwrap();
-        let path = dir.join("node-01-02.log");
-        fs::write(&path, "END t=5 node=01-02 temp=NA\nGARBAGE LINE\n").unwrap();
-        let (loaded, issues) = read_cluster_log(&dir).unwrap();
-        assert_eq!(loaded.node_logs().len(), 2);
-        assert_eq!(issues.skipped_files.len(), 1);
-        assert_eq!(issues.bad_lines.len(), 1);
-        assert_eq!(issues.bad_lines[0].1, 2, "line number preserved");
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn logs_sorted_by_node() {
         let dir = tempdir("sorted");
         let cluster = ClusterLog::new(vec![sample_log(500), sample_log(3), sample_log(77)]);
         write_cluster_log(&dir, &cluster).unwrap();
-        let (loaded, _) = read_cluster_log(&dir).unwrap();
+        let (loaded, _) = read_cluster_log_recovering(&dir).unwrap();
         let ids: Vec<u32> = loaded
             .node_logs()
             .iter()
@@ -324,21 +228,11 @@ mod tests {
         assert_eq!(text.lines().count(), 3);
         assert!(text.contains("ERRORRUN"));
         assert!(text.contains("count=3"));
-        let (loaded, issues) = read_cluster_log_compact(&dir).unwrap();
-        assert!(issues.bad_lines.is_empty());
+        let (loaded, stats) = read_cluster_log_recovering(&dir).unwrap();
+        assert_eq!(stats.dropped(), 0);
         for (a, b) in loaded.node_logs().iter().zip(cluster.node_logs()) {
             assert_eq!(a.entries(), b.entries(), "entry-exact roundtrip");
         }
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn compact_reader_accepts_plain_files_too() {
-        let dir = tempdir("mixed");
-        write_cluster_log(&dir, &ClusterLog::new(vec![sample_log(3)])).unwrap();
-        let (loaded, issues) = read_cluster_log_compact(&dir).unwrap();
-        assert!(issues.bad_lines.is_empty());
-        assert_eq!(loaded.raw_record_count(), 5);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -379,9 +273,9 @@ mod tests {
         // A stale tmp from a crashed writer is invisible to readers and
         // replaced by the next successful write.
         fs::write(dir.join("node-01-04.log.tmp"), "half a line").unwrap();
-        let (loaded, issues) = read_cluster_log(&dir).unwrap();
+        let (loaded, stats) = read_cluster_log_recovering(&dir).unwrap();
         assert_eq!(loaded.node_logs().len(), 1);
-        assert_eq!(issues.skipped_files.len(), 1, "tmp skipped, not parsed");
+        assert_eq!(stats.files_read, 1, "tmp skipped, not parsed");
         write_node_log(&dir, &sample_log(4)).unwrap();
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -394,22 +288,5 @@ mod tests {
             write_node_log(&dir, &log),
             Err(IngestError::NoNodeId)
         ));
-    }
-
-    #[test]
-    fn missing_directory_read_is_typed_error() {
-        let err = read_cluster_log(Path::new("/definitely/not/a/real/dir")).unwrap_err();
-        assert!(matches!(err, IngestError::Missing(_)));
-        assert!(err.to_string().contains("/definitely/not/a/real/dir"));
-    }
-
-    #[test]
-    fn empty_directory_loads_empty() {
-        let dir = tempdir("empty");
-        fs::create_dir_all(&dir).unwrap();
-        let (loaded, issues) = read_cluster_log(&dir).unwrap();
-        assert!(loaded.node_logs().is_empty());
-        assert!(issues.bad_lines.is_empty());
-        fs::remove_dir_all(&dir).unwrap();
     }
 }

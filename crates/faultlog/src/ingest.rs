@@ -1,12 +1,11 @@
-//! Recovering (lossy) ingestion.
+//! Recovering (lossy) ingestion: the one reader of node-log files and
+//! directories, plain or durable.
 //!
 //! The strict parser in [`crate::codec`] hands every malformed line back to
-//! the caller; the readers in [`crate::files`] collect those errors but
-//! still assume readable, well-formed UTF-8 files. Field data is messier —
-//! the paper's 13-month dataset survived hard reboots mid-scan, monitoring
-//! gaps and truncated sessions — so this module reads whatever is actually
-//! on disk, keeps every record that can be kept, and accounts precisely for
-//! what was lost and why:
+//! the caller. Field data is messy — the paper's 13-month dataset survived
+//! hard reboots mid-scan, monitoring gaps and truncated sessions — so this
+//! module reads whatever is actually on disk, keeps every record that can
+//! be kept, and accounts precisely for what was lost and why:
 //!
 //! - malformed lines are skipped and counted per [`ParseError`] category;
 //! - a torn final line (file truncated mid-write: unparseable *and* missing
@@ -1164,10 +1163,9 @@ mod tests {
     #[test]
     fn directory_errors_are_typed() {
         let missing = Path::new("/definitely/not/a/real/dir");
-        assert!(matches!(
-            read_cluster_log_recovering(missing),
-            Err(IngestError::Missing(_))
-        ));
+        let err = read_cluster_log_recovering(missing).unwrap_err();
+        assert!(matches!(err, IngestError::Missing(_)));
+        assert!(err.to_string().contains("/definitely/not/a/real/dir"));
         let dir = std::env::temp_dir().join(format!("uc-ingest-empty-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).unwrap();

@@ -15,10 +15,10 @@
 //!   a single faulty node — we keep those as compact runs and expand them
 //!   lazily), plus a k-way time-ordered merge across nodes;
 //! - [`files`]: one-text-file-per-node persistence, the paper's on-disk
-//!   layout, with tolerant directory loading;
-//! - [`ingest`]: recovering (lossy) ingestion for damaged corpora — skip
-//!   and count instead of abort, with per-category [`ingest::IngestStats`]
-//!   accounting;
+//!   layout;
+//! - [`ingest`]: the one log reader — recovering (lossy) ingestion that
+//!   skips and counts damage instead of aborting, with per-category
+//!   [`ingest::IngestStats`] accounting;
 //! - [`chaos`]: a deterministic log corrupter for chaos testing the
 //!   ingestion and extraction paths;
 //! - [`durable`]: crash-consistent storage — length-framed CRC-checksummed
@@ -36,7 +36,7 @@ pub mod store;
 
 pub use codec::{format_record, parse_line, write_entry_into, write_record_into, ParseError};
 pub use durable::{fsck_dir, DurabilityError, FsckReport};
-pub use files::{read_cluster_log, write_cluster_log};
+pub use files::write_cluster_log;
 pub use ingest::{read_cluster_log_recovering, IngestError, IngestStats, Recovered};
 pub use record::{EndRecord, ErrorRecord, LogRecord, StartRecord, TempC};
 pub use store::{ClusterLog, LogEntry, NodeLog};

@@ -264,8 +264,9 @@ impl NodeLog {
         out
     }
 
-    /// Parse compact text (accepts plain lines too). Parse failures are
-    /// returned alongside, as in [`NodeLog::from_text`].
+    /// Parse compact text (accepts plain lines too), keeping file order:
+    /// unlike recovering ingest, nothing is re-sorted. Lines failing to
+    /// parse are returned as `(line_number, error)` alongside the log.
     pub fn from_text_compact(text: &str) -> (NodeLog, Vec<(usize, crate::codec::ParseError)>) {
         let mut log = NodeLog::default();
         let mut errors = Vec::new();
@@ -294,28 +295,6 @@ impl NodeLog {
             out.push('\n');
         }
         out
-    }
-
-    /// Parse from text lines (single node's file). Lines failing to parse
-    /// are returned as `(line_number, error)` alongside the log.
-    pub fn from_text(text: &str) -> (NodeLog, Vec<(usize, crate::codec::ParseError)>) {
-        let mut log = NodeLog::default();
-        let mut errors = Vec::new();
-        for (i, line) in text.lines().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            match crate::codec::parse_line(line) {
-                Ok(rec) => {
-                    if log.node.is_none() {
-                        log.node = Some(rec.node());
-                    }
-                    log.entries.push(LogEntry::One(rec));
-                }
-                Err(e) => errors.push((i + 1, e)),
-            }
-        }
-        (log, errors)
     }
 }
 
@@ -353,8 +332,10 @@ impl ClusterLog {
     /// source log, same-instant records keep their arrival order. For
     /// per-source streams that are themselves time-sorted this is exactly
     /// a stable sort of the concatenated logs by `(time, node id)` — total
-    /// and deterministic, so every consumer (extraction, faultdb build)
-    /// sees the same byte stream on every run. When a compressed
+    /// and deterministic. No product path reads it: extraction and
+    /// `uc build-db` run per node and merge the per-node *fault* streams
+    /// on `fault_sort_key` instead; tests use this record-level view to
+    /// compare whole clusters. When a compressed
     /// [`LogEntry::ErrorRun`] overlaps later entries the per-source stream
     /// is only start-time-ordered, and `merged` accordingly guarantees
     /// start-time order only (see [`NodeLog::push`]).
@@ -548,7 +529,7 @@ mod tests {
         log.push_run(err(19, 3), 3, SimDuration::from_secs(4));
         let text = log.to_text();
         assert_eq!(text.lines().count(), 4, "runs expand in text form");
-        let (parsed, errors) = NodeLog::from_text(&text);
+        let (parsed, errors) = NodeLog::from_text_compact(&text);
         assert!(errors.is_empty());
         assert_eq!(parsed.raw_record_count(), 4);
         let orig: Vec<LogRecord> = log.iter().collect();
@@ -557,9 +538,9 @@ mod tests {
     }
 
     #[test]
-    fn from_text_reports_bad_lines_with_numbers() {
+    fn from_text_compact_reports_bad_lines_with_numbers() {
         let text = "END t=1 node=01-01 temp=NA\nGARBAGE\nEND t=2 node=01-01 temp=NA\n";
-        let (log, errors) = NodeLog::from_text(text);
+        let (log, errors) = NodeLog::from_text_compact(text);
         assert_eq!(log.raw_record_count(), 2);
         assert_eq!(errors.len(), 1);
         assert_eq!(errors[0].0, 2, "line number of the bad line");

@@ -252,10 +252,6 @@ impl<R> Supervised<R> {
             Supervised::Panicked { .. } => None,
         }
     }
-
-    pub fn is_panicked(&self) -> bool {
-        matches!(self, Supervised::Panicked { .. })
-    }
 }
 
 fn panic_message(p: &(dyn std::any::Any + Send)) -> String {

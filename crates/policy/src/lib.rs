@@ -3,8 +3,8 @@
 //! The analysis stack so far asks *what happened*: raw fault rates,
 //! spatial structure, correctable/uncorrectable splits. This crate asks
 //! what an operator could have *done about it*, online: replay a sealed
-//! campaign one simulated day at a time (through faultdb's pruned
-//! [`uc_faultdb::days`] stream), and each day, for each node with fault
+//! campaign one simulated day at a time (faultdb's [`uc_faultdb::days`]
+//! feed: the sealed stream read once and split by day), and each day, for each node with fault
 //! history, pick a cost-aware mitigation lease —
 //! [`uc_resilience::MitigationAction`]: observe, checkpoint, quarantine,
 //! retire the hot row, or migrate the job — then charge the realized

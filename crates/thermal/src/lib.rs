@@ -126,11 +126,6 @@ impl ThermalModel {
     }
 }
 
-/// Convenience: an always-on telemetry variant for ablations.
-pub fn always_logged(model: &ThermalModel, node: NodeId, t: SimTime) -> f32 {
-    model.node_c(node, t) as f32
-}
-
 /// One day of hourly room samples — used by tests and the thermal example.
 pub fn room_profile(model: &ThermalModel, date: CivilDate) -> Vec<f64> {
     (0..24)

@@ -73,9 +73,11 @@
 //! positional count, and `main` checks them before the handler runs;
 //! `--threads N` is the one flag every subcommand takes. Handlers return
 //! a [`Fail`], which `main` alone maps to an exit code: usage errors
-//! print usage to stderr and exit 2, runtime failures exit 1. `uc help`
-//! (or `--help`) prints the usage table — generated from the same
-//! command table that drives dispatch, so the two cannot drift apart.
+//! print usage to stderr and exit 2, runtime failures exit 1, and a
+//! stdout whose reader has gone (`uc … | head`) ends the command quietly
+//! with exit 0. `uc help` (or `--help`) prints the usage table —
+//! generated from the same command table that drives dispatch, so the
+//! two cannot drift apart.
 
 use std::fmt::Display;
 use std::io::{self, Write as _};
@@ -156,13 +158,34 @@ fn spawn_signal_watcher(on_term: impl Fn() + Send + 'static) {
     });
 }
 
-/// Why a subcommand failed. `main` alone turns it into an exit code, so
-/// scripts can tell "you called me wrong" from "the work failed".
+/// Why a subcommand stopped early. `main` alone turns it into an exit
+/// code, so scripts can tell "you called me wrong" from "the work failed".
 enum Fail {
     /// Called wrong: the message and the usage table on stderr, exit 2.
     Usage(String),
     /// The work failed: the message on stderr, exit 1.
     Run(String),
+    /// Stdout's reader is gone (`uc query … | head`): nothing is left to
+    /// say, so exit 0 quietly.
+    Closed,
+}
+
+/// `println!` for stdout output that returns a [`Fail`] instead of
+/// panicking when the write fails: a broken pipe is [`Fail::Closed`], any
+/// other error a runtime failure. SIGPIPE stays ignored, as the Rust
+/// runtime sets it, so the servers' socket writes keep returning `EPIPE`.
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        writeln!(io::stdout(), $($arg)*).map_err(stdout_fail)
+    };
+}
+
+fn stdout_fail(e: io::Error) -> Fail {
+    if e.kind() == io::ErrorKind::BrokenPipe {
+        Fail::Closed
+    } else {
+        Fail::Run(format!("stdout: {e}"))
+    }
 }
 
 /// `map_err` adapter for a runtime failure reported as `<what>: <error>`.
@@ -499,11 +522,11 @@ fn cmd_campaign(args: &Args) -> Result<(), Fail> {
         let path = write_text_atomic(&dir, "report.txt", &render::full_report(&report))
             .map_err(run_err("failed to write report"))?;
         eprintln!("report at {}", path.display());
-        println!("{}", render::headline(&report));
+        outln!("{}", render::headline(&report))?;
     } else {
         // Database-only run: the headline still prints (the report is
         // derived in memory), there's just no report.txt to point at.
-        println!("{}", render::headline(&Report::build(&result)));
+        outln!("{}", render::headline(&Report::build(&result)))?;
     }
     Ok(())
 }
@@ -555,7 +578,9 @@ fn cmd_analyze(args: &Args) -> Result<(), Fail> {
     // Both paths print the identical bytes: the report derives from the
     // snapshot alone (see faultdb::Snapshot), which is what makes `--db`
     // a drop-in replacement for re-ingesting the text logs.
-    print!("{}", snapshot.report_text());
+    io::stdout()
+        .write_all(snapshot.report_text().as_bytes())
+        .map_err(stdout_fail)?;
     Ok(())
 }
 
@@ -603,22 +628,22 @@ fn cmd_build_db(args: &Args) -> Result<(), Fail> {
         // instead of a single file; queries over it answer identically.
         let summary = uc_faultdb::build_sharded_db(&logdir, &out, shard_windows, &opts)
             .map_err(run_err("build-db"))?;
-        println!(
+        outln!(
             "built {}: {} faults in {} shards, {} bytes",
             summary.dir.display(),
             summary.rows,
             summary.shards,
             summary.bytes
-        );
+        )?;
     } else {
         let summary = uc_faultdb::build_db(&logdir, &out, &opts).map_err(run_err("build-db"))?;
-        println!(
+        outln!(
             "built {}: {} faults in {} blocks, {} bytes",
             summary.path.display(),
             summary.rows,
             summary.blocks,
             summary.bytes
-        );
+        )?;
     }
     eprintln!("ingest + extract + seal took {:?}", t0.elapsed());
     Ok(())
@@ -635,7 +660,7 @@ fn cmd_query(args: &Args) -> Result<(), Fail> {
         // Print the plan — shard and block pruning, per-block encodings,
         // the kernel that would run — without scanning anything.
         for line in db.explain(&expr).map_err(run_err("query"))? {
-            println!("{line}");
+            outln!("{line}")?;
         }
         return Ok(());
     }
@@ -646,7 +671,7 @@ fn cmd_query(args: &Args) -> Result<(), Fail> {
     let t0 = std::time::Instant::now();
     let result = db.query(&expr, &opts).map_err(run_err("query"))?;
     for line in &result.lines {
-        println!("{line}");
+        outln!("{line}")?;
     }
     eprintln!(
         "matched {} rows; scanned {}/{} shards, {}/{} blocks ({} rows) in {:?}",
@@ -704,7 +729,9 @@ fn cmd_serve(args: &Args) -> Result<(), Fail> {
 
     if selftest > 0 {
         let report = uc_faultdb::selftest(db.clone(), selftest).map_err(run_err("selftest"))?;
-        println!(
+        // A failed verdict outranks a closed stdout, so it is checked
+        // before the print's result is.
+        let printed = outln!(
             "selftest: {} clients, {} requests, {} ok, {} overloaded rejections, {} mismatches",
             report.clients,
             report.requests,
@@ -726,7 +753,7 @@ fn cmd_serve(args: &Args) -> Result<(), Fail> {
                     .into(),
             ));
         }
-        return Ok(());
+        return printed;
     }
 
     let server = uc_faultdb::Server::start(db, &query_cfg).map_err(run_err("serve"))?;
@@ -759,7 +786,7 @@ fn cmd_serve_ingest(args: &Args, selftest: usize, query_cfg: &ServeConfig) -> Re
     if args.has("selftest-repl") {
         let report = uc_faultdb::repl_selftest(args.num("chaos-seed", 1)?)
             .map_err(run_err("replication selftest FAILED"))?;
-        println!("{}", report.render());
+        outln!("{}", report.render())?;
         return Ok(());
     }
 
@@ -769,7 +796,7 @@ fn cmd_serve_ingest(args: &Args, selftest: usize, query_cfg: &ServeConfig) -> Re
         let seed = args.num("chaos-seed", 1)?;
         let report = uc_faultdb::ingest_selftest(&dir, selftest, seed)
             .map_err(run_err("ingest selftest"))?;
-        println!(
+        let printed = outln!(
             "ingest selftest: {} clients, {}/{} records acked, {} reconnects, \
              {} chaos events, {} sheds, {} mismatches",
             report.clients,
@@ -785,7 +812,7 @@ fn cmd_serve_ingest(args: &Args, selftest: usize, query_cfg: &ServeConfig) -> Re
                 "ingest selftest FAILED: live database diverged from the batch oracle".into(),
             ));
         }
-        return Ok(());
+        return printed;
     }
 
     let auto_promote_ms = args.num("auto-promote-ms", 0)?;
@@ -987,7 +1014,7 @@ fn cmd_stream(args: &Args) -> Result<(), Fail> {
             failures += 1;
         }
     }
-    println!(
+    let printed = outln!(
         "streamed {n} node log(s): {total_acked} records acked, {total_retries} retries, \
          {failures} failures in {:?}",
         t0.elapsed()
@@ -995,7 +1022,7 @@ fn cmd_stream(args: &Args) -> Result<(), Fail> {
     if failures > 0 {
         return Err(Fail::Run(format!("stream: {failures} failure(s)")));
     }
-    Ok(())
+    printed
 }
 
 /// Ask the server to seal a generation using a node-less session: HELLO
@@ -1159,7 +1186,7 @@ fn cmd_promote(args: &Args) -> Result<(), Fail> {
     {
         uc_faultdb::Response::Ok(lines) => {
             for line in &lines {
-                println!("{line}");
+                outln!("{line}")?;
             }
             eprintln!("promoted: {addr} now accepts writes");
             Ok(())
@@ -1189,11 +1216,11 @@ fn cmd_scan(args: &Args) -> Result<(), Fail> {
         }
     };
     let parallel = args.has("parallel");
-    println!(
+    outln!(
         "scanning {mb} MB of host memory, {iters} passes, {} pattern{}...",
         pattern.tag(),
         if parallel { ", parallel" } else { "" }
-    );
+    )?;
     let t0 = std::time::Instant::now();
     let report = if parallel {
         run_host_scan_parallel(bytes, iters, pattern, None)
@@ -1201,13 +1228,13 @@ fn cmd_scan(args: &Args) -> Result<(), Fail> {
         run_host_scan(bytes, iters, pattern)
     };
     let secs = t0.elapsed().as_secs_f64();
-    println!(
+    outln!(
         "{} words x {} passes in {secs:.2}s ({:.0}M words/s): {} errors",
         report.words,
         report.iterations,
         report.words as f64 * report.iterations as f64 / secs / 1e6,
         report.errors.len()
-    );
+    )?;
     let mut line = String::with_capacity(128);
     for e in &report.errors {
         line.clear();
@@ -1215,10 +1242,10 @@ fn cmd_scan(args: &Args) -> Result<(), Fail> {
             &mut line,
             &uc_faultlog::record::LogRecord::Error(*e),
         );
-        println!("{line}");
+        outln!("{line}")?;
     }
     if report.errors.is_empty() {
-        println!("no corruption observed (expected on ECC-protected hosts)");
+        outln!("no corruption observed (expected on ECC-protected hosts)")?;
     }
     Ok(())
 }
@@ -1257,7 +1284,7 @@ fn cmd_policy(args: &Args) -> Result<(), Fail> {
         }
         let report = unprotected_computing::policyrun::policy_selftest(seed)
             .map_err(run_err("policy selftest FAILED"))?;
-        println!("{report}");
+        outln!("{report}")?;
         return Ok(());
     }
     let Some(path) = args.positional.first() else {
@@ -1285,10 +1312,10 @@ fn cmd_policy(args: &Args) -> Result<(), Fail> {
     let t0 = std::time::Instant::now();
     let days = db.collect_days().map_err(run_err("policy"))?;
     if days.is_empty() {
-        println!(
+        outln!(
             "policy: {} holds no faults; nothing to replay",
             path.display()
-        );
+        )?;
         return Ok(());
     }
     if let Some(td) = train_days {
@@ -1308,7 +1335,9 @@ fn cmd_policy(args: &Args) -> Result<(), Fail> {
         ..ReplayConfig::default()
     };
     let cmp = run_comparison(&days, &kinds, &cfg);
-    print!("{}", render_table(&cmp));
+    io::stdout()
+        .write_all(render_table(&cmp).as_bytes())
+        .map_err(stdout_fail)?;
     eprintln!(
         "replayed {} days x {} policies in {:?}",
         days.len(),
@@ -1332,7 +1361,7 @@ fn cmd_report(args: &Args) -> Result<(), Fail> {
             .map_err(run_err("failed to write CSVs"))?;
         eprintln!("wrote {} CSV series to {dir}", paths.len());
     }
-    println!("{}", render::full_report(&report));
+    outln!("{}", render::full_report(&report))?;
     Ok(())
 }
 
@@ -1343,13 +1372,13 @@ fn dispatch(raw: &[String]) -> Result<(), Fail> {
         return Err(Fail::Usage("missing subcommand".into()));
     };
     if cmd == "--version" {
-        println!("uc {}", env!("CARGO_PKG_VERSION"));
+        outln!("uc {}", env!("CARGO_PKG_VERSION"))?;
         return Ok(());
     }
     if cmd == "help" || cmd == "--help" {
         // Asked-for usage goes to stdout and exits 0, unlike the exit-2
         // stderr copy a *wrong* invocation gets.
-        println!("{}", usage_text());
+        outln!("{}", usage_text())?;
         return Ok(());
     }
     let command = COMMANDS
@@ -1387,7 +1416,7 @@ fn dispatch(raw: &[String]) -> Result<(), Fail> {
 fn main() -> ExitCode {
     let raw: Vec<String> = std::env::args().skip(1).collect();
     match dispatch(&raw) {
-        Ok(()) => ExitCode::SUCCESS,
+        Ok(()) | Err(Fail::Closed) => ExitCode::SUCCESS,
         Err(Fail::Usage(msg)) => {
             eprintln!("uc: {msg}");
             eprintln!("{}", usage_text());

@@ -911,3 +911,105 @@ fn serve_selftest_passes_through_the_binary() {
 
     let _ = fs::remove_dir_all(&base);
 }
+
+/// A closed stdout ends a command quietly with exit 0: `uc query … |
+/// head` must not panic on the broken pipe. The list is ~270 KB, well
+/// over a pipe's buffer, so `uc` is still writing when the reader goes.
+#[cfg(unix)]
+#[test]
+fn closed_stdout_ends_the_command_quietly_with_exit_0() {
+    use std::io::{BufRead, Read};
+
+    let base = std::env::temp_dir().join(format!("uc-cli-closed-stdout-{}", std::process::id()));
+    let _ = fs::remove_dir_all(&base);
+    let logs = base.join("logs");
+    fs::create_dir_all(&logs).unwrap();
+    for name in ["01-01", "01-02"] {
+        let mut text = format!("START t=0 node={name} alloc=3221225472 temp=30.0\n");
+        for k in 0u64..1500 {
+            let vaddr = 0x1000 * (k + 1);
+            text.push_str(&format!(
+                "ERROR t={t} node={name} vaddr=0x{vaddr:08x} page=0x{page:06x} \
+                 expected=0xffffffff actual=0xfffffffe temp=33.0\n",
+                t = 60 + 600 * k,
+                page = vaddr >> 12
+            ));
+        }
+        text.push_str(&format!("END t=1000000 node={name} temp=31.0\n"));
+        fs::write(logs.join(format!("node-{name}.log")), text).unwrap();
+    }
+    let db = base.join("faults.fdb");
+    let built = uc(&["build-db", logs.to_str().unwrap(), db.to_str().unwrap()]);
+    assert_eq!(built.status.code(), Some(0), "{}", stderr(&built));
+
+    let child = Command::new(env!("CARGO_BIN_EXE_uc"))
+        .args(["query", db.to_str().unwrap(), "list", "limit", "3000"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn uc query");
+    let mut child = KillOnDrop(child);
+    let mut out = BufReader::new(child.0.stdout.take().unwrap());
+    let mut first = String::new();
+    out.read_line(&mut first).unwrap();
+    assert!(!first.is_empty(), "uc printed nothing");
+    drop(out);
+    let status = wait_within(&mut child.0, Duration::from_secs(30))
+        .expect("uc query still running 30 s after its stdout closed");
+    let mut err = String::new();
+    let mut err_pipe = child.0.stderr.take().unwrap();
+    err_pipe.read_to_string(&mut err).unwrap();
+    assert_eq!(status.code(), Some(0), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
+    let _ = fs::remove_dir_all(&base);
+}
+
+/// Two faults 10^13 s apart span ~116M days: `uc policy` must refuse the
+/// span with a typed message and exit 1 at once, not walk every day.
+#[cfg(unix)]
+#[test]
+fn policy_on_a_huge_day_span_exits_1_promptly() {
+    use std::io::Read;
+
+    let base = std::env::temp_dir().join(format!("uc-cli-policy-span-{}", std::process::id()));
+    let _ = fs::remove_dir_all(&base);
+    let logs = base.join("logs");
+    fs::create_dir_all(&logs).unwrap();
+    for (name, start, t, vaddr) in [
+        ("01-01", 0i64, 100i64, 0x4000u64),
+        ("01-02", 9_999_999_999_000, 10_000_000_000_000, 0x8000),
+    ] {
+        fs::write(
+            logs.join(format!("node-{name}.log")),
+            format!(
+                "START t={start} node={name} alloc=3221225472 temp=30.0\n\
+                 ERROR t={t} node={name} vaddr=0x{vaddr:08x} page=0x{page:06x} \
+                 expected=0xffffffff actual=0xfffffffe temp=33.0\n\
+                 END t={end} node={name} temp=31.0\n",
+                page = vaddr >> 12,
+                end = t + 100
+            ),
+        )
+        .unwrap();
+    }
+    let db = base.join("faults.fdb");
+    let built = uc(&["build-db", logs.to_str().unwrap(), db.to_str().unwrap()]);
+    assert_eq!(built.status.code(), Some(0), "{}", stderr(&built));
+    assert!(stdout(&built).contains(" 2 faults"), "{}", stdout(&built));
+
+    let child = Command::new(env!("CARGO_BIN_EXE_uc"))
+        .args(["policy", db.to_str().unwrap()])
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn uc policy");
+    let mut child = KillOnDrop(child);
+    let status = wait_within(&mut child.0, Duration::from_secs(5))
+        .expect("uc policy still running after 5 s");
+    let mut err = String::new();
+    let mut err_pipe = child.0.stderr.take().unwrap();
+    err_pipe.read_to_string(&mut err).unwrap();
+    assert_eq!(status.code(), Some(1), "{err}");
+    assert!(err.contains("replay bound"), "{err}");
+    let _ = fs::remove_dir_all(&base);
+}

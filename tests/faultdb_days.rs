@@ -1,24 +1,32 @@
-//! Day-stream contract: `Engine::day_stream` partitions the stored
+//! Day-feed contract: `Engine::collect_days` partitions the stored
 //! fault stream exactly like a brute-force `SimTime::day_index` split —
 //! every fault lands in exactly one day, a fault at the exact midnight
 //! boundary lands in the *starting* day and no other, empty days inside
 //! the span are yielded, and concatenating the per-day faults
-//! reproduces the sealed stream byte for byte. Proven against both
-//! database shapes (single sealed file and sharded root) by a property
-//! test over arbitrary fault placements with a deliberate bias toward
-//! exact-midnight timestamps.
+//! reproduces the sealed stream byte for byte, at any thread count.
+//! Proven against both database shapes (single sealed file and sharded
+//! root) by a property test over arbitrary fault placements with a
+//! deliberate bias toward exact-midnight timestamps. A stream sealed
+//! out of sort order still splits by each fault's own day, and a span
+//! above `MAX_DAY_SPAN` is refused promptly with a typed error.
 
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::PathBuf;
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::time::Duration;
 
 use proptest::prelude::*;
 
 use unprotected_computing::analysis::fault::Fault;
+use unprotected_computing::cluster::NodeId;
+use unprotected_computing::faultdb::days::MAX_DAY_SPAN;
 use unprotected_computing::faultdb::format::write_db;
-use unprotected_computing::faultdb::{write_sharded, Engine, WriteOptions};
+use unprotected_computing::faultdb::{write_sharded, DbError, Engine, Snapshot, WriteOptions};
 use unprotected_computing::faultlog::ingest::{recover_text, IngestStats};
 use unprotected_computing::faultlog::store::ClusterLog;
+use unprotected_computing::parallel::with_thread_limit;
+use unprotected_computing::simclock::SimTime;
 
 fn tempdir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("uc-fdb-days-{tag}-{}", std::process::id()));
@@ -30,9 +38,7 @@ fn tempdir(tag: &str) -> PathBuf {
 /// Seal a database from synthetic per-node log text built from (node
 /// index, second, vaddr) placements. Distinct vaddr pages keep
 /// extraction from folding placements into one independent fault.
-fn snapshot_from_placements(
-    placements: &[(usize, i64, u64)],
-) -> unprotected_computing::faultdb::Snapshot {
+fn snapshot_from_placements(placements: &[(usize, i64, u64)]) -> Snapshot {
     const NAMES: [&str; 4] = ["01-01", "01-09", "05-03", "09-14"];
     let mut per_node: BTreeMap<usize, Vec<(i64, u64)>> = BTreeMap::new();
     for &(n, t, v) in placements {
@@ -56,7 +62,32 @@ fn snapshot_from_placements(
         stats.merge(&rec.stats);
         logs.push(rec.log);
     }
-    unprotected_computing::faultdb::Snapshot::from_cluster(&ClusterLog::new(logs), stats)
+    Snapshot::from_cluster(&ClusterLog::new(logs), stats)
+}
+
+/// A snapshot holding `faults` exactly as given, sort order or not.
+fn snapshot_of(faults: Vec<Fault>) -> Snapshot {
+    Snapshot {
+        raw_records: faults.len() as u64,
+        raw_errors: faults.len() as u64,
+        faults,
+        flood_nodes: vec![],
+        stats: IngestStats::default(),
+        node_logs: 1,
+        day_volume: Default::default(),
+    }
+}
+
+fn fault_at(secs: i64, vaddr: u64) -> Fault {
+    Fault {
+        node: NodeId(3),
+        time: SimTime::from_secs(secs),
+        vaddr,
+        expected: 0xffff_ffff,
+        actual: 0xffff_fffe,
+        temp: None,
+        raw_logs: 1,
+    }
 }
 
 /// The brute-force oracle: partition by `day_index`, one entry per day
@@ -99,6 +130,10 @@ fn check_engine_days(db: &Engine, tag: &str) {
     }
     // Concatenation reproduces the sealed stream exactly — so every
     // fault is in exactly one day.
+    // The split does not depend on the worker pool (the sealed stream
+    // is decoded on it).
+    let one_thread = with_thread_limit(1, || db.collect_days().unwrap());
+    assert_eq!(one_thread, days, "{tag}: 1-thread split diverged");
     let concat: Vec<Fault> = days.into_iter().flat_map(|d| d.faults).collect();
     assert_eq!(concat, snap.faults, "{tag}: concatenation diverged");
 }
@@ -171,16 +206,15 @@ fn midnight_fault_lands_in_exactly_one_day() {
     write_db(&snap, &path, &WriteOptions::default()).unwrap();
     let db = Engine::open_auto(&path).unwrap();
 
-    assert_eq!(db.day_bounds(), Some((2, 3)));
-    let day2 = db.faults_on_day(2).unwrap();
-    let day3 = db.faults_on_day(3).unwrap();
+    // Exactly days 2 and 3: nothing before the first fault day or
+    // after the last.
+    let days = db.collect_days().unwrap();
+    assert_eq!(days.iter().map(|d| d.day).collect::<Vec<_>>(), vec![2, 3]);
+    let (day2, day3) = (&days[0].faults, &days[1].faults);
     assert_eq!(day2.len(), 2);
     assert!(day2.iter().all(|f| f.time.as_secs() == 3 * 86_400 - 1));
     assert_eq!(day3.len(), 2);
     assert!(day3.iter().all(|f| f.time.as_secs() == 3 * 86_400));
-    // Out-of-span days decode nothing.
-    assert!(db.faults_on_day(1).unwrap().is_empty());
-    assert!(db.faults_on_day(4).unwrap().is_empty());
 
     let _ = fs::remove_dir_all(&dir);
 }
@@ -205,5 +239,95 @@ fn empty_days_inside_the_span_are_yielded() {
         days.iter().map(|d| d.faults.len()).collect::<Vec<_>>(),
         vec![1, 0, 0, 0, 1]
     );
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A stream sealed out of sort order: the first and last stored rows
+/// are not the first and last days, so a span read off them would index
+/// outside the feed. Every fault must still land under its own day.
+#[test]
+fn unsorted_stream_splits_by_each_faults_own_day() {
+    let dir = tempdir("unsorted");
+    let faults = vec![
+        fault_at(5 * 86_400 + 7, 0x1000),
+        fault_at(86_400 + 3, 0x2000),
+        fault_at(9 * 86_400, 0x3000),
+        fault_at(3 * 86_400 + 1, 0x4000),
+        fault_at(2 * 86_400 - 1, 0x5000),
+        fault_at(5 * 86_400 + 2, 0x6000),
+    ];
+    let path = dir.join("unsorted.ucfdb");
+    write_db(
+        &snapshot_of(faults.clone()),
+        &path,
+        &WriteOptions {
+            rows_per_block: 2,
+            ..WriteOptions::default()
+        },
+    )
+    .unwrap();
+    let days = Engine::open_auto(&path).unwrap().collect_days().unwrap();
+
+    assert_eq!(
+        days.iter().map(|d| d.day).collect::<Vec<_>>(),
+        (1..=9).collect::<Vec<_>>()
+    );
+    for d in &days {
+        assert!(d.faults.iter().all(|f| f.time.day_index() == d.day));
+    }
+    // Within a day, stored order is kept.
+    assert_eq!(days[4].faults, vec![faults[0], faults[5]]);
+    assert_eq!(days.iter().map(|d| d.faults.len()).sum::<usize>(), 6);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// `collect_days` on its own thread, bounded at 5 s: a feed that walks
+/// a huge span day by day would still be running there.
+fn collect_days_within_5s(db: Engine) -> Result<usize, DbError> {
+    let (tx, rx) = mpsc::channel();
+    let worker = std::thread::spawn(move || {
+        let _ = tx.send(db.collect_days().map(|days| days.len()));
+    });
+    let sent = rx.recv_timeout(Duration::from_secs(5));
+    assert!(
+        !matches!(sent, Err(RecvTimeoutError::Timeout)),
+        "collect_days still running after 5 s"
+    );
+    worker.join().expect("collect_days panicked");
+    sent.expect("the worker sends before it exits")
+}
+
+/// Two faults 10^13 s apart span ~116M days; the feed refuses the span
+/// with a typed error instead of laying out one entry per day. A span of
+/// exactly `MAX_DAY_SPAN` days is still served.
+#[test]
+fn span_above_the_bound_is_refused_promptly() {
+    let dir = tempdir("wide");
+    let snap = snapshot_from_placements(&[(0, 100, 0x4000), (1, 10_000_000_000_000, 0x108_000)]);
+    assert_eq!(snap.faults.len(), 2);
+    let path = dir.join("wide.ucfdb");
+    write_db(&snap, &path, &WriteOptions::default()).unwrap();
+    match collect_days_within_5s(Engine::open_auto(&path).unwrap()) {
+        Err(DbError::DaySpan { first, last }) => {
+            assert_eq!((first, last), (0, 10_000_000_000_000 / 86_400));
+        }
+        other => panic!("a ~116M-day span must be refused, got {other:?}"),
+    }
+
+    let widest = |last_day: i64| {
+        snapshot_of(vec![
+            fault_at(0, 0x1000),
+            fault_at(last_day * 86_400, 0x2000),
+        ])
+    };
+    let path = dir.join("widest.ucfdb");
+    write_db(&widest(MAX_DAY_SPAN - 1), &path, &WriteOptions::default()).unwrap();
+    let served = collect_days_within_5s(Engine::open_auto(&path).unwrap());
+    assert_eq!(served.unwrap(), MAX_DAY_SPAN as usize);
+    write_db(&widest(MAX_DAY_SPAN), &path, &WriteOptions::default()).unwrap();
+    assert!(matches!(
+        collect_days_within_5s(Engine::open_auto(&path).unwrap()),
+        Err(DbError::DaySpan { .. })
+    ));
     let _ = fs::remove_dir_all(&dir);
 }

@@ -1,7 +1,9 @@
 //! End-to-end persistence round trip: a campaign's logs written to disk in
-//! the paper's one-file-per-node text layout, read back, and re-extracted
-//! must yield byte-identical fault sets. This is the guarantee that the
-//! text format is a faithful serialization of the study — and that an
+//! the paper's one-file-per-node text layout, read back through the
+//! reader `uc analyze` and `uc build-db` run
+//! (`read_cluster_log_recovering`), and re-extracted must yield
+//! byte-identical fault sets. This is the guarantee that the text format
+//! is a faithful serialization of the study — and that an
 //! `uc analyze <dir>` of an `uc campaign --out <dir>` reproduces the
 //! in-memory report.
 
@@ -9,7 +11,8 @@ use std::fs;
 use std::path::PathBuf;
 
 use uc_analysis::extract::{extract_node_faults, ExtractConfig};
-use uc_faultlog::files::{read_cluster_log, write_cluster_log};
+use uc_faultlog::files::write_cluster_log;
+use uc_faultlog::ingest::read_cluster_log_recovering;
 use uc_faultlog::store::ClusterLog;
 use unprotected_core::{run_campaign, CampaignConfig};
 
@@ -40,9 +43,11 @@ fn campaign_logs_roundtrip_through_text_files() {
     let written = write_cluster_log(&dir, &cluster).unwrap();
     assert_eq!(written, node_count);
 
-    let (loaded, issues) = read_cluster_log(&dir).unwrap();
-    assert!(issues.bad_lines.is_empty(), "{:?}", issues.bad_lines);
-    assert!(issues.skipped_files.is_empty());
+    let (loaded, stats) = read_cluster_log_recovering(&dir).unwrap();
+    assert_eq!(stats.dropped(), 0, "{}", stats.summary());
+    assert_eq!(stats.files_read, node_count as u64);
+    assert_eq!(stats.records_kept, cluster.raw_record_count());
+    assert_eq!(loaded.node_logs().len(), node_count);
     assert_eq!(loaded.raw_record_count(), cluster.raw_record_count());
     assert_eq!(loaded.raw_error_count(), cluster.raw_error_count());
 
@@ -90,7 +95,8 @@ fn merged_stream_equivalent_after_roundtrip() {
 
     let dir = tempdir("merged");
     write_cluster_log(&dir, &cluster).unwrap();
-    let (loaded, _) = read_cluster_log(&dir).unwrap();
+    let (loaded, stats) = read_cluster_log_recovering(&dir).unwrap();
+    assert_eq!(stats.dropped(), 0, "{}", stats.summary());
 
     let orig: Vec<String> = cluster
         .merged()

@@ -7,8 +7,10 @@
 //! the concatenated logs by `(time, node id)` — which is what the
 //! property below checks the merge against, record for record.
 //!
-//! Both extraction and `uc build-db` consume this stream, so any
-//! tie-break wobble here would show up as nondeterministic fault output.
+//! No product path reads this stream — extraction and `uc build-db` run
+//! per node and merge the per-node fault streams on `fault_sort_key` —
+//! but the round-trip suites compare whole clusters through it, so a
+//! tie-break wobble here would show up as a spurious mismatch there.
 
 use proptest::prelude::*;
 
