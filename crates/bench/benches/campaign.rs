@@ -27,6 +27,10 @@
 //! * `shard_fanout_rows_per_sec` — the same scan over a (time window ×
 //!   rack) sharded root through the fan-out engine;
 //! * `serve_p99_us` — p99 request latency through the TCP serving layer;
+//! * `query_mix_cpu_us` — process CPU time per query of the serve mix's
+//!   seven query kinds run in process through `Engine::query` on a warm
+//!   block cache (the read path's plan → decode → kernel → merge, with
+//!   the worker pool's fan-out charged to it);
 //! * `catchup_mb_per_sec` — WAL-shipping throughput of a fresh replica
 //!   catching up to a sealed primary over loopback;
 //! * `policy_days_per_sec` — mitigation policy replay throughput: total
@@ -117,6 +121,62 @@ fn serve_p99_us(db_path: &Path, quick: bool) -> f64 {
     server.join();
     lat_us.sort_by(f64::total_cmp);
     lat_us[(lat_us.len() * 99 / 100).min(lat_us.len() - 1)]
+}
+
+/// CPU time the whole process has used so far, in seconds: every thread,
+/// so the pool workers a query fans out to are charged to it.
+fn process_cpu_seconds() -> f64 {
+    #[repr(C)]
+    struct Timespec {
+        sec: i64,
+        nsec: i64,
+    }
+    extern "C" {
+        fn clock_gettime(clock: i32, ts: *mut Timespec) -> i32;
+    }
+    const CLOCK_PROCESS_CPUTIME_ID: i32 = 2;
+    let mut ts = Timespec { sec: 0, nsec: 0 };
+    // SAFETY: `ts` is a live, writable value laid out as the C `struct
+    // timespec` of 64-bit Linux (two `long`s), and `clock_gettime` writes
+    // only within it.
+    let rc = unsafe { clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &mut ts) };
+    assert_eq!(rc, 0, "clock_gettime(CLOCK_PROCESS_CPUTIME_ID)");
+    ts.sec as f64 + ts.nsec as f64 * 1e-9
+}
+
+/// Process CPU µs per query of the serve mix's seven query kinds (a 1-day
+/// `count`, `group class`, `top 5 node`, `hist bits`, a multibit `count`
+/// on one rack, a 30-day `group day` and a 7-day `list`) run in process
+/// through `Engine::query`. The block cache is warmed first; each pass
+/// runs the seven kinds 20 times, and the best pass of 10 is reported, in
+/// quick mode too, since a pass takes milliseconds.
+fn query_mix_cpu_us(db_path: &Path) -> f64 {
+    let db = Engine::open_auto(db_path).unwrap();
+    let mix = [
+        "count where time>=200d and time<201d",
+        "group class",
+        "top 5 node",
+        "hist bits",
+        "count where multibit and rack=2",
+        "group day where time>=200d and time<230d",
+        "list limit 50 where time>=200d and time<207d",
+    ];
+    let opts = QueryOptions::default();
+    for text in mix {
+        db.query(text, &opts).unwrap();
+    }
+    let rounds = 20;
+    let mut best = f64::INFINITY;
+    for _ in 0..10 {
+        let cpu0 = process_cpu_seconds();
+        for _ in 0..rounds {
+            for text in mix {
+                black_box(db.query(black_box(text), &opts).unwrap());
+            }
+        }
+        best = best.min((process_cpu_seconds() - cpu0) / (rounds * mix.len()) as f64);
+    }
+    best * 1e6
 }
 
 /// Replication catch-up throughput: a fresh replica syncing a sealed
@@ -320,6 +380,7 @@ fn emit_trajectory(quick: bool) {
     // Serving-layer tail latency, replication catch-up throughput, and
     // policy replay throughput.
     let p99_us = serve_p99_us(&base.join("direct-0.ucfdb"), quick);
+    let mix_cpu_us = query_mix_cpu_us(&base.join("direct-0.ucfdb"));
     let catchup = catchup_mb_per_sec(&base, quick);
     let policy_dps = policy_days_per_sec(&base.join("direct-0.ucfdb"), quick);
 
@@ -336,6 +397,7 @@ fn emit_trajectory(quick: bool) {
          \"scan_packed_rows_per_sec\": {scan_packed_rows_per_sec:.0},\n  \
          \"shard_fanout_rows_per_sec\": {shard_fanout_rows_per_sec:.0},\n  \
          \"serve_p99_us\": {p99_us:.1},\n  \
+         \"query_mix_cpu_us\": {mix_cpu_us:.1},\n  \
          \"catchup_mb_per_sec\": {catchup:.2},\n  \
          \"policy_days_per_sec\": {policy_dps:.0}\n}}\n",
         rows as f64 / direct_best,

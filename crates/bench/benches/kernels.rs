@@ -11,7 +11,7 @@ use uc_cluster::NodeId;
 use uc_dram::ecc::{ChipkillCode, Secded3932};
 use uc_dram::{Geometry, VecDevice};
 use uc_memscan::{DeviceScanner, Pattern};
-use uc_parallel::{par_map, par_reduce};
+use uc_parallel::par_map;
 use uc_simclock::rng::StreamRng;
 use uc_simclock::SimTime;
 
@@ -111,16 +111,6 @@ fn parallel_runtime(c: &mut Criterion) {
     group.throughput(Throughput::Elements(items.len() as u64));
     group.bench_function("par_map_square_100k", |b| {
         b.iter(|| black_box(par_map(&items, |_, &x| x.wrapping_mul(x)).len()))
-    });
-    group.bench_function("par_reduce_sum_100k", |b| {
-        b.iter(|| {
-            black_box(par_reduce(
-                &items,
-                || 0u64,
-                |acc, _, &x| acc.wrapping_add(x),
-                |a, b| a.wrapping_add(b),
-            ))
-        })
     });
     group.bench_function("sequential_sum_100k_baseline", |b| {
         b.iter(|| black_box(items.iter().copied().fold(0u64, u64::wrapping_add)))

@@ -20,7 +20,7 @@
 use std::collections::BTreeMap;
 
 use uc_analysis::fault::{BitClass, Fault};
-use uc_cluster::NodeId;
+use uc_cluster::{NodeId, RACKS, TOTAL_BLADES, TOTAL_NODES};
 use uc_simclock::SimTime;
 
 use crate::encoding::Columns;
@@ -168,6 +168,23 @@ fn for_each_set<F: FnMut(usize)>(words: &[u64], mut f: F) {
     }
 }
 
+/// Count the key of every selected row into `slots`, one slot per key.
+/// Consecutive rows count into four interleaved copies of the array,
+/// summed at the end. In the paper's data nearly every row has the same
+/// key (one flood node holds most faults, and nearly all flip one bit),
+/// and a single array would chain every row's load, add and store
+/// through one counter.
+fn tally(sel: &[u64], slots: &mut [u64], key: impl Fn(usize) -> i64) {
+    let keys = slots.len();
+    let mut lanes = vec![0u64; 4 * keys];
+    for_each_set(sel, |i| lanes[(i & 3) * keys + key(i) as usize] += 1);
+    for lane in lanes.chunks_exact(keys) {
+        for (slot, n) in slots.iter_mut().zip(lane) {
+            *slot += n;
+        }
+    }
+}
+
 fn popcount(words: &[u64]) -> u64 {
     words.iter().map(|w| w.count_ones() as u64).sum()
 }
@@ -227,22 +244,35 @@ pub(crate) fn scan_columns(q: &Query, c: &Columns) -> Partial {
             }
         }
         Action::Top { by, .. } | Action::Group(by) => {
-            let mut counts = BTreeMap::new();
-            let mut matched = 0u64;
-            for_each_set(&sel, |i| {
-                matched += 1;
-                *counts.entry(key_of_row(by, c, i)).or_insert(0u64) += 1;
-            });
-            Partial::Keyed { counts, matched }
+            let mut counts = Counts::for_dim(by);
+            match &mut counts {
+                // One arm per dimension, so each row loop compiles for one
+                // key function.
+                Counts::Dense(slots) => match by {
+                    Dim::Node => tally(&sel, slots, |i| key_of_row(Dim::Node, c, i)),
+                    Dim::Blade => tally(&sel, slots, |i| key_of_row(Dim::Blade, c, i)),
+                    Dim::Rack => tally(&sel, slots, |i| key_of_row(Dim::Rack, c, i)),
+                    Dim::Class => tally(&sel, slots, |i| key_of_row(Dim::Class, c, i)),
+                    Dim::Dir => tally(&sel, slots, |i| key_of_row(Dim::Dir, c, i)),
+                    Dim::Hour => tally(&sel, slots, |i| key_of_row(Dim::Hour, c, i)),
+                    Dim::Day => unreachable!("`day` counts into a map"),
+                },
+                Counts::Sparse(map) => for_each_set(&sel, |i| {
+                    *map.entry(key_of_row(by, c, i)).or_insert(0) += 1;
+                }),
+            }
+            Partial::Keyed {
+                counts,
+                matched: popcount(&sel),
+            }
         }
         Action::HistBits => {
             let mut bins = Box::new([0u64; 33]);
-            let mut matched = 0u64;
-            for_each_set(&sel, |i| {
-                matched += 1;
-                bins[c.bits[i].min(32) as usize] += 1;
-            });
-            Partial::Hist { bins, matched }
+            tally(&sel, &mut bins[..], |i| i64::from(c.bits[i].min(32)));
+            Partial::Hist {
+                bins,
+                matched: popcount(&sel),
+            }
         }
     }
 }
@@ -279,28 +309,77 @@ pub(crate) fn render_fault(f: &Fault) -> String {
     )
 }
 
+/// Group counts of one dimension. The six dimensions with a fixed domain
+/// count into a dense array indexed by the key itself, so index order is
+/// key order; `day` keeps an ordered map, because a valid block can hold
+/// times anywhere in i64 seconds.
+pub(crate) enum Counts {
+    Dense(Vec<u64>),
+    Sparse(BTreeMap<i64, u64>),
+}
+
+impl Counts {
+    /// Empty counts for `dim`. A dense array covers every key
+    /// [`key_of_row`] can give for a decoded block: decode refuses a node
+    /// at or past `TOTAL_NODES`, and blades and racks derive from it.
+    fn for_dim(dim: Dim) -> Counts {
+        let keys = match dim {
+            Dim::Node => TOTAL_NODES as usize,
+            Dim::Blade => TOTAL_BLADES as usize + 1,
+            Dim::Rack => RACKS as usize + 1,
+            Dim::Class => BitClass::ALL.len(),
+            Dim::Dir => FlipDir::Mixed as usize + 1,
+            Dim::Hour => 24,
+            Dim::Day => return Counts::Sparse(BTreeMap::new()),
+        };
+        Counts::Dense(vec![0; keys])
+    }
+
+    fn add(&mut self, other: Counts) {
+        match (self, other) {
+            (Counts::Dense(acc), Counts::Dense(more)) => {
+                for (a, m) in acc.iter_mut().zip(more) {
+                    *a += m;
+                }
+            }
+            (Counts::Sparse(acc), Counts::Sparse(more)) => {
+                for (k, v) in more {
+                    *acc.entry(k).or_insert(0) += v;
+                }
+            }
+            _ => unreachable!("partials of one query count one dimension"),
+        }
+    }
+
+    /// Every (key, count) with a count above zero, in key order.
+    fn pairs(&self) -> Vec<(i64, u64)> {
+        match self {
+            Counts::Dense(slots) => slots
+                .iter()
+                .enumerate()
+                .filter(|(_, &v)| v > 0)
+                .map(|(k, &v)| (k as i64, v))
+                .collect(),
+            Counts::Sparse(map) => map.iter().map(|(&k, &v)| (k, v)).collect(),
+        }
+    }
+}
+
 /// Per-block partial aggregate; additive, merged in block order.
 pub(crate) enum Partial {
     Count(u64),
-    List {
-        rows: Vec<Fault>,
-        matched: u64,
-    },
-    Keyed {
-        counts: BTreeMap<i64, u64>,
-        matched: u64,
-    },
-    Hist {
-        bins: Box<[u64; 33]>,
-        matched: u64,
-    },
+    List { rows: Vec<Fault>, matched: u64 },
+    Keyed { counts: Counts, matched: u64 },
+    Hist { bins: Box<[u64; 33]>, matched: u64 },
 }
 
 pub(crate) struct Aggregate {
     pub(crate) matched: u64,
     count: u64,
     pub(crate) rows: Vec<Fault>,
-    counts: BTreeMap<i64, u64>,
+    /// Set by the first keyed partial; every later one counts the same
+    /// dimension.
+    counts: Option<Counts>,
     bins: [u64; 33],
 }
 
@@ -310,8 +389,16 @@ impl Aggregate {
             matched: 0,
             count: 0,
             rows: Vec::new(),
-            counts: BTreeMap::new(),
+            counts: None,
             bins: [0; 33],
+        }
+    }
+
+    fn add_counts(&mut self, counts: Option<Counts>) {
+        match (&mut self.counts, counts) {
+            (Some(acc), Some(more)) => acc.add(more),
+            (acc @ None, more) => *acc = more,
+            (Some(_), None) => {}
         }
     }
 
@@ -326,9 +413,7 @@ impl Aggregate {
                 self.matched += matched;
             }
             Partial::Keyed { counts, matched } => {
-                for (k, v) in counts {
-                    *self.counts.entry(k).or_insert(0) += v;
-                }
+                self.add_counts(Some(counts));
                 self.matched += matched;
             }
             Partial::Hist { bins, matched } => {
@@ -348,9 +433,7 @@ impl Aggregate {
         self.matched += other.matched;
         self.count += other.count;
         self.rows.extend(other.rows);
-        for (k, v) in other.counts {
-            *self.counts.entry(k).or_insert(0) += v;
-        }
+        self.add_counts(other.counts);
         for (acc, v) in self.bins.iter_mut().zip(other.bins.iter()) {
             *acc += v;
         }
@@ -362,20 +445,19 @@ impl Aggregate {
     }
 
     pub(crate) fn render(&self, action: &Action) -> Vec<String> {
+        let pairs = || self.counts.as_ref().map_or_else(Vec::new, Counts::pairs);
         match *action {
             Action::Count => vec![self.count.to_string()],
             Action::List { limit } => {
                 let n = limit.unwrap_or(self.rows.len()).min(self.rows.len());
                 self.rows[..n].iter().map(render_fault).collect()
             }
-            Action::Group(by) => self
-                .counts
-                .iter()
-                .map(|(&k, &v)| format!("{} {v}", render_key(by, k)))
+            Action::Group(by) => pairs()
+                .into_iter()
+                .map(|(k, v)| format!("{} {v}", render_key(by, k)))
                 .collect(),
             Action::Top { k, by } => {
-                let mut pairs: Vec<(i64, u64)> =
-                    self.counts.iter().map(|(&k, &v)| (k, v)).collect();
+                let mut pairs = pairs();
                 // Highest count first; ties break on the smaller key so
                 // the ranking is total.
                 pairs.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
@@ -466,55 +548,198 @@ mod tests {
         }
     }
 
+    /// A sample spread over every node of the machine: each node holds two
+    /// or three faults (so `top` meets tied counts), bit counts run 1..=32,
+    /// all three flip directions occur, and times start before the epoch.
+    fn spread(n: usize) -> Vec<Fault> {
+        (0..n)
+            .map(|i| {
+                let flips = ((1u64 << (1 + i % 32)) - 1) as u32;
+                let expected = [0xFFFF_FFFF, 0, 0xAAAA_AAAA][i % 3];
+                Fault {
+                    node: NodeId((i * 7 % TOTAL_NODES as usize) as u32),
+                    time: SimTime::from_secs(i as i64 * 3_607 - 500_000),
+                    vaddr: 0x2000 + (i as u64 % 13) * 0x40,
+                    expected,
+                    actual: expected ^ flips,
+                    temp: None,
+                    raw_logs: 1 + (i as u64 % 3),
+                }
+            })
+            .collect()
+    }
+
+    /// The key of one fault, from its own methods rather than the columns.
+    fn oracle_key(dim: Dim, f: &Fault) -> i64 {
+        match dim {
+            Dim::Node => f.node.0 as i64,
+            Dim::Blade => (f.node.blade().0 + 1) as i64,
+            Dim::Rack => (f.node.blade().rack() + 1) as i64,
+            Dim::Class => BitClass::of(f.bits_corrupted()) as i64,
+            Dim::Dir => FlipDir::of(f) as i64,
+            Dim::Hour => f.time.hour_of_day() as i64,
+            Dim::Day => f.time.day_index(),
+        }
+    }
+
+    /// Brute-force answer: filter rows, aggregate through a `BTreeMap`.
+    fn oracle(q: &Query, faults: &[Fault]) -> Vec<String> {
+        let matching: Vec<&Fault> = faults.iter().filter(|f| q.pred.matches(f)).collect();
+        let keyed = |by: Dim| {
+            let mut counts = BTreeMap::new();
+            for f in &matching {
+                *counts.entry(oracle_key(by, f)).or_insert(0u64) += 1;
+            }
+            counts
+        };
+        match q.action {
+            Action::Count => vec![matching.len().to_string()],
+            Action::List { limit } => matching
+                .iter()
+                .take(limit.unwrap_or(usize::MAX))
+                .map(|f| render_fault(f))
+                .collect(),
+            Action::Group(by) => keyed(by)
+                .into_iter()
+                .map(|(k, v)| format!("{} {v}", render_key(by, k)))
+                .collect(),
+            Action::Top { k, by } => {
+                let mut ranked: Vec<(i64, u64)> = keyed(by).into_iter().collect();
+                ranked.sort_by_key(|&(key, v)| (std::cmp::Reverse(v), key));
+                ranked
+                    .into_iter()
+                    .take(k)
+                    .map(|(key, v)| format!("{} {v}", render_key(by, key)))
+                    .collect()
+            }
+            Action::HistBits => {
+                let mut bins = BTreeMap::new();
+                for f in &matching {
+                    *bins.entry(f.bits_corrupted().min(32)).or_insert(0u64) += 1;
+                }
+                bins.into_iter()
+                    .filter(|&(bits, _)| bits > 0)
+                    .map(|(bits, v)| format!("{bits} {v}"))
+                    .collect()
+            }
+        }
+    }
+
+    /// Scan `faults` as blocks of `rows_per_block`, merged into two
+    /// aggregates (split as a shard fan-out would be) and absorbed.
+    fn scan_blocks(q: &Query, faults: &[Fault], rows_per_block: usize) -> Aggregate {
+        let blocks: Vec<&[Fault]> = faults.chunks(rows_per_block).collect();
+        let (left, right) = blocks.split_at(blocks.len() / 2);
+        let mut total = Aggregate::new();
+        for half in [left, right] {
+            let mut agg = Aggregate::new();
+            for block in half {
+                agg.merge(scan_columns(q, &columns(block)));
+            }
+            total.absorb(agg);
+        }
+        total
+    }
+
     #[test]
     fn kernels_agree_with_the_legacy_row_scan() {
-        let faults = sample(500);
-        let c = columns(&faults);
-        for text in [
+        const DIMS: [Dim; 7] = [
+            Dim::Node,
+            Dim::Blade,
+            Dim::Rack,
+            Dim::Class,
+            Dim::Dir,
+            Dim::Hour,
+            Dim::Day,
+        ];
+        let mut queries: Vec<Query> = [
             "count",
             "count where multibit",
             "list limit 7 where raw>=3",
             "list where bits=1",
             "top 3 node where time>=1000",
-            "group class",
-            "group hour where multibit",
-            "group day",
             "hist bits",
             "hist bits where not multibit",
+            "hist bits where dir=mixed",
+        ]
+        .iter()
+        .map(|text| parse_query(text).unwrap())
+        .collect();
+        for by in DIMS {
+            for pred in ["all", "multibit", "rack=2 and not dir=1to0"] {
+                queries.push(parse_query(&format!("group {} where {pred}", by.label())).unwrap());
+            }
+            // Every dimension through the top kernel, small k (ties cut
+            // at the boundary) and a k past every key.
+            for k in [1, 5, 2_000] {
+                queries.push(Query {
+                    action: Action::Top { k, by },
+                    pred: parse_query("count where bits>=3").unwrap().pred,
+                });
+            }
+        }
+        for (faults, rows_per_block) in [(sample(500), 500), (spread(3_000), 700)] {
+            for q in &queries {
+                let agg = scan_blocks(q, &faults, rows_per_block);
+                let matching = faults.iter().filter(|f| q.pred.matches(f)).count();
+                assert_eq!(agg.matched, matching as u64, "{q:?}");
+                assert_eq!(agg.render(&q.action), oracle(q, &faults), "{q:?}");
+            }
+        }
+        // The spread sample fills the whole dense node domain.
+        let by_node = parse_query("group node").unwrap();
+        assert_eq!(oracle(&by_node, &spread(3_000)).len(), TOTAL_NODES as usize);
+    }
+
+    #[test]
+    fn extreme_time_block_groups_by_day_and_hour() {
+        let faults: Vec<Fault> = [i64::MIN, -1, 0, i64::MAX]
+            .iter()
+            .enumerate()
+            .map(|(i, &t)| Fault {
+                node: NodeId(i as u32),
+                time: SimTime::from_secs(t),
+                vaddr: 0x40 * i as u64,
+                expected: 0xFFFF_FFFF,
+                actual: 0xFFFF_FFFE,
+                temp: None,
+                raw_logs: 1,
+            })
+            .collect();
+        let c = columns(&faults);
+        let day = |t: i64| SimTime::from_secs(t).day_index();
+        let (lo, hi) = (day(i64::MIN), day(i64::MAX));
+        for (q, want) in [
+            (
+                parse_query("group day").unwrap(),
+                vec![
+                    format!("{lo} 1"),
+                    "-1 1".into(),
+                    "0 1".into(),
+                    format!("{hi} 1"),
+                ],
+            ),
+            (
+                parse_query("group hour").unwrap(),
+                vec!["00 1".into(), "08 1".into(), "15 1".into(), "23 1".into()],
+            ),
+            (
+                Query {
+                    action: Action::Top { k: 2, by: Dim::Day },
+                    pred: Pred::All,
+                },
+                vec![format!("{lo} 1"), "-1 1".into()],
+            ),
         ] {
-            let q = parse_query(text).unwrap();
+            let started = std::time::Instant::now();
             let mut agg = Aggregate::new();
             agg.merge(scan_columns(&q, &c));
-            // Brute-force oracle: filter rows, aggregate naively.
-            let matching: Vec<&Fault> = faults.iter().filter(|f| q.pred.matches(f)).collect();
-            assert_eq!(agg.matched, matching.len() as u64, "{text}");
-            let lines = agg.render(&q.action);
-            match q.action {
-                Action::Count => {
-                    assert_eq!(lines, vec![matching.len().to_string()], "{text}")
-                }
-                Action::List { limit } => {
-                    let expect: Vec<String> = matching
-                        .iter()
-                        .take(limit.unwrap_or(usize::MAX))
-                        .map(|f| render_fault(f))
-                        .collect();
-                    assert_eq!(lines, expect, "{text}");
-                }
-                _ => {
-                    // Keyed/hist cross-checked by total mass.
-                    let total: u64 = lines
-                        .iter()
-                        .map(|l| l.rsplit(' ').next().unwrap().parse::<u64>().unwrap())
-                        .sum();
-                    match q.action {
-                        Action::Top { k, .. } => {
-                            assert!(lines.len() <= k && total <= matching.len() as u64, "{text}")
-                        }
-                        _ => assert_eq!(total, matching.len() as u64, "{text}"),
-                    }
-                }
-            }
+            assert_eq!(agg.render(&q.action), want, "{q:?}");
+            assert_eq!(agg.render(&q.action), oracle(&q, &faults), "{q:?}");
+            assert!(
+                started.elapsed() < std::time::Duration::from_secs(1),
+                "{q:?}"
+            );
         }
     }
 

@@ -1,32 +1,38 @@
 //! # uc-parallel — a minimal deterministic data-parallel runtime
 //!
 //! The campaign simulates ~1000 nodes independently, which is embarrassingly
-//! parallel. Rather than pulling in a full work-stealing framework, this
-//! crate provides the three primitives the workspace needs, built directly on
-//! `std::thread::scope` plus atomics (see the atomics-and-locks guidance):
+//! parallel, and a query scans its surviving blocks independently. Rather
+//! than pulling in a full work-stealing framework, this crate provides the
+//! primitives the workspace needs on one lazily started pool of persistent
+//! worker threads, built on std alone (see the atomics-and-locks guidance):
 //!
 //! - [`par_map`]: order-preserving parallel map — the output vector is
 //!   index-for-index identical to the sequential map, regardless of thread
 //!   count or scheduling, which is the cornerstone of the campaign's
 //!   determinism contract (DESIGN.md §6).
 //! - [`par_for_chunks`]: parallel iteration over mutable chunks of a slice.
-//! - [`par_reduce`]: parallel fold + associative merge with a deterministic
-//!   merge order.
 //! - [`par_map_supervised`]: like [`par_map`], but each item runs under
 //!   `catch_unwind` with bounded retry, so one poisoned item degrades to a
 //!   [`Supervised::Panicked`] entry instead of aborting the whole map.
+//! - [`join`], [`join3`], [`join4`]: run two to four closures at once.
 //!
-//! Work distribution uses a shared `AtomicUsize` cursor with `Relaxed`
-//! ordering — the counter only hands out indices, it does not publish data;
-//! the scope join provides the final happens-before edge for the results.
+//! A call that fans out queues one ticket per worker it may use; the
+//! tickets claim item indices from a shared `AtomicUsize` cursor with
+//! `Relaxed` ordering — the counter only hands out indices, it does not
+//! publish data; the call's completion latch (a mutex) provides the final
+//! happens-before edge for the results. Items of a fan-out run only on pool
+//! workers: a caller outside the pool waits, while a pool worker that fans
+//! out (a nested call) runs items too, so nesting cannot deadlock.
 //!
-//! The [`pipeline`] module adds a bounded-channel producer/consumer stage
-//! built on `crossbeam-channel`, used by the log-processing examples.
+//! The [`pipeline`] module adds a bounded-channel stage for a producer
+//! that emits from many threads at once, on `crossbeam-channel`.
 
+use std::any::Any;
 use std::cell::Cell;
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
 pub mod pipeline;
 
@@ -36,8 +42,11 @@ static GLOBAL_THREAD_LIMIT: AtomicUsize = AtomicUsize::new(0);
 thread_local! {
     /// Caller-scoped worker ceiling set by [`with_thread_limit`]; 0 means
     /// unset. Thread-local so concurrent tests (and nested scopes) cannot
-    /// race on it.
+    /// race on it. A pool worker takes the ceiling of the call whose items
+    /// it runs, so nested calls stay under it.
     static SCOPED_THREAD_LIMIT: Cell<usize> = const { Cell::new(0) };
+    /// True on the pool's own worker threads.
+    static IS_POOL_WORKER: Cell<bool> = const { Cell::new(false) };
 }
 
 /// The `UC_THREADS` environment variable, read once. 0 means unset.
@@ -49,6 +58,13 @@ fn env_thread_limit() -> usize {
             .and_then(|v| v.parse::<usize>().ok())
             .unwrap_or(0)
     })
+}
+
+/// The hardware parallelism, read once: `available_parallelism` reads
+/// cgroup files on every call, which cost more than a small query's scan.
+fn hardware_threads() -> usize {
+    static HW: OnceLock<usize> = OnceLock::new();
+    *HW.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// Cap the number of worker threads every primitive in this crate may use.
@@ -93,19 +109,221 @@ pub fn with_thread_limit<R>(limit: usize, f: impl FnOnce() -> R) -> R {
 }
 
 /// Number of worker threads to use: the available parallelism, bounded by
-/// the configured [`thread_limit`] and capped so tiny inputs do not spawn
+/// the configured [`thread_limit`] and capped so tiny inputs do not wake
 /// idle threads.
 pub fn worker_count(items: usize) -> usize {
-    let hw = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    thread_limit().unwrap_or(hw).min(items).max(1)
+    thread_limit()
+        .unwrap_or_else(hardware_threads)
+        .min(items)
+        .max(1)
 }
 
+// ------------------------------------------------------------------ pool
+
+/// Lock a mutex whose data every update leaves valid at each step, so the
+/// guard of a holder that panicked is still sound to use.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// One fan-out call, shared by the caller and its queued tickets: run the
+/// caller's closure once for every index below `n`.
+struct Job {
+    n: usize,
+    cursor: AtomicUsize,
+    /// The caller's closure with its type and lifetime erased, and the
+    /// monomorphized function that calls it.
+    data: *const (),
+    call: unsafe fn(*const (), usize),
+    /// The caller's scoped thread limit, applied while a worker runs it.
+    limit: usize,
+    /// Tickets queued or running; the caller returns once it reads 0.
+    pending: Mutex<usize>,
+    done: Condvar,
+    /// The first panic any item raised, re-raised on the caller.
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
+}
+
+// SAFETY: `data` points at an `F: Sync`, which `call` only ever reaches
+// through a shared reference, so sharing it across threads is what `Sync`
+// on `F` allows; `call` is a plain function pointer, and every other field
+// is `Send + Sync`. `data` outlives every dereference: see `Job::work`.
+unsafe impl Send for Job {}
+// SAFETY: as for `Send` above.
+unsafe impl Sync for Job {}
+
+/// Call the erased closure behind `data`.
+///
+/// # Safety
+/// `data` must point at a live `F`.
+unsafe fn call_erased<F: Fn(usize) + Sync>(data: *const (), i: usize) {
+    // SAFETY: the caller guarantees `data` points at a live `F`.
+    unsafe { (*data.cast::<F>())(i) }
+}
+
+impl Job {
+    /// Claim and run indices until none are left. The first panic parks
+    /// the cursor so the other tickets drain, and is kept for the caller.
+    fn work(&self) {
+        let result = catch_unwind(AssertUnwindSafe(|| loop {
+            let i = self.cursor.fetch_add(1, Ordering::Relaxed);
+            if i >= self.n {
+                break;
+            }
+            // SAFETY: `fan_out` created `data` from a live `&F` matching
+            // `call`, and it does not return before `pending` reads 0,
+            // which no ticket allows until its `work` has returned.
+            unsafe { (self.call)(self.data, i) };
+        }));
+        if let Err(p) = result {
+            self.cursor.store(self.n, Ordering::Relaxed);
+            let mut slot = lock(&self.panic);
+            if slot.is_none() {
+                *slot = Some(p);
+            }
+        }
+    }
+
+    /// Mark `tickets` tickets finished or withdrawn.
+    fn finish(&self, tickets: usize) {
+        let mut pending = lock(&self.pending);
+        *pending -= tickets;
+        if *pending == 0 {
+            self.done.notify_all();
+        }
+    }
+}
+
+/// The process-wide pool: a FIFO of tickets and the count of workers
+/// started. Workers are never stopped; an idle one waits on `ready`.
+struct Pool {
+    queue: Mutex<Queue>,
+    ready: Condvar,
+}
+
+struct Queue {
+    tickets: VecDeque<Arc<Job>>,
+    workers: usize,
+}
+
+static POOL: Pool = Pool {
+    queue: Mutex::new(Queue {
+        tickets: VecDeque::new(),
+        workers: 0,
+    }),
+    ready: Condvar::new(),
+};
+
+impl Pool {
+    /// Grow the pool to `size` workers, then queue up to `tickets`
+    /// tickets of `job`: no more than there are other workers to run
+    /// them. Returns how many were queued; fewer when a worker thread
+    /// could not be started.
+    fn submit(&self, job: &Arc<Job>, tickets: usize, size: usize) -> usize {
+        let mut queue = lock(&self.queue);
+        while queue.workers < size {
+            let started = std::thread::Builder::new()
+                .name(format!("uc-pool-{}", queue.workers))
+                .spawn(worker_main);
+            // A pool worker runs for the life of the process and is never
+            // joined; one that cannot start leaves the pool smaller.
+            if started.is_err() {
+                break;
+            }
+            queue.workers += 1;
+        }
+        let others = queue.workers - usize::from(IS_POOL_WORKER.with(Cell::get));
+        let queued = tickets.min(others);
+        *lock(&job.pending) = queued;
+        queue
+            .tickets
+            .extend(std::iter::repeat_with(|| Arc::clone(job)).take(queued));
+        drop(queue);
+        for _ in 0..queued {
+            self.ready.notify_one();
+        }
+        queued
+    }
+
+    /// Withdraw the tickets of `job` that no worker has taken yet.
+    fn withdraw(&self, job: &Arc<Job>) {
+        let mut queue = lock(&self.queue);
+        let before = queue.tickets.len();
+        queue.tickets.retain(|t| !Arc::ptr_eq(t, job));
+        let withdrawn = before - queue.tickets.len();
+        drop(queue);
+        if withdrawn > 0 {
+            job.finish(withdrawn);
+        }
+    }
+}
+
+fn worker_main() {
+    IS_POOL_WORKER.with(|w| w.set(true));
+    loop {
+        let job = {
+            let mut queue = lock(&POOL.queue);
+            loop {
+                if let Some(job) = queue.tickets.pop_front() {
+                    break job;
+                }
+                queue = POOL
+                    .ready
+                    .wait(queue)
+                    .unwrap_or_else(PoisonError::into_inner);
+            }
+        };
+        let idle_limit = SCOPED_THREAD_LIMIT.with(|c| c.replace(job.limit));
+        job.work();
+        SCOPED_THREAD_LIMIT.with(|c| c.set(idle_limit));
+        job.finish(1);
+    }
+}
+
+/// Run `run(i)` once for every `i < n` on up to `workers` (>= 2) threads
+/// of the pool and return when all are done, re-raising the first panic.
+/// A caller outside the pool only waits, unless no worker could be
+/// started at all; a pool worker runs items too, then withdraws its
+/// tickets no other worker took, so it never waits on a ticket that needs
+/// a free worker.
+fn fan_out<F: Fn(usize) + Sync>(n: usize, workers: usize, run: &F) {
+    let in_pool = IS_POOL_WORKER.with(Cell::get);
+    let job = Arc::new(Job {
+        n,
+        cursor: AtomicUsize::new(0),
+        data: (run as *const F).cast(),
+        call: call_erased::<F>,
+        limit: SCOPED_THREAD_LIMIT.with(Cell::get),
+        pending: Mutex::new(0),
+        done: Condvar::new(),
+        panic: Mutex::new(None),
+    });
+    let queued = POOL.submit(&job, workers - usize::from(in_pool), workers);
+    if in_pool || queued == 0 {
+        job.work();
+        POOL.withdraw(&job);
+    }
+    let mut pending = lock(&job.pending);
+    while *pending > 0 {
+        pending = job
+            .done
+            .wait(pending)
+            .unwrap_or_else(PoisonError::into_inner);
+    }
+    drop(pending);
+    let panic = lock(&job.panic).take();
+    if let Some(p) = panic {
+        resume_unwind(p);
+    }
+}
+
+// ------------------------------------------------------------ primitives
+
 /// Run two closures, potentially in parallel, and return both results.
-/// `fb` runs on a spawned scoped thread while `fa` runs on the caller; with
-/// an effective thread limit of 1 both run sequentially on the caller. A
-/// panic in either closure propagates after both finish.
+/// Both run on pool workers while the caller waits; with an effective
+/// thread limit of 1 both run sequentially on the caller. A panic in
+/// either closure propagates to the caller once neither still runs; a
+/// closure not yet started when the other panicked does not run.
 pub fn join<A, B, FA, FB>(fa: FA, fb: FB) -> (A, B)
 where
     A: Send,
@@ -116,18 +334,20 @@ where
     if worker_count(2) == 1 {
         return (fa(), fb());
     }
-    std::thread::scope(|scope| {
-        let hb = scope.spawn(fb);
-        let a = catch_unwind(AssertUnwindSafe(fa));
-        let b = hb.join();
-        match (a, b) {
-            (Ok(a), Ok(b)) => (a, b),
-            // Propagate fa's panic first: it is the deterministic caller-side
-            // failure; fb's payload (if any) is dropped with the scope.
-            (Err(p), _) => resume_unwind(p),
-            (_, Err(p)) => resume_unwind(p),
+    let (fa, fb) = (Mutex::new(Some(fa)), Mutex::new(Some(fb)));
+    let (a, b) = (Mutex::new(None), Mutex::new(None));
+    fan_out(2, 2, &|i| {
+        if i == 0 {
+            let f = lock(&fa).take().expect("index 0 runs once");
+            *lock(&a) = Some(f());
+        } else {
+            let f = lock(&fb).take().expect("index 1 runs once");
+            *lock(&b) = Some(f());
         }
-    })
+    });
+    let a = a.into_inner().unwrap_or_else(PoisonError::into_inner);
+    let b = b.into_inner().unwrap_or_else(PoisonError::into_inner);
+    (a.expect("fa ran"), b.expect("fb ran"))
 }
 
 /// Three-way [`join`].
@@ -176,9 +396,6 @@ where
     F: Fn(usize, &T) -> R + Sync,
 {
     let n = items.len();
-    if n == 0 {
-        return Vec::new();
-    }
     let workers = worker_count(n);
     if workers == 1 {
         return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
@@ -187,44 +404,13 @@ where
     let mut out: Vec<Option<R>> = Vec::with_capacity(n);
     out.resize_with(n, || None);
     let out_slots = SliceCells::new(&mut out);
-    let cursor = AtomicUsize::new(0);
-
-    let panic_payload = std::sync::Mutex::new(None);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                let result = catch_unwind(AssertUnwindSafe(|| loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let value = f(i, &items[i]);
-                    // SAFETY: the cursor hands out each index exactly once,
-                    // so no two threads touch the same slot, and the scope
-                    // join orders these writes before the caller's reads.
-                    unsafe { out_slots.write(i, Some(value)) };
-                }));
-                if let Err(p) = result {
-                    // First panic wins; park the cursor so siblings drain.
-                    // Recover a poisoned lock: two workers panicking at
-                    // once must not escalate into a double panic (abort)
-                    // while recording the first payload.
-                    cursor.store(n, Ordering::Relaxed);
-                    let mut slot = panic_payload.lock().unwrap_or_else(|e| e.into_inner());
-                    if slot.is_none() {
-                        *slot = Some(p);
-                    }
-                }
-            });
-        }
+    fan_out(n, workers, &|i| {
+        let value = f(i, &items[i]);
+        // SAFETY: `fan_out` hands out each index exactly once, so no two
+        // threads touch the same slot, and it returns only after every
+        // ticket finished, which orders these writes before the reads.
+        unsafe { out_slots.write(i, Some(value)) };
     });
-
-    if let Some(p) = panic_payload
-        .into_inner()
-        .unwrap_or_else(|e| e.into_inner())
-    {
-        resume_unwind(p);
-    }
     out.into_iter()
         .map(|slot| slot.expect("every index visited"))
         .collect()
@@ -311,67 +497,21 @@ where
     F: Fn(usize, &mut [T]) + Sync,
 {
     assert!(chunk_size > 0, "chunk_size must be positive");
-    if items.is_empty() {
-        return;
-    }
     let chunks: Vec<&mut [T]> = items.chunks_mut(chunk_size).collect();
     let n = chunks.len();
-    let cells = VecCells::new(chunks);
-    let cursor = AtomicUsize::new(0);
-    let workers = worker_count(n);
-
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                // SAFETY: each chunk index is claimed exactly once.
-                let chunk = unsafe { cells.take(i) };
-                f(i, chunk);
-            });
-        }
-    });
-}
-
-/// Parallel fold-and-merge: folds disjoint contiguous index ranges with
-/// `fold`, then merges the per-range accumulators left-to-right with
-/// `merge`. Because the ranges are contiguous and merged in index order, the
-/// result is deterministic whenever `fold`/`merge` satisfy the usual
-/// fold-homomorphism law — commutativity is *not* required.
-pub fn par_reduce<T, A, F, M>(items: &[T], identity: impl Fn() -> A + Sync, fold: F, merge: M) -> A
-where
-    T: Sync,
-    A: Send,
-    F: Fn(A, usize, &T) -> A + Sync,
-    M: Fn(A, A) -> A,
-{
-    let n = items.len();
-    if n == 0 {
-        return identity();
-    }
     let workers = worker_count(n);
     if workers == 1 {
-        return items
-            .iter()
-            .enumerate()
-            .fold(identity(), |acc, (i, t)| fold(acc, i, t));
-    }
-    let per = n.div_ceil(workers);
-    let ranges: Vec<(usize, usize)> = (0..workers)
-        .map(|w| (w * per, ((w + 1) * per).min(n)))
-        .filter(|(lo, hi)| lo < hi)
-        .collect();
-
-    let partials = par_map(&ranges, |_, &(lo, hi)| {
-        let mut acc = identity();
-        for (i, item) in items.iter().enumerate().take(hi).skip(lo) {
-            acc = fold(acc, i, item);
+        for (i, chunk) in chunks.into_iter().enumerate() {
+            f(i, chunk);
         }
-        acc
+        return;
+    }
+    let cells = VecCells::new(chunks);
+    fan_out(n, workers, &|i| {
+        // SAFETY: `fan_out` hands out each chunk index exactly once.
+        let chunk = unsafe { cells.take(i) };
+        f(i, chunk);
     });
-    partials.into_iter().fold(identity(), merge)
 }
 
 /// Shared mutable access to distinct slots of a slice; exclusivity (each
@@ -393,7 +533,7 @@ impl<T> SliceCells<T> {
 
     /// # Safety
     /// `i < len`, and no other thread writes slot `i`; reads of the slot
-    /// must happen after the spawning scope joins.
+    /// must happen after the fan-out that wrote it returns.
     unsafe fn write(&self, i: usize, value: T) {
         debug_assert!(i < self.len);
         unsafe { self.ptr.add(i).write(value) };
@@ -433,7 +573,6 @@ impl<T> Drop for VecCells<T> {
         }
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -577,40 +716,6 @@ mod tests {
     }
 
     #[test]
-    fn par_reduce_sums() {
-        let items: Vec<u64> = (1..=100_000).collect();
-        let total = par_reduce(&items, || 0u64, |acc, _, &x| acc + x, |a, b| a + b);
-        assert_eq!(total, 100_000 * 100_001 / 2);
-    }
-
-    #[test]
-    fn par_reduce_empty_is_identity() {
-        let total = par_reduce(&[] as &[u64], || 42u64, |acc, _, &x| acc + x, |a, b| a + b);
-        assert_eq!(total, 42);
-    }
-
-    #[test]
-    fn par_reduce_merge_order_deterministic() {
-        // Concatenation is associative but not commutative, so the merge
-        // order is observable — and must match the sequential order.
-        let items: Vec<usize> = (0..1_000).collect();
-        let s1 = par_reduce(
-            &items,
-            String::new,
-            |mut acc, _, &x| {
-                acc.push_str(&x.to_string());
-                acc
-            },
-            |a, b| a + &b,
-        );
-        let mut s2 = String::new();
-        for x in &items {
-            s2.push_str(&x.to_string());
-        }
-        assert_eq!(s1, s2);
-    }
-
-    #[test]
     fn par_map_side_effect_counts_once_per_item() {
         let counter = AtomicU64::new(0);
         let items = vec![(); 8_192];
@@ -710,5 +815,85 @@ mod tests {
         for (i, v) in out.iter().enumerate() {
             assert_eq!(v, &vec![i as u32, i as u32]);
         }
+    }
+    #[test]
+    fn par_map_runs_inline_under_limit_one() {
+        let caller = std::thread::current().id();
+        let items = vec![(); 1_000];
+        let on_caller = with_thread_limit(1, || {
+            par_map(&items, |_, _| std::thread::current().id() == caller)
+        });
+        assert!(
+            on_caller.iter().all(|&b| b),
+            "limit 1 runs every item on the caller"
+        );
+    }
+
+    #[test]
+    fn fanned_out_items_run_only_on_pool_workers() {
+        let caller = std::thread::current().id();
+        let items = vec![(); 1_000];
+        let threads = with_thread_limit(4, || {
+            par_map(&items, |_, _| {
+                (std::thread::current().id(), IS_POOL_WORKER.with(Cell::get))
+            })
+        });
+        assert!(threads.iter().all(|&(id, pooled)| id != caller && pooled));
+    }
+
+    #[test]
+    fn nested_fan_outs_finish_with_the_sequential_answer() {
+        // Three levels: par_map → join → par_map, each level fanning out
+        // from pool workers that are themselves running a fan-out's items.
+        fn leaf(x: u64) -> u64 {
+            x.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(17)
+        }
+        fn nested(outer: &[u64]) -> Vec<u64> {
+            par_map(outer, |_, &x| {
+                let inner: Vec<u64> = (0..64).map(|k| x * 64 + k).collect();
+                let (a, b) = join(
+                    || {
+                        par_map(&inner, |_, &y| leaf(y))
+                            .iter()
+                            .fold(0, |s, v| s ^ v)
+                    },
+                    || {
+                        par_map(&inner, |_, &y| leaf(y + 1))
+                            .iter()
+                            .fold(0, |s, v| s ^ v)
+                    },
+                );
+                a.wrapping_add(b)
+            })
+        }
+        let outer: Vec<u64> = (0..48).collect();
+        let expect = with_thread_limit(1, || nested(&outer));
+        let (tx, rx) = std::sync::mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            let _ = tx.send(with_thread_limit(8, || nested(&outer)));
+        });
+        let got = rx
+            .recv_timeout(std::time::Duration::from_secs(5))
+            .expect("nested fan-outs finish within 5 s");
+        worker.join().expect("nested fan-out thread");
+        assert_eq!(got, expect);
+    }
+
+    #[test]
+    fn the_pool_recovers_after_a_panicking_map() {
+        let items: Vec<u64> = (0..2_000).collect();
+        let failed = std::panic::catch_unwind(|| {
+            with_thread_limit(4, || {
+                par_map(&items, |_, &x| {
+                    if x == 1_234 {
+                        panic!("injected failure");
+                    }
+                    x
+                })
+            })
+        });
+        assert!(failed.is_err());
+        let doubled = with_thread_limit(4, || par_map(&items, |_, &x| x * 2));
+        assert_eq!(doubled, items.iter().map(|x| x * 2).collect::<Vec<_>>());
     }
 }

@@ -1,11 +1,11 @@
 //! A bounded producer/consumer pipeline stage on `crossbeam-channel`.
 //!
-//! The log-processing path (25M raw log records in the full-scale campaign)
-//! streams records through transformation stages instead of materializing
-//! them. [`stage`] runs a producer and a pool of consumers against a bounded
-//! channel, which gives backpressure — the producer can never run more than
-//! `capacity` items ahead of the consumers, keeping memory bounded no matter
-//! how large the log volume is.
+//! The direct campaign→db path streams each node's recovered log to a
+//! consumer the moment its simulation completes, instead of materializing
+//! the whole campaign. [`stage_shared`] runs such a producer against a
+//! bounded channel, which gives backpressure — the producer can never run
+//! more than `capacity` items ahead of the consumers, keeping memory
+//! bounded no matter how large the log volume is.
 
 use crossbeam::channel;
 use parking_lot::Mutex;
@@ -19,81 +19,24 @@ pub struct StageStats {
     pub consumed: u64,
 }
 
-/// Run a bounded pipeline stage: `producer` pushes items via the provided
-/// closure, `consumers` worker threads pull and fold them into per-worker
-/// accumulators which are merged (in worker-index order) at the end.
+/// Run a bounded pipeline stage whose producer emits from *many* threads
+/// at once — the shape of the direct campaign→db stream, where every
+/// supervised simulation worker pushes its node's recovered log the
+/// moment it completes. `consumers` threads pull items and fold them into
+/// per-consumer accumulators, merged in consumer-index order at the end.
 ///
-/// Returns the merged accumulator and the run statistics.
-pub fn stage<T, A>(
-    capacity: usize,
-    consumers: usize,
-    producer: impl FnOnce(&mut dyn FnMut(T)) + Send,
-    identity: impl Fn() -> A + Sync,
-    fold: impl Fn(A, T) -> A + Sync,
-    merge: impl Fn(A, A) -> A,
-) -> (A, StageStats)
-where
-    T: Send,
-    A: Send,
-{
-    assert!(capacity > 0, "capacity must be positive");
-    let consumers = consumers.max(1);
-    let (tx, rx) = channel::bounded::<T>(capacity);
-    let produced = Mutex::new(0u64);
-    let partials: Mutex<Vec<(usize, A)>> = Mutex::new(Vec::new());
-    let consumed_total = Mutex::new(0u64);
-
-    std::thread::scope(|scope| {
-        for worker in 0..consumers {
-            let rx = rx.clone();
-            let partials = &partials;
-            let consumed_total = &consumed_total;
-            let identity = &identity;
-            let fold = &fold;
-            scope.spawn(move || {
-                let mut acc = identity();
-                let mut count = 0u64;
-                for item in rx.iter() {
-                    acc = fold(acc, item);
-                    count += 1;
-                }
-                partials.lock().push((worker, acc));
-                *consumed_total.lock() += count;
-            });
-        }
-        drop(rx);
-
-        let mut count = 0u64;
-        let mut push = |item: T| {
-            tx.send(item).expect("consumers alive while producing");
-            count += 1;
-        };
-        producer(&mut push);
-        drop(tx); // close the channel so consumers drain and exit
-        *produced.lock() = count;
-    });
-
-    let mut parts = partials.into_inner();
-    parts.sort_by_key(|(w, _)| *w);
-    let acc = parts.into_iter().map(|(_, a)| a).fold(identity(), merge);
-    let stats = StageStats {
-        produced: produced.into_inner(),
-        consumed: consumed_total.into_inner(),
-    };
-    (acc, stats)
-}
-
-/// Like [`stage`], but the producer's emit hook is `Sync` so it can be
-/// called from *many* threads at once — the shape of the direct
-/// campaign→db stream, where every supervised simulation worker pushes
-/// its node's recovered log the moment it completes.
+/// Returns the merged accumulator and the run statistics. With a
+/// multi-threaded producer the *arrival* order is nondeterministic, so
+/// deterministic callers must fold into an order-insensitive accumulator
+/// and impose a total order afterwards (the direct db path sorts its
+/// per-node results by node id).
 ///
-/// The emit hook counts atomically; consumers and the partial merge are
-/// identical to [`stage`] (per-worker folds merged in worker-index
-/// order). Note that with a multi-threaded producer the *arrival* order
-/// is nondeterministic, so deterministic callers must fold into an
-/// order-insensitive accumulator and impose a total order afterwards
-/// (the direct db path sorts its per-node results by node id).
+/// The consumers run on scoped threads of their own, not on the
+/// [`crate`] pool: a consumer blocks for the producer's whole run, and as
+/// a pool job it would take a worker away from a producer that fans out
+/// over the pool (the campaign's `par_map_supervised`). For the same
+/// reason `fold` must not fan out: while the channel is full, every pool
+/// worker may be blocked in the emit hook, waiting for the consumers.
 pub fn stage_shared<T, A>(
     capacity: usize,
     consumers: usize,
@@ -158,82 +101,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn stage_counts_and_sums() {
-        let (sum, stats) = stage(
-            64,
-            4,
-            |push| {
-                for i in 1..=10_000u64 {
-                    push(i);
-                }
-            },
-            || 0u64,
-            |acc, x| acc + x,
-            |a, b| a + b,
-        );
-        assert_eq!(sum, 10_000 * 10_001 / 2);
-        assert_eq!(stats.produced, 10_000);
-        assert_eq!(stats.consumed, 10_000);
-    }
-
-    #[test]
-    fn stage_empty_producer() {
-        let (acc, stats) = stage(
-            8,
-            2,
-            |_push| {},
-            || 0u32,
-            |acc, x: u32| acc + x,
-            |a, b| a + b,
-        );
-        assert_eq!(acc, 0);
-        assert_eq!(stats, StageStats::default());
-    }
-
-    #[test]
-    fn stage_single_consumer_preserves_order_sensitivity() {
-        // With one consumer the fold sees producer order exactly.
-        let (v, _) = stage(
-            4,
-            1,
-            |push| {
-                for i in 0..100u32 {
-                    push(i);
-                }
-            },
-            Vec::new,
-            |mut acc: Vec<u32>, x| {
-                acc.push(x);
-                acc
-            },
-            |mut a, mut b| {
-                a.append(&mut b);
-                a
-            },
-        );
-        assert_eq!(v, (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn stage_backpressure_bounds_memory() {
-        // Tiny capacity with slow consumers still completes correctly.
-        let (count, stats) = stage(
-            1,
-            2,
-            |push| {
-                for i in 0..500u32 {
-                    push(i);
-                }
-            },
-            || 0u64,
-            |acc, _x| acc + 1,
-            |a, b| a + b,
-        );
-        assert_eq!(count, 500);
-        assert_eq!(stats.consumed, 500);
-    }
-
-    #[test]
     fn stage_shared_accepts_emits_from_many_threads() {
         let (sum, stats) = stage_shared(
             16,
@@ -274,11 +141,11 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "capacity must be positive")]
-    fn stage_zero_capacity_panics() {
-        stage(
+    fn stage_shared_zero_capacity_panics() {
+        stage_shared(
             0,
             1,
-            |_push: &mut dyn FnMut(u32)| {},
+            |_push: &(dyn Fn(u32) + Sync)| {},
             || 0u32,
             |a, _| a,
             |a, _| a,
@@ -286,8 +153,8 @@ mod tests {
     }
 
     #[test]
-    fn stage_zero_consumers_clamped_to_one() {
-        let (sum, _) = stage(
+    fn stage_shared_zero_consumers_clamped_to_one() {
+        let (sum, stats) = stage_shared(
             4,
             0,
             |push| {
@@ -300,5 +167,6 @@ mod tests {
             |a, b| a + b,
         );
         assert_eq!(sum, 45);
+        assert_eq!(stats.consumed, 10);
     }
 }

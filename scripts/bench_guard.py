@@ -39,6 +39,7 @@ LOWER_IS_BETTER = (
     "text_path_e2e_seconds",
     "direct_path_e2e_seconds",
     "serve_p99_us",
+    "query_mix_cpu_us",
 )
 
 
