@@ -32,38 +32,105 @@ pub struct DayVolume {
     days: BTreeMap<i64, f64>,
 }
 
-impl DayVolume {
-    /// Credit one scan session's volume across the days it spans — the
-    /// same split as [`DailySeries::add_session`], minus the window.
-    pub fn add_session(&mut self, start: SimTime, end: SimTime, alloc_bytes: u64) {
-        let tb = alloc_bytes as f64 / (1u64 << 40) as f64;
-        let mut day = start.day_index();
-        while day.saturating_mul(86_400) < end.as_secs() {
-            let day_start = SimTime::from_secs(day * 86_400);
-            let day_end = SimTime::from_secs(day.saturating_add(1).saturating_mul(86_400));
-            let lo = start.max(day_start);
-            let hi = end.min(day_end);
-            if hi > lo {
-                *self.days.entry(day).or_insert(0.0) += tb * (hi - lo).as_hours_f64();
+/// START/END pairing over one node's entries in log order, with the
+/// conservative hard-reboot rule: a pending START that another START
+/// replaces gets zero credit. O(entries): runs hold only ERROR records,
+/// so none is expanded.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct SessionPairing {
+    pending: Option<(SimTime, u64)>,
+}
+
+impl SessionPairing {
+    /// Feed the next entry; `(start, end, alloc_bytes)` of the session an
+    /// END closes.
+    pub(crate) fn push(&mut self, entry: &LogEntry) -> Option<(SimTime, SimTime, u64)> {
+        match entry {
+            LogEntry::One(LogRecord::Start(s)) => {
+                self.pending = Some((s.time, s.alloc_bytes));
+                None
             }
-            day += 1;
+            LogEntry::One(LogRecord::End(e)) => self
+                .pending
+                .take()
+                .map(|(start, alloc)| (start, e.time, alloc)),
+            _ => None,
+        }
+    }
+}
+
+/// One node's scanned volume, kept as its per-day pieces — one per
+/// (session, day) in log order — instead of summed. Day volumes are f64
+/// sums whose bits depend on the order of addition, so a cluster total
+/// adds every node's pieces in node order ([`DayVolume::add_pieces`]),
+/// exactly as [`DayVolume::add_node_log`] over each log would.
+#[derive(Clone, Debug, Default)]
+pub struct NodeVolume {
+    pairing: SessionPairing,
+    pieces: Vec<(i64, f64)>,
+}
+
+impl NodeVolume {
+    /// Fold in the node's next entry.
+    pub fn push(&mut self, entry: &LogEntry) {
+        if let Some((start, end, alloc)) = self.pairing.push(entry) {
+            session_pieces(start, end, alloc, |day, tbh| self.pieces.push((day, tbh)));
+        }
+    }
+
+    /// (day index, TBh) pieces in log order.
+    pub fn pieces(&self) -> &[(i64, f64)] {
+        &self.pieces
+    }
+}
+
+/// Split one scan session's volume across the days it spans — the same
+/// split as [`DailySeries::add_session`], minus the window — handing each
+/// (day, TBh) piece to `credit` in day order.
+fn session_pieces(
+    start: SimTime,
+    end: SimTime,
+    alloc_bytes: u64,
+    mut credit: impl FnMut(i64, f64),
+) {
+    let tb = alloc_bytes as f64 / (1u64 << 40) as f64;
+    let mut day = start.day_index();
+    while day.saturating_mul(86_400) < end.as_secs() {
+        let day_start = SimTime::from_secs(day * 86_400);
+        let day_end = SimTime::from_secs(day.saturating_add(1).saturating_mul(86_400));
+        let lo = start.max(day_start);
+        let hi = end.min(day_end);
+        if hi > lo {
+            credit(day, tb * (hi - lo).as_hours_f64());
+        }
+        day += 1;
+    }
+}
+
+impl DayVolume {
+    /// Credit one scan session's volume across the days it spans.
+    pub fn add_session(&mut self, start: SimTime, end: SimTime, alloc_bytes: u64) {
+        session_pieces(start, end, alloc_bytes, |day, tbh| self.add_piece(day, tbh));
+    }
+
+    fn add_piece(&mut self, day: i64, tbh: f64) {
+        *self.days.entry(day).or_insert(0.0) += tbh;
+    }
+
+    /// Add one node's pieces ([`NodeVolume::pieces`]) in their order.
+    pub fn add_pieces(&mut self, pieces: &[(i64, f64)]) {
+        for &(day, tbh) in pieces {
+            self.add_piece(day, tbh);
         }
     }
 
     /// Accumulate from a node's log: START/END pairing with the
     /// conservative hard-reboot rule, as [`DailySeries::add_node_log`].
-    /// O(entries): runs hold only ERROR records, so none is expanded.
     pub fn add_node_log(&mut self, log: &NodeLog) {
-        let mut pending: Option<(SimTime, u64)> = None;
+        let mut pairing = SessionPairing::default();
         for entry in log.entries() {
-            match entry {
-                LogEntry::One(LogRecord::Start(s)) => pending = Some((s.time, s.alloc_bytes)),
-                LogEntry::One(LogRecord::End(e)) => {
-                    if let Some((start, alloc)) = pending.take() {
-                        self.add_session(start, e.time, alloc);
-                    }
-                }
-                _ => {}
+            if let Some((start, end, alloc)) = pairing.push(entry) {
+                self.add_session(start, end, alloc);
             }
         }
     }
@@ -144,19 +211,10 @@ impl DailySeries {
     /// conservative hard-reboot rule). O(entries): runs hold only ERROR
     /// records, so none is expanded.
     pub fn add_node_log(&mut self, log: &NodeLog) {
-        let mut pending: Option<(SimTime, u64)> = None;
+        let mut pairing = SessionPairing::default();
         for entry in log.entries() {
-            match entry {
-                LogEntry::One(LogRecord::Start(s)) => {
-                    // A pending START without END: hard reboot, zero credit.
-                    pending = Some((s.time, s.alloc_bytes));
-                }
-                LogEntry::One(LogRecord::End(e)) => {
-                    if let Some((start, alloc)) = pending.take() {
-                        self.add_session(start, e.time, alloc);
-                    }
-                }
-                _ => {}
+            if let Some((start, end, alloc)) = pairing.push(entry) {
+                self.add_session(start, end, alloc);
             }
         }
     }

@@ -52,22 +52,53 @@ impl Default for ExtractConfig {
 }
 
 /// Per-cell accumulation state.
+#[derive(Clone, Debug)]
 struct OpenFault {
     fault: Fault,
     last_seen: SimTime,
 }
 
-/// Extract independent faults from one node's log. Faults are returned in
-/// order of first detection.
-pub fn extract_node_faults(log: &NodeLog, cfg: &ExtractConfig) -> Vec<Fault> {
-    let mut open: HashMap<(u64, u32), OpenFault> = HashMap::new();
-    let mut done: Vec<Fault> = Vec::new();
+/// One node's extraction state: the faults still open (keyed by address
+/// and flipped bits) and the ones a later recurrence has closed. Feed it
+/// the node's entries in log order; the faults so far are readable at
+/// any point, so a live stream folds each entry in once instead of
+/// re-extracting the whole log.
+#[derive(Clone, Debug)]
+pub struct FaultFold {
+    merge_window: SimDuration,
+    open: HashMap<(u64, u32), OpenFault>,
+    closed: Vec<Fault>,
+}
 
-    let absorb = |open: &mut HashMap<(u64, u32), OpenFault>,
-                  done: &mut Vec<Fault>,
-                  rec: &ErrorRecord,
-                  count: u64,
-                  last_time: SimTime| {
+impl FaultFold {
+    pub fn new(cfg: &ExtractConfig) -> FaultFold {
+        FaultFold {
+            merge_window: cfg.merge_window,
+            open: HashMap::new(),
+            closed: Vec::new(),
+        }
+    }
+
+    /// Fold in the node's next entry.
+    pub fn push(&mut self, entry: &LogEntry) {
+        match entry {
+            LogEntry::One(rec) => {
+                if let Some(err) = rec.as_error() {
+                    self.absorb(err, 1, err.time);
+                }
+            }
+            LogEntry::ErrorRun {
+                first,
+                count,
+                period: _,
+            } => {
+                // A run is maximal consecutive repetition: one fault.
+                self.absorb(first, *count, entry.last_time());
+            }
+        }
+    }
+
+    fn absorb(&mut self, rec: &ErrorRecord, count: u64, last_time: SimTime) {
         let key = (rec.vaddr, rec.expected ^ rec.actual);
         // Only a forward-in-time recurrence can extend an open fault. A
         // record timestamped *before* the open fault's last sighting is an
@@ -78,17 +109,17 @@ pub fn extract_node_faults(log: &NodeLog, cfg: &ExtractConfig) -> Vec<Fault> {
         // timestamps. `checked_elapsed_since` refuses both, so the
         // recurrence opens a new fault instead.
         let recurrence_gap = |of: &OpenFault| rec.time.checked_elapsed_since(of.last_seen);
-        match open.get_mut(&key) {
-            Some(of) if recurrence_gap(of).is_some_and(|gap| gap <= cfg.merge_window) => {
+        match self.open.get_mut(&key) {
+            Some(of) if recurrence_gap(of).is_some_and(|gap| gap <= self.merge_window) => {
                 of.fault.raw_logs += count;
                 of.last_seen = last_time;
             }
             existing => {
                 if existing.is_some() {
-                    let of = open.remove(&key).expect("present");
-                    done.push(of.fault);
+                    let of = self.open.remove(&key).expect("present");
+                    self.closed.push(of.fault);
                 }
-                open.insert(
+                self.open.insert(
                     key,
                     OpenFault {
                         fault: Fault {
@@ -105,30 +136,41 @@ pub fn extract_node_faults(log: &NodeLog, cfg: &ExtractConfig) -> Vec<Fault> {
                 );
             }
         }
-    };
-
-    for entry in log.entries() {
-        match entry {
-            LogEntry::One(rec) => {
-                if let Some(err) = rec.as_error() {
-                    absorb(&mut open, &mut done, err, 1, err.time);
-                }
-            }
-            LogEntry::ErrorRun {
-                first,
-                count,
-                period: _,
-            } => {
-                // A run is maximal consecutive repetition: one fault.
-                absorb(&mut open, &mut done, first, *count, entry.last_time());
-            }
-        }
     }
-    done.extend(open.into_values().map(|of| of.fault));
-    // Fully discriminating key: the open-fault map iterates in hash order,
-    // so ties on (time, vaddr) must still sort deterministically.
-    done.sort_by_key(fault_sort_key);
-    done
+
+    /// The faults of the entries folded so far, as [`FaultFold::into_faults`]
+    /// would return them, leaving the fold open for more entries.
+    pub fn faults(&self) -> Vec<Fault> {
+        let mut all = Vec::with_capacity(self.closed.len() + self.open.len());
+        all.extend_from_slice(&self.closed);
+        sorted_with_open(all, self.open.values().map(|of| of.fault))
+    }
+
+    /// The node's faults, sorted by [`fault_sort_key`].
+    pub fn into_faults(self) -> Vec<Fault> {
+        sorted_with_open(self.closed, self.open.into_values().map(|of| of.fault))
+    }
+}
+
+/// Closed faults (in closing order) followed by the open ones, sorted by
+/// the fully discriminating key: the open-fault map iterates in hash
+/// order, so ties on (time, vaddr) must still sort deterministically. Two
+/// open faults never tie on the key (their address or bits differ), and
+/// the stable sort keeps a closed fault ahead of an open one it ties.
+fn sorted_with_open(mut faults: Vec<Fault>, open: impl Iterator<Item = Fault>) -> Vec<Fault> {
+    faults.extend(open);
+    faults.sort_by_key(fault_sort_key);
+    faults
+}
+
+/// Extract independent faults from one node's log. Faults are returned in
+/// order of first detection.
+pub fn extract_node_faults(log: &NodeLog, cfg: &ExtractConfig) -> Vec<Fault> {
+    let mut fold = FaultFold::new(cfg);
+    for entry in log.entries() {
+        fold.push(entry);
+    }
+    fold.into_faults()
 }
 
 /// Merge per-node fault streams, each already sorted by [`fault_sort_key`]

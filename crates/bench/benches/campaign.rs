@@ -33,6 +33,10 @@
 //!   the worker pool's fan-out charged to it);
 //! * `catchup_mb_per_sec` — WAL-shipping throughput of a fresh replica
 //!   catching up to a sealed primary over loopback;
+//! * `live_seal_cpu_us` — process CPU µs per record of a fresh
+//!   `LiveDb` ingesting the catch-up corpus (4 nodes × 10,000 lines,
+//!   interleaved) with a seal every 1,000 records and one at the end:
+//!   the live write path, carry-state folds and seals included;
 //! * `policy_days_per_sec` — mitigation policy replay throughput: total
 //!   policy-days (simulated days × policies compared) per second of the
 //!   full five-policy `uc policy` comparison over the sealed campaign,
@@ -179,6 +183,21 @@ fn query_mix_cpu_us(db_path: &Path) -> f64 {
     best * 1e6
 }
 
+/// The catch-up corpus's nodes.
+const CATCHUP_NODES: [&str; 4] = ["05-01", "05-02", "05-03", "05-04"];
+
+/// Line `k` of catch-up node `i`: one fresh single-bit fault per line.
+fn catchup_line(i: usize, k: usize) -> String {
+    let name = CATCHUP_NODES[i];
+    let vaddr = 0x8000 + 0x40 * k as u64 + ((i as u64) << 28);
+    format!(
+        "ERROR t={t} node={name} vaddr=0x{vaddr:08x} page=0x{page:06x} \
+         expected=0xffffffff actual=0xfffffffe temp=33.0",
+        t = 100 + 60 * k as i64,
+        page = vaddr >> 12
+    )
+}
+
 /// Replication catch-up throughput: a fresh replica syncing a sealed
 /// primary's full WAL over loopback, measured as shipped WAL MB per
 /// second of wall-clock until the replica matches the primary.
@@ -188,17 +207,10 @@ fn catchup_mb_per_sec(base: &Path, quick: bool) -> f64 {
     let (primary, _) = LiveDb::open(&pdir).unwrap();
     let primary = Arc::new(primary);
     let per_node = if quick { 2_000 } else { 10_000 };
-    for (i, name) in ["05-01", "05-02", "05-03", "05-04"].iter().enumerate() {
+    for (i, name) in CATCHUP_NODES.iter().enumerate() {
         let node = NodeId::from_name(name).unwrap();
         for k in 0..per_node {
-            let vaddr = 0x8000 + 0x40 * k as u64 + ((i as u64) << 28);
-            let line = format!(
-                "ERROR t={t} node={name} vaddr=0x{vaddr:08x} page=0x{page:06x} \
-                 expected=0xffffffff actual=0xfffffffe temp=33.0",
-                t = 100 + 60 * k as i64,
-                page = vaddr >> 12
-            );
-            primary.ingest(node, k as u64, &line).unwrap();
+            primary.ingest(node, k as u64, &catchup_line(i, k)).unwrap();
         }
     }
     primary.seal().unwrap();
@@ -244,6 +256,40 @@ fn catchup_mb_per_sec(base: &Path, quick: bool) -> f64 {
     server.shutdown();
     server.join();
     wal_bytes as f64 / (1024.0 * 1024.0) / secs
+}
+
+/// Process CPU µs per record of the live write path: a fresh `LiveDb`
+/// ingests the catch-up corpus (4 nodes × 10,000 lines) interleaved line
+/// by line through `LiveDb::ingest`, sealing every 1,000 records and once
+/// at the end. Best of 3 passes; quick mode runs the same corpus once,
+/// since a seal's cost may grow with the records before it.
+fn live_seal_cpu_us(base: &Path, quick: bool) -> f64 {
+    const PER_NODE: usize = 10_000;
+    const SEAL_EVERY: usize = 1_000;
+    let nodes: Vec<NodeId> = CATCHUP_NODES
+        .iter()
+        .map(|n| NodeId::from_name(n).unwrap())
+        .collect();
+    let lines: Vec<(usize, usize, String)> = (0..PER_NODE)
+        .flat_map(|k| (0..nodes.len()).map(move |i| (i, k, catchup_line(i, k))))
+        .collect();
+    let mut best = f64::INFINITY;
+    for pass in 0..if quick { 1 } else { 3 } {
+        let dir = base.join(format!("live-seal-{pass}"));
+        let (live, _) = LiveDb::open(&dir).unwrap();
+        let cpu0 = process_cpu_seconds();
+        for (n, (i, k, line)) in lines.iter().enumerate() {
+            live.ingest(nodes[*i], *k as u64, line).unwrap();
+            if (n + 1) % SEAL_EVERY == 0 {
+                live.seal().unwrap();
+            }
+        }
+        live.seal().unwrap();
+        best = best.min((process_cpu_seconds() - cpu0) / lines.len() as f64);
+        drop(live);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    best * 1e6
 }
 
 /// Mitigation policy replay throughput: the full five-policy
@@ -382,6 +428,7 @@ fn emit_trajectory(quick: bool) {
     let p99_us = serve_p99_us(&base.join("direct-0.ucfdb"), quick);
     let mix_cpu_us = query_mix_cpu_us(&base.join("direct-0.ucfdb"));
     let catchup = catchup_mb_per_sec(&base, quick);
+    let live_seal_us = live_seal_cpu_us(&base, quick);
     let policy_dps = policy_days_per_sec(&base.join("direct-0.ucfdb"), quick);
 
     let json = format!(
@@ -399,6 +446,7 @@ fn emit_trajectory(quick: bool) {
          \"serve_p99_us\": {p99_us:.1},\n  \
          \"query_mix_cpu_us\": {mix_cpu_us:.1},\n  \
          \"catchup_mb_per_sec\": {catchup:.2},\n  \
+         \"live_seal_cpu_us\": {live_seal_us:.2},\n  \
          \"policy_days_per_sec\": {policy_dps:.0}\n}}\n",
         rows as f64 / direct_best,
         text_best / direct_best,

@@ -12,20 +12,19 @@
 //! The equivalence contract ("a query over a live database must be
 //! byte-identical to the same query over a freshly batch-built db of the
 //! same records") is earned structurally, not by re-implementing ingest:
-//! the live path accumulates each node's raw record lines verbatim and, at
-//! every seal, runs them through the *identical* batch pipeline —
-//! `recover_text` per node (with the same `files_read`/node-fallback
-//! fixups `read_node_log_recovering` applies), stats merged in node order,
-//! `ClusterLog::new` → `Snapshot::from_cluster` → `write_db`. Same bytes
-//! in, same code, same bytes out.
+//! every accepted line is folded into its node's carry state as it is
+//! accepted (the crate-private `carry` module), through the batch
+//! pipeline's own accumulators — line recovery, fault extraction,
+//! session pairing, raw counts. A seal assembles the snapshot from those
+//! states and hands it to `write_db`, re-deriving at seal time what is
+//! global to the corpus: the flood share, the batch reader's node order,
+//! and the order in which f64 day volumes are added. So a seal costs
+//! O(faults + volume pieces), not a re-parse of every record, and seals
+//! the bytes `build_db` seals from the same lines written as text.
 //!
-//! Extraction is a *global* function of the whole corpus (merge windows
-//! straddle batch boundaries; the flood filter is a share of the total),
-//! so generations cannot be built incrementally from deltas and a sealed
-//! generation cannot serve as a re-ingest source. The WAL is therefore
-//! retained forever and every seal rebuilds from the full record set; the
-//! generation file is a disposable index over the WAL, which is exactly
-//! what makes crash recovery simple — when in doubt, reseal.
+//! The WAL stays the database of record: it is retained forever, and a
+//! generation file is a disposable index over it, which is exactly what
+//! makes crash recovery simple — when in doubt, replay and reseal.
 //!
 //! Crash recovery (`LiveDb::open`): replay the WAL (flushed prefixes of
 //! every segment, in index order), rebuilding per-node cursors and a
@@ -43,9 +42,8 @@ use std::sync::Arc;
 use uc_cluster::NodeId;
 use uc_faultlog::durable::crc::{crc32, Crc32};
 use uc_faultlog::durable::{fsck_dir, FsckReport};
-use uc_faultlog::ingest::recover_text;
-use uc_faultlog::{ClusterLog, IngestStats, NodeLog};
 
+use crate::carry::{snapshot_of, NodeCarry};
 use crate::db::{DbHandle, FaultDb};
 use crate::error::DbError;
 use crate::format::{write_db, WriteOptions};
@@ -221,15 +219,6 @@ pub enum IngestOutcome {
     Gap { expected: u64 },
 }
 
-/// One node's live stream state.
-pub(crate) struct NodeStream {
-    /// The raw lines, newline-terminated — byte-identical to the text
-    /// log file a batch ingest would read for this node.
-    text: String,
-    /// Next sequence number expected from the client.
-    next_seq: u64,
-}
-
 /// A point-in-time summary of the live state, for `STATS`-style reporting.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LiveStatus {
@@ -254,24 +243,24 @@ pub struct LiveStatus {
     pub epoch: u64,
 }
 
-/// Deterministic replay of WAL records through the per-node sequence
-/// discipline — the one shared definition of "the accepted record
-/// prefix" used by recovery ([`LiveDb::open`]), the replication shipper
-/// (which must ship exactly what a replica's replay would accept), and
-/// the scrubber (which rebuilds a generation from the prefix its catalog
-/// entry names).
-pub(crate) struct ReplayState {
-    pub(crate) streams: BTreeMap<u32, NodeStream>,
+/// The per-node sequence discipline — the one shared definition of "the
+/// accepted record prefix": each node's next expected sequence number,
+/// and the count and running CRC of the records accepted so far. Recovery
+/// ([`LiveDb::open`]), the replication shipper (which must ship exactly
+/// what a replica's replay would accept, and parses no line) and the
+/// scrubber all judge records through it.
+pub(crate) struct Sequencer {
+    next: BTreeMap<u32, u64>,
     pub(crate) records: u64,
     pub(crate) crc: Crc32,
-    pub(crate) duplicates: u64,
-    pub(crate) gaps: u64,
+    duplicates: u64,
+    gaps: u64,
 }
 
-impl ReplayState {
-    pub(crate) fn new() -> ReplayState {
-        ReplayState {
-            streams: BTreeMap::new(),
+impl Sequencer {
+    pub(crate) fn new() -> Sequencer {
+        Sequencer {
+            next: BTreeMap::new(),
             records: 0,
             crc: Crc32::new(),
             duplicates: 0,
@@ -279,67 +268,98 @@ impl ReplayState {
         }
     }
 
-    /// Feed one recovered record through the sequence discipline.
-    /// Returns `true` when it advanced the accepted prefix.
-    pub(crate) fn apply(&mut self, rec: &WalRecord) -> bool {
-        let stream = self
-            .streams
-            .entry(rec.node.0)
-            .or_insert_with(|| NodeStream {
-                text: String::new(),
-                next_seq: 0,
-            });
-        if rec.seq == stream.next_seq {
-            self.crc
-                .update(&encode_wal_payload(rec.node, rec.seq, &rec.line));
-            stream.text.push_str(&rec.line);
-            stream.text.push('\n');
-            stream.next_seq += 1;
-            self.records += 1;
-            true
-        } else if rec.seq < stream.next_seq {
+    /// Next sequence number expected from `node`.
+    fn next_seq(&self, node: NodeId) -> u64 {
+        self.next.get(&node.0).copied().unwrap_or(0)
+    }
+
+    /// Judge `seq` against `node`'s cursor, counting a duplicate or a
+    /// gap. An `Accepted` record advances nothing until [`Sequencer::accept`].
+    fn judge(&mut self, node: NodeId, seq: u64) -> IngestOutcome {
+        let next = self.next_seq(node);
+        if seq == next {
+            IngestOutcome::Accepted
+        } else if seq < next {
             // A crash between WAL flush and client ACK makes the client
             // resend; both copies are in the WAL, one wins.
             self.duplicates += 1;
-            false
+            IngestOutcome::Duplicate
         } else {
-            // Possible only through mid-file damage (a checksummed frame
-            // lost between two surviving ones). Torn *tails* never gap —
-            // they lose a suffix of acceptance order.
+            // In recovery, possible only through mid-file damage (a
+            // checksummed frame lost between two surviving ones). Torn
+            // *tails* never gap — they lose a suffix of acceptance order.
             self.gaps += 1;
-            false
+            IngestOutcome::Gap { expected: next }
         }
     }
 
-    /// Replay records in order, stopping once `cap` accepted records
+    /// Take the record `judge` accepted, with its canonical WAL payload.
+    fn accept(&mut self, node: NodeId, payload: &[u8]) {
+        *self.next.entry(node.0).or_insert(0) += 1;
+        self.crc.update(payload);
+        self.records += 1;
+    }
+
+    /// Feed one recovered record through the discipline: its canonical
+    /// payload when it advanced the accepted prefix.
+    pub(crate) fn apply(&mut self, rec: &WalRecord) -> Option<Vec<u8>> {
+        if self.judge(rec.node, rec.seq) != IngestOutcome::Accepted {
+            return None;
+        }
+        let payload = encode_wal_payload(rec.node, rec.seq, &rec.line);
+        self.accept(rec.node, &payload);
+        Some(payload)
+    }
+}
+
+/// The accepted prefix and every node's carry state: what [`LiveDb`]
+/// holds and what the scrubber replays a generation's prefix into.
+pub(crate) struct LiveState {
+    pub(crate) seq: Sequencer,
+    nodes: BTreeMap<u32, NodeCarry>,
+}
+
+impl LiveState {
+    fn new() -> LiveState {
+        LiveState {
+            seq: Sequencer::new(),
+            nodes: BTreeMap::new(),
+        }
+    }
+
+    /// Fold an accepted record's line into its node's carry state.
+    fn fold(&mut self, node: NodeId, line: &str) {
+        self.nodes.entry(node.0).or_default().push(line);
+    }
+
+    /// Replay WAL records in order, stopping once `cap` accepted records
     /// have been taken (`None` = all of them).
-    pub(crate) fn replay(records: &[WalRecord], cap: Option<u64>) -> ReplayState {
-        let mut state = ReplayState::new();
+    pub(crate) fn replay(records: &[WalRecord], cap: Option<u64>) -> LiveState {
+        let mut state = LiveState::new();
         for rec in records {
-            if cap.is_some_and(|c| state.records >= c) {
+            if cap.is_some_and(|c| state.seq.records >= c) {
                 break;
             }
-            state.apply(rec);
+            if state.seq.apply(rec).is_some() {
+                state.fold(rec.node, &rec.line);
+            }
         }
         state
     }
 
-    /// The batch-pipeline snapshot of the accepted prefix.
-    pub(crate) fn snapshot(&self) -> Snapshot {
-        build_snapshot(&self.streams)
+    /// The snapshot `build_db` seals from the accepted prefix written as
+    /// one text log per node.
+    pub(crate) fn snapshot(&mut self) -> Snapshot {
+        snapshot_of(self.nodes.iter_mut().map(|(&id, carry)| (id, carry)))
     }
 }
 
 struct LiveInner {
     wal: Wal,
-    streams: BTreeMap<u32, NodeStream>,
-    records: u64,
-    crc: Crc32,
+    state: LiveState,
     catalog: Catalog,
     current_gen: u64,
     gen_records: u64,
-    duplicates: u64,
-    gaps: u64,
 }
 
 /// A live, streaming-ingest database: crash-consistent WAL in front,
@@ -376,30 +396,26 @@ impl LiveDb {
         std::fs::create_dir_all(dir).map_err(|e| DbError::io(dir, e))?;
         let lock = LiveLock::acquire(dir)?;
         let (wal, recovery) = Wal::open(dir)?;
-        let replay = ReplayState::replay(&recovery.records, None);
-        let records = replay.records;
+        let state = LiveState::replay(&recovery.records, None);
+        let records = state.seq.records;
 
         let catalog = Catalog::load(dir).unwrap_or_default();
         let mut inner = LiveInner {
             wal,
-            streams: replay.streams,
-            records,
-            crc: replay.crc,
+            state,
             catalog,
             current_gen: 0,
             gen_records: 0,
-            duplicates: replay.duplicates,
-            gaps: replay.gaps,
         };
 
         // Serve the cataloged generation only on an exact provenance
         // match; anything else (post-seal ingest, torn seal, stale or
         // damaged catalog, corrupt file) rebuilds from the WAL.
         let mut served_existing = false;
-        let stream_crc = inner.crc.finish();
+        let stream_crc = inner.state.seq.crc.finish();
         let adopt = inner.catalog.current.and_then(|cur| {
             let entry = inner.catalog.entry(cur)?.clone();
-            if entry.records != inner.records || entry.stream_crc != stream_crc {
+            if entry.records != records || entry.stream_crc != stream_crc {
                 return None;
             }
             let db = FaultDb::open(&dir.join(&entry.file)).ok()?;
@@ -458,38 +474,24 @@ impl LiveDb {
             // the batch-equivalence bijection.
             return Err(DbError::Query("record line contains a line break".into()));
         }
-        let mut inner = self.inner.lock();
-        let stream = inner.streams.entry(node.0).or_insert_with(|| NodeStream {
-            text: String::new(),
-            next_seq: 0,
-        });
-        if seq < stream.next_seq {
-            inner.duplicates += 1;
-            return Ok(IngestOutcome::Duplicate);
+        let mut guard = self.inner.lock();
+        let inner = &mut *guard;
+        let verdict = inner.state.seq.judge(node, seq);
+        if verdict != IngestOutcome::Accepted {
+            return Ok(verdict);
         }
-        if seq > stream.next_seq {
-            let expected = stream.next_seq;
-            inner.gaps += 1;
-            return Ok(IngestOutcome::Gap { expected });
-        }
-        stream.text.push_str(line);
-        stream.text.push('\n');
-        stream.next_seq += 1;
+        // Into the WAL buffer first: a record the WAL refuses leaves no
+        // trace in the accepted prefix or the carry state.
         let payload = inner.wal.append(node, seq, line)?;
-        inner.crc.update(&payload);
-        inner.records += 1;
-        Ok(IngestOutcome::Accepted)
+        inner.state.seq.accept(node, &payload);
+        inner.state.fold(node, line);
+        Ok(verdict)
     }
 
     /// Next sequence number expected from `node` — what a reconnecting
     /// client must resume from.
     pub fn next_seq(&self, node: NodeId) -> u64 {
-        self.inner
-            .lock()
-            .streams
-            .get(&node.0)
-            .map(|s| s.next_seq)
-            .unwrap_or(0)
+        self.inner.lock().state.seq.next_seq(node)
     }
 
     /// Write everything accepted so far to the WAL, where it survives a
@@ -498,8 +500,8 @@ impl LiveDb {
         self.inner.lock().wal.flush()
     }
 
-    /// Rebuild the generation from the full record set, publish it to
-    /// queries, persist the catalog, and rotate the WAL. Queries in
+    /// Seal a generation of the full record set from the carry states,
+    /// publish it to queries, persist the catalog, and rotate the WAL. Queries in
     /// flight keep their generation (snapshot isolation); new ones see
     /// the seal.
     pub fn seal(&self) -> Result<LiveStatus, DbError> {
@@ -508,10 +510,11 @@ impl LiveDb {
         // Nothing accepted since the last seal ⇒ the current generation
         // already covers the full record set; resealing would only grow
         // the directory with identical files.
+        let seq = &inner.state.seq;
         if inner
             .catalog
             .entry(inner.current_gen)
-            .is_some_and(|e| e.records == inner.records && e.stream_crc == inner.crc.finish())
+            .is_some_and(|e| e.records == seq.records && e.stream_crc == seq.crc.finish())
         {
             return Ok(status_of(&inner));
         }
@@ -566,12 +569,13 @@ impl LiveDb {
     pub fn seal_replica(&self, index: u64, records: u64, stream_crc: u32) -> Result<(), DbError> {
         let mut inner = self.inner.lock();
         inner.wal.flush()?;
-        if inner.records != records || inner.crc.finish() != stream_crc {
+        let seq = &inner.state.seq;
+        if seq.records != records || seq.crc.finish() != stream_crc {
             return Err(DbError::Diverged(format!(
                 "seal marker for gen {index} names {records} records crc {stream_crc:08x}, \
                  local state is {} records crc {:08x}",
-                inner.records,
-                inner.crc.finish()
+                seq.records,
+                seq.crc.finish()
             )));
         }
         if inner.current_gen == index
@@ -590,14 +594,15 @@ impl LiveDb {
 }
 
 fn status_of(inner: &LiveInner) -> LiveStatus {
+    let seq = &inner.state.seq;
     LiveStatus {
-        records: inner.records,
-        nodes: inner.streams.values().filter(|s| s.next_seq > 0).count() as u64,
+        records: seq.records,
+        nodes: seq.next.len() as u64,
         generation: inner.current_gen,
         gen_records: inner.gen_records,
-        stream_crc: inner.crc.finish(),
-        duplicates: inner.duplicates,
-        gaps: inner.gaps,
+        stream_crc: seq.crc.finish(),
+        duplicates: seq.duplicates,
+        gaps: seq.gaps,
         epoch: inner.catalog.epoch,
     }
 }
@@ -616,16 +621,16 @@ fn next_gen_index(dir: &Path, catalog: &Catalog) -> Result<u64, DbError> {
     Ok(max + 1)
 }
 
-/// Build the snapshot exactly as batch ingest would, write the
-/// generation file (atomically, via `write_db`'s tmp + rename), update
-/// and persist the catalog, and optionally rotate the WAL.
+/// Build the snapshot batch ingest would build from the carry states,
+/// write the generation file (atomically, via `write_db`'s tmp + rename),
+/// update and persist the catalog, and optionally rotate the WAL.
 fn seal_generation(
     dir: &Path,
     inner: &mut LiveInner,
     index: u64,
     rotate_wal: bool,
 ) -> Result<FaultDb, DbError> {
-    let snapshot = build_snapshot(&inner.streams);
+    let snapshot = inner.state.snapshot();
     let file = gen_file_name(index);
     let path = dir.join(&file);
     write_db(&snapshot, &path, &WriteOptions::default())?;
@@ -635,43 +640,18 @@ fn seal_generation(
     inner.catalog.generations.push(GenEntry {
         index,
         file,
-        records: inner.records,
-        stream_crc: inner.crc.finish(),
+        records: inner.state.seq.records,
+        stream_crc: inner.state.seq.crc.finish(),
     });
     inner.catalog.generations.sort_by_key(|g| g.index);
     inner.catalog.current = Some(index);
     inner.catalog.save(dir)?;
     inner.current_gen = index;
-    inner.gen_records = inner.records;
+    inner.gen_records = inner.state.seq.records;
     if rotate_wal {
         inner.wal.rotate()?;
     }
     Ok(db)
-}
-
-/// The batch pipeline, fed from in-memory streams instead of files.
-/// Mirrors `read_node_log_recovering` + `read_cluster_log_recovering`
-/// line by line: per-node `recover_text`, `files_read = 1`, node id
-/// fallback, stats merged in node order, logs sorted by node (free,
-/// since `BTreeMap<u32, _>` iterates sorted). No `.fsck.report` folding
-/// — the oracle is a *fresh* text directory, which has none.
-fn build_snapshot(streams: &BTreeMap<u32, NodeStream>) -> Snapshot {
-    let mut stats = IngestStats::default();
-    let mut logs: Vec<NodeLog> = Vec::new();
-    for (&node, stream) in streams {
-        if stream.next_seq == 0 {
-            continue;
-        }
-        let mut rec = recover_text(&stream.text);
-        rec.stats.files_read = 1;
-        if rec.log.node.is_none() {
-            rec.log.node = Some(NodeId(node));
-        }
-        stats.merge(&rec.stats);
-        logs.push(rec.log);
-    }
-    let cluster = ClusterLog::new(logs);
-    Snapshot::from_cluster(&cluster, stats)
 }
 
 // ---------------------------------------------------------------- fsck
@@ -1006,6 +986,27 @@ mod tests {
     }
 
     #[test]
+    fn a_record_the_wal_refuses_leaves_no_trace() {
+        let dir = tmpdir("refused");
+        let (live, _) = LiveDb::open(&dir).unwrap();
+        let node = n("01-01");
+        let oversized = "x".repeat(uc_faultlog::durable::MAX_FRAME_LEN as usize);
+        assert!(live.ingest(node, 0, &oversized).is_err());
+        assert_eq!(live.next_seq(node), 0, "no sequence number taken");
+        assert_eq!(
+            live.ingest(node, 0, &error_line("01-01", 60, "0xfffffffe"))
+                .unwrap(),
+            IngestOutcome::Accepted
+        );
+        live.ingest(n("01-02"), 0, &error_line("01-02", 60, "0xfffffffe"))
+            .unwrap();
+        let status = live.seal().unwrap();
+        assert_eq!((status.records, status.nodes), (2, 2));
+        assert_eq!(live.handle().current().rows(), 2);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn seal_then_reopen_serves_existing_generation_without_rebuild() {
         let dir = tmpdir("adopt");
         let (live, _) = LiveDb::open(&dir).unwrap();
@@ -1058,9 +1059,9 @@ mod tests {
 
     #[test]
     fn hostile_errorrun_count_does_not_stall_a_seal() {
-        // Pushed lines are stored unparsed and every seal re-recovers them
-        // all, so one hostile count would stall every later seal if runs
-        // were expanded or their counts wrapped a sum. It is a
+        // Every pushed line is recovered and folded into its node's carry
+        // state, so one hostile count would stall ingest and every seal if
+        // runs were expanded or their counts wrapped a sum. It is a
         // `bad_number` drop; the two real errors seal as two faults.
         let dir = tmpdir("hostile-count");
         let (live, _) = LiveDb::open(&dir).unwrap();

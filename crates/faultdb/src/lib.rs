@@ -44,7 +44,8 @@
 //! * [`wal`] — the streaming write-ahead log: CRC-framed durable
 //!   segments holding every accepted record, replayable after any crash.
 //! * [`catalog`] — the live database: WAL replay, generation sealing
-//!   through the identical batch pipeline (so live answers are
+//!   from per-node carry states that fold each line as it arrives
+//!   through the batch pipeline's own accumulators (so live answers are
 //!   byte-identical to batch answers), the generation catalog, and
 //!   `fsck` for live directories.
 //! * [`lock`] — the PID-stamped `LOCK` that keeps a live directory
@@ -63,6 +64,7 @@
 
 pub mod build;
 pub mod cache;
+mod carry;
 pub mod catalog;
 pub mod days;
 pub mod db;

@@ -5,8 +5,8 @@
 //! same block discovered by a background scrub is a non-event — because
 //! the WAL is the record of truth and every generation is a disposable
 //! index over it, a damaged generation is **repaired by resealing from
-//! the WAL** through the identical batch pipeline, reproducing the
-//! original file byte for byte.
+//! the WAL** — replayed into the same per-node carry states a live seal
+//! reads — reproducing the original file byte for byte.
 //!
 //! One scrub pass, under the directory's PID lock:
 //!
@@ -36,7 +36,7 @@ use std::time::{Duration, Instant};
 
 use uc_faultlog::durable::scan_segment_slices;
 
-use crate::catalog::{gen_is_valid, quarantine, Catalog, ReplayState};
+use crate::catalog::{gen_is_valid, quarantine, Catalog, LiveState};
 use crate::error::DbError;
 use crate::format::{write_db, WriteOptions};
 use crate::lock::LiveLock;
@@ -254,8 +254,8 @@ fn rebuild_generation(
     records: &[WalRecord],
     entry: &crate::catalog::GenEntry,
 ) -> Result<Option<u64>, DbError> {
-    let replay = ReplayState::replay(records, Some(entry.records));
-    if replay.records != entry.records || replay.crc.finish() != entry.stream_crc {
+    let mut replay = LiveState::replay(records, Some(entry.records));
+    if replay.seq.records != entry.records || replay.seq.crc.finish() != entry.stream_crc {
         return Ok(None);
     }
     let snapshot = replay.snapshot();

@@ -43,9 +43,9 @@ pub use fsck::{
 pub use io::{with_retry, FlakyIo, Io, RetryPolicy, StdIo};
 pub use manifest::{read_manifest, write_manifest, Manifest, ManifestEntry, MANIFEST_NAME};
 pub use segment::{
-    encode_frame, scan_segment_bytes, scan_segment_slices, write_frame, FrameDamage, FrameEvent,
-    FrameReader, SealedSegment, SegmentScan, SegmentScanRef, SegmentWriter, FRAME_HEADER_LEN,
-    MAGIC, MAX_FRAME_LEN,
+    encode_frame, frame_at, push_frame, scan_segment_bytes, scan_segment_slices, write_frame,
+    FrameDamage, FrameEvent, FrameReader, SealedSegment, SegmentScan, SegmentScanRef,
+    SegmentWriter, FRAME_HEADER_LEN, MAGIC, MAX_FRAME_LEN,
 };
 
 /// A durability failure: typed, recoverable, and never a panic. Campaigns

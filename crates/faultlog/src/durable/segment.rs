@@ -34,15 +34,43 @@ pub const MAX_FRAME_LEN: u32 = 16 * 1024 * 1024;
 
 /// Encode one payload as a frame (header + bytes).
 pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
+    push_frame(&mut out, payload);
+    out
+}
+
+/// Append one payload, encoded as a frame, to `out`.
+pub fn push_frame(out: &mut Vec<u8>, payload: &[u8]) {
     assert!(
         payload.len() as u64 <= MAX_FRAME_LEN as u64,
         "frame payload exceeds MAX_FRAME_LEN"
     );
-    let mut out = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     out.extend_from_slice(&crc32(payload).to_le_bytes());
     out.extend_from_slice(payload);
-    out
+}
+
+/// The payload of the frame `bytes` begins with; the frame spans
+/// [`FRAME_HEADER_LEN`] more bytes than the payload. A frame cut short
+/// ([`FrameDamage::TornHeader`], [`FrameDamage::TornPayload`]) may still
+/// be completed by a writer appending to the file; the other kinds of
+/// damage are final.
+pub fn frame_at(bytes: &[u8]) -> Result<&[u8], FrameDamage> {
+    if bytes.len() < FRAME_HEADER_LEN {
+        return Err(FrameDamage::TornHeader);
+    }
+    let len = u32::from_le_bytes(bytes[0..4].try_into().unwrap());
+    let crc = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
+    if len > MAX_FRAME_LEN {
+        return Err(FrameDamage::BadLength);
+    }
+    let Some(payload) = bytes[FRAME_HEADER_LEN..].get(..len as usize) else {
+        return Err(FrameDamage::TornPayload);
+    };
+    if crc32(payload) != crc {
+        return Err(FrameDamage::BadChecksum);
+    }
+    Ok(payload)
 }
 
 /// Why a scan stopped before the end of the file.
@@ -148,25 +176,13 @@ pub fn scan_segment_slices(bytes: &[u8]) -> SegmentScanRef<'_> {
         if pos == bytes.len() {
             break None;
         }
-        if bytes.len() - pos < FRAME_HEADER_LEN {
-            break Some(FrameDamage::TornHeader);
+        match frame_at(&bytes[pos..]) {
+            Ok(payload) => {
+                payloads.push(payload);
+                pos += FRAME_HEADER_LEN + payload.len();
+            }
+            Err(damage) => break Some(damage),
         }
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap());
-        let crc = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().unwrap());
-        if len > MAX_FRAME_LEN {
-            break Some(FrameDamage::BadLength);
-        }
-        let body_start = pos + FRAME_HEADER_LEN;
-        let body_end = body_start + len as usize;
-        if body_end > bytes.len() {
-            break Some(FrameDamage::TornPayload);
-        }
-        let payload = &bytes[body_start..body_end];
-        if crc32(payload) != crc {
-            break Some(FrameDamage::BadChecksum);
-        }
-        payloads.push(payload);
-        pos = body_end;
     };
     SegmentScanRef {
         payloads,

@@ -241,8 +241,15 @@ pub struct Recovered {
 /// line counting, torn-tail attribution, duplicate-marker suppression,
 /// session tracking and out-of-order detection all fold into the same
 /// walk that parses the line.
-#[derive(Default)]
-struct LineRecovery {
+///
+/// The batch readers ([`recover_text`], [`read_node_log_recovering`])
+/// feed a whole file and sort once at the end. A live stream feeds it
+/// one line at a time through [`LineRecovery::push_line`], and reads the
+/// recovered node log whenever it needs it: the entries are sorted as
+/// [`NodeLog::from_entries`] sorts them on demand, and only when a line
+/// arrived out of order since the last sort.
+#[derive(Clone, Debug, Default)]
+pub struct LineRecovery {
     stats: IngestStats,
     entries: Vec<LogEntry>,
     /// Raw bytes of the last kept line *when it was a session marker*
@@ -255,9 +262,81 @@ struct LineRecovery {
     /// also covers the later records of a run kept whole).
     max_first: Option<uc_simclock::SimTime>,
     in_session: bool,
+    /// A live stream kept an entry earlier than one kept before it, and
+    /// the entries have not been sorted since.
+    unsorted: bool,
+}
+
+/// What [`LineRecovery::push_line`] did with a line it kept.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Kept<'a> {
+    /// The entry extends the sorted log: every entry kept so far is in
+    /// the order [`NodeLog::from_entries`] puts them, this one last.
+    InOrder(&'a LogEntry),
+    /// The entries are out of order until the next
+    /// [`LineRecovery::sorted_entries`].
+    OutOfOrder,
+}
+
+/// The lines of one pushed record or durable frame payload: split at
+/// `\n`, one trailing `\r` stripped from each — the lines a text file
+/// holding the record as its own newline-terminated line yields.
+pub fn record_lines(record: &str) -> impl Iterator<Item = &str> {
+    record
+        .split('\n')
+        .map(|piece| piece.strip_suffix('\r').unwrap_or(piece))
 }
 
 impl LineRecovery {
+    /// Account one newline-terminated line of a live stream and keep its
+    /// entry, if any. `None` when the line was dropped.
+    pub fn push_line(&mut self, line: &str) -> Option<Kept<'_>> {
+        let (kept_before, mark) = (self.entries.len(), self.max_first);
+        self.line(line, false);
+        let entry = self.entries.get(kept_before)?;
+        if mark.is_some_and(|mark| entry.first_time() < mark) {
+            self.unsorted = true;
+        }
+        Some(if self.unsorted {
+            Kept::OutOfOrder
+        } else {
+            Kept::InOrder(entry)
+        })
+    }
+
+    /// Accounting so far (`files_read` is the caller's to set).
+    pub fn stats(&self) -> &IngestStats {
+        &self.stats
+    }
+
+    /// Whether the entries are in the order [`NodeLog::from_entries`]
+    /// puts them.
+    pub fn is_sorted(&self) -> bool {
+        !self.unsorted
+    }
+
+    /// The kept entries, stable-sorted by first time as
+    /// [`NodeLog::from_entries`] sorts them.
+    pub fn sorted_entries(&mut self) -> &[LogEntry] {
+        if self.unsorted {
+            self.entries.sort_by_key(LogEntry::first_time);
+            self.unsorted = false;
+        }
+        &self.entries
+    }
+
+    /// The node the earliest kept entry names (the first such entry, as
+    /// the stable sort has it): the recovered log's node before any
+    /// file-name fallback.
+    pub fn node(&self) -> Option<NodeId> {
+        let earliest = if self.unsorted {
+            self.entries.iter().min_by_key(|e| e.first_time())
+        } else {
+            self.entries.first()
+        };
+        earliest.map(LogEntry::node)
+    }
+
     /// Account one line. `final_unterminated` marks the last line of a
     /// file that does not end in a newline: only such a line's parse
     /// failure is attributed to truncation rather than damage.
@@ -468,9 +547,8 @@ impl LineRecovery {
     /// torn tails are accounted by the caller from the segment scan.
     fn feed_payload(&mut self, payload: &[u8]) {
         let text = String::from_utf8_lossy(payload);
-        for piece in text.split('\n') {
-            let piece = piece.strip_suffix('\r').unwrap_or(piece);
-            self.line(piece, false);
+        for line in record_lines(&text) {
+            self.line(line, false);
         }
     }
 
@@ -809,6 +887,46 @@ mod tests {
             .map(|e| e.first_time().as_secs())
             .collect();
         assert_eq!(times, vec![10, 50, 60], "entries re-sorted");
+    }
+
+    #[test]
+    fn pushed_lines_recover_as_the_text_does_after_every_line() {
+        let lines = [
+            "START t=0 node=01-01 alloc=1 temp=NA",
+            "END t=50 node=01-01 temp=NA",
+            "END t=50 node=01-01 temp=NA",
+            "ERROR t=10 node=02-02 vaddr=0x10 page=0x1 expected=0xffffffff \
+             actual=0xfffffffe temp=NA",
+            "",
+            "JUNK",
+            "END t=10 node=01-01 temp=NA",
+            "END t=60 node=01-01 temp=NA",
+            "START t=-5 node=01-03 alloc=1 temp=NA",
+        ];
+        let mut live = LineRecovery::default();
+        let mut text = String::new();
+        for (i, line) in lines.iter().enumerate() {
+            let kept = match live.push_line(line) {
+                None => "dropped",
+                Some(Kept::InOrder(_)) => "in order",
+                Some(Kept::OutOfOrder) => "out of order",
+            };
+            let want = match i {
+                2 | 4 | 5 => "dropped",
+                3 | 6 | 8 => "out of order",
+                _ => "in order",
+            };
+            assert_eq!(kept, want, "line {i}");
+            text.push_str(line);
+            text.push('\n');
+            let batch = recover_text(&text);
+            assert_eq!(*live.stats(), batch.stats, "line {i}");
+            assert_eq!(live.node(), batch.log.node, "line {i}");
+            assert_eq!(live.sorted_entries(), batch.log.entries(), "line {i}");
+            assert!(live.is_sorted());
+        }
+        let pieces: Vec<&str> = record_lines("a\r\nb\n\r").collect();
+        assert_eq!(pieces, vec!["a", "b", ""]);
     }
 
     #[test]

@@ -40,6 +40,7 @@ LOWER_IS_BETTER = (
     "direct_path_e2e_seconds",
     "serve_p99_us",
     "query_mix_cpu_us",
+    "live_seal_cpu_us",
 )
 
 
