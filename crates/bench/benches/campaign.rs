@@ -37,6 +37,10 @@
 //!   `LiveDb` ingesting the catch-up corpus (4 nodes × 10,000 lines,
 //!   interleaved) with a seal every 1,000 records and one at the end:
 //!   the live write path, carry-state folds and seals included;
+//! * `push_session_cpu_us` — process CPU µs per line, less the pushing
+//!   thread's own, of the catch-up corpus pushed round-robin through
+//!   `stream_lines` into an `IngestServer` in 8-line sessions, each on a
+//!   fresh connection: the ingest wire and WAL append path;
 //! * `policy_days_per_sec` — mitigation policy replay throughput: total
 //!   policy-days (simulated days × policies compared) per second of the
 //!   full five-policy `uc policy` comparison over the sealed campaign,
@@ -54,8 +58,9 @@ use std::hint::black_box;
 
 use uc_cluster::NodeId;
 use uc_faultdb::{
-    build_db, Client, Engine, FaultDb, FileEncoding, IngestConfig, IngestServer, LiveDb,
-    QueryOptions, ReplicaConfig, Replication, Role, ServeConfig, Server, WriteOptions,
+    build_db, stream_lines, Client, Engine, FaultDb, FileEncoding, IngestConfig, IngestServer,
+    LiveDb, QueryOptions, ReplicaConfig, Replication, Role, ServeConfig, Server, StreamOptions,
+    WriteOptions,
 };
 use uc_faultlog::files::write_cluster_log;
 use uc_faultlog::ingest::{read_cluster_log_recovering, recover_log};
@@ -130,6 +135,17 @@ fn serve_p99_us(db_path: &Path, quick: bool) -> f64 {
 /// CPU time the whole process has used so far, in seconds: every thread,
 /// so the pool workers a query fans out to are charged to it.
 fn process_cpu_seconds() -> f64 {
+    const CLOCK_PROCESS_CPUTIME_ID: i32 = 2;
+    clock_seconds(CLOCK_PROCESS_CPUTIME_ID)
+}
+
+/// CPU time the calling thread has used so far, in seconds.
+fn thread_cpu_seconds() -> f64 {
+    const CLOCK_THREAD_CPUTIME_ID: i32 = 3;
+    clock_seconds(CLOCK_THREAD_CPUTIME_ID)
+}
+
+fn clock_seconds(clock: i32) -> f64 {
     #[repr(C)]
     struct Timespec {
         sec: i64,
@@ -138,13 +154,12 @@ fn process_cpu_seconds() -> f64 {
     extern "C" {
         fn clock_gettime(clock: i32, ts: *mut Timespec) -> i32;
     }
-    const CLOCK_PROCESS_CPUTIME_ID: i32 = 2;
     let mut ts = Timespec { sec: 0, nsec: 0 };
     // SAFETY: `ts` is a live, writable value laid out as the C `struct
     // timespec` of 64-bit Linux (two `long`s), and `clock_gettime` writes
     // only within it.
-    let rc = unsafe { clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &mut ts) };
-    assert_eq!(rc, 0, "clock_gettime(CLOCK_PROCESS_CPUTIME_ID)");
+    let rc = unsafe { clock_gettime(clock, &mut ts) };
+    assert_eq!(rc, 0, "clock_gettime({clock})");
     ts.sec as f64 + ts.nsec as f64 * 1e-9
 }
 
@@ -292,6 +307,50 @@ fn live_seal_cpu_us(base: &Path, quick: bool) -> f64 {
     best * 1e6
 }
 
+/// Process CPU µs per line of push sessions, the pushing thread's own CPU
+/// taken out: a fresh `LiveDb` behind `IngestServer::start` (default
+/// config) receives the catch-up corpus (4 nodes × 10,000 lines)
+/// round-robin through `stream_lines`, 8 lines per session and a fresh
+/// connection per session, the shape of perfbench `live`'s node-day
+/// sessions. What is left is the server side of the wire: accepts, frame
+/// reads, WAL appends and acks. Best of 3 passes; quick mode runs the
+/// same corpus once.
+fn push_session_cpu_us(base: &Path, quick: bool) -> f64 {
+    const PER_NODE: usize = 10_000;
+    const SESSION: usize = 8;
+    let corpus: Vec<(NodeId, Vec<String>)> = CATCHUP_NODES
+        .iter()
+        .enumerate()
+        .map(|(i, name)| {
+            let lines = (0..PER_NODE).map(|k| catchup_line(i, k)).collect();
+            (NodeId::from_name(name).unwrap(), lines)
+        })
+        .collect();
+    let opts = StreamOptions::default();
+    let mut best = f64::INFINITY;
+    for pass in 0..if quick { 1 } else { 3 } {
+        let dir = base.join(format!("push-session-{pass}"));
+        let (live, _) = LiveDb::open(&dir).unwrap();
+        let live = Arc::new(live);
+        let server = IngestServer::start(Arc::clone(&live), &IngestConfig::default()).unwrap();
+        let addr = server.local_addr();
+        let (cpu0, own0) = (process_cpu_seconds(), thread_cpu_seconds());
+        for end in (SESSION..=PER_NODE).step_by(SESSION) {
+            for (node, lines) in &corpus {
+                let r = stream_lines(addr, *node, &lines[..end], &opts, None).unwrap();
+                assert_eq!(r.acked, end as u64, "push session not fully acked");
+            }
+        }
+        let cpu = (process_cpu_seconds() - cpu0) - (thread_cpu_seconds() - own0);
+        best = best.min(cpu / (PER_NODE * corpus.len()) as f64);
+        server.shutdown();
+        server.join();
+        drop(live);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    best * 1e6
+}
+
 /// Mitigation policy replay throughput: the full five-policy
 /// comparison (`uc policy` with `--policy all`) over the sealed
 /// campaign, including the read and day split that feed it.
@@ -429,6 +488,7 @@ fn emit_trajectory(quick: bool) {
     let mix_cpu_us = query_mix_cpu_us(&base.join("direct-0.ucfdb"));
     let catchup = catchup_mb_per_sec(&base, quick);
     let live_seal_us = live_seal_cpu_us(&base, quick);
+    let push_session_us = push_session_cpu_us(&base, quick);
     let policy_dps = policy_days_per_sec(&base.join("direct-0.ucfdb"), quick);
 
     let json = format!(
@@ -447,6 +507,7 @@ fn emit_trajectory(quick: bool) {
          \"query_mix_cpu_us\": {mix_cpu_us:.1},\n  \
          \"catchup_mb_per_sec\": {catchup:.2},\n  \
          \"live_seal_cpu_us\": {live_seal_us:.2},\n  \
+         \"push_session_cpu_us\": {push_session_us:.2},\n  \
          \"policy_days_per_sec\": {policy_dps:.0}\n}}\n",
         rows as f64 / direct_best,
         text_best / direct_best,

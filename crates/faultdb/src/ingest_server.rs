@@ -16,6 +16,22 @@
 //! BYE                 flush + close                 → ACK <next-seq>
 //! ```
 //!
+//! [`stream_lines`] sends each message group in one write, and its final
+//! batch carries the parting command in place of `FLUSH`. A session of
+//! `n` lines with batch `b` reads, one row per write:
+//!
+//! ```text
+//! UCSEG1 HELLO            → UCSEG1 ACK   (the server's magic rides its first reply)
+//! REC ×b FLUSH            → ACK          (while more than b lines remain)
+//! REC ×rest BYE|SEAL      → ACK
+//! ```
+//!
+//! so up to `b` lines cost two round trips. The server still accepts the
+//! `FLUSH`-then-`BYE` ending that older clients send. It writes through
+//! one buffer and flushes each reply, so it says nothing before it has
+//! read a command: **a client sends its magic and first frame before it
+//! reads.**
+//!
 //! Server payloads are `ACK <next-seq>` or `ERR <kind>: <message>`. The
 //! `ACK` is the *only* durability signal: it is sent after the WAL
 //! write, never before, and it carries the server's cursor. The write is
@@ -35,7 +51,7 @@
 //! the segment format, and any damaged frame ends the connection with a
 //! typed error — the stream past unverifiable bytes is unverifiable too.
 
-use std::io::{self, BufReader, Read, Write};
+use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -44,7 +60,7 @@ use std::time::Duration;
 
 use uc_cluster::NodeId;
 use uc_faultlog::chaos::{ChaosStream, NetChaosConfig, NetChaosTally};
-use uc_faultlog::durable::{write_frame, FrameEvent, FrameReader, RetryPolicy, MAGIC};
+use uc_faultlog::durable::{push_frame, write_frame, FrameEvent, FrameReader, RetryPolicy, MAGIC};
 
 use crate::catalog::{IngestOutcome, LiveDb};
 use crate::error::{retryable, DbError};
@@ -180,7 +196,9 @@ fn ack(w: &mut impl Write, next_seq: u64) -> io::Result<()> {
 
 fn handle_session(inner: &Inner, stream: &TcpStream) {
     inner.sessions.fetch_add(1, Ordering::Relaxed);
-    let mut writer = stream;
+    // Buffered, so the magic leaves with the first reply (an ACK, a
+    // SYNCOK or a refusal); every reply flushes.
+    let mut writer = BufWriter::new(stream);
     if writer.write_all(MAGIC).is_err() {
         return;
     }
@@ -408,7 +426,8 @@ impl Write for Wire {
 /// Client-side streaming knobs.
 #[derive(Clone, Debug)]
 pub struct StreamOptions {
-    /// Records pushed between FLUSH/ACK checkpoints.
+    /// Records per message group: each group is one write ending in
+    /// `FLUSH` (the last in the parting command) and is acked once.
     pub batch: usize,
     /// Reconnect policy: `max_attempts` connection attempts with no
     /// cursor progress before giving up, with bounded exponential
@@ -499,6 +518,13 @@ fn read_reply(wire: &mut Wire) -> io::Result<Result<u64, (String, String)>> {
 /// only once every record is acked, i.e. written to the server's WAL and
 /// fsynced at its next seal (plus the final seal, if requested) — or a
 /// hard, typed failure.
+///
+/// Each message group is one write: magic and `HELLO`, then each batch
+/// of `REC` frames with its `FLUSH`. The final batch carries the parting
+/// command (`BYE`, or `SEAL` under `seal_at_end`) in place of `FLUSH`,
+/// and its ACK must equal the pushed end: a lower cursor reconnects and
+/// resumes, a higher one is a hard error. A parting command with no
+/// records before it accepts any ACK.
 pub fn stream_lines(
     addr: SocketAddr,
     node: NodeId,
@@ -605,13 +631,10 @@ fn attempt(
         };
     }
 
-    if let Err(e) = wire.write_all(MAGIC) {
-        soft!(e);
-    }
-    if let Err(e) = write_frame(&mut wire, format!("HELLO {node}").as_bytes()) {
-        soft!(e);
-    }
-    if let Err(e) = wire.flush() {
+    // Every message group is encoded into `out` and leaves in one write.
+    let mut out = MAGIC.to_vec();
+    push_frame(&mut out, format!("HELLO {node}").as_bytes());
+    if let Err(e) = send(&mut wire, &out) {
         soft!(e);
     }
     match FrameReader::new(&mut wire).expect_magic() {
@@ -641,48 +664,58 @@ fn attempt(
     }
 
     let batch = opts.batch.max(1);
+    let parting: &[u8] = if opts.seal_at_end { b"SEAL" } else { b"BYE" };
     let mut i = *cursor as usize;
-    while i < lines.len() {
+    loop {
         let upto = (i + batch).min(lines.len());
+        // The final batch ends with the parting command instead of FLUSH,
+        // so a session of up to `batch` lines costs two round trips.
+        let last = upto == lines.len();
+        out.clear();
         for (seq, line) in lines.iter().enumerate().take(upto).skip(i) {
-            if let Err(e) = write_frame(&mut wire, format!("REC {seq} {line}").as_bytes()) {
-                soft!(e);
-            }
+            push_frame(&mut out, format!("REC {seq} {line}").as_bytes());
         }
-        if let Err(e) = write_frame(&mut wire, b"FLUSH") {
+        push_frame(&mut out, if last { parting } else { b"FLUSH" });
+        if let Err(e) = send(&mut wire, &out) {
             soft!(e);
         }
-        if let Err(e) = wire.flush() {
-            soft!(e);
-        }
-        match read_reply(&mut wire) {
-            Ok(Ok(next)) => {
-                if next < *cursor || next > upto as u64 {
-                    return AttemptEnd::Hard(DbError::Query(format!(
-                        "server cursor moved {} → {next}, outside the batch we pushed",
-                        *cursor
-                    )));
-                }
-                *cursor = next;
-                i = next as usize;
-            }
+        let next = match read_reply(&mut wire) {
+            Ok(Ok(next)) => next,
             Ok(Err((kind, msg))) => return classify_err(&kind, &msg),
             Err(e) => soft!(e),
+        };
+        if i >= upto {
+            // A parting command with no records (a control session, or
+            // every record acked already) accepts any cursor.
+            return AttemptEnd::Done;
         }
+        if next < *cursor || next > upto as u64 {
+            return AttemptEnd::Hard(DbError::Query(format!(
+                "server cursor moved {} → {next}, outside the batch we pushed",
+                *cursor
+            )));
+        }
+        *cursor = next;
+        if last {
+            if next == upto as u64 {
+                return AttemptEnd::Done;
+            }
+            // Not every record was acked: reconnect and resume from the
+            // next HELLO's cursor.
+            soft!(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                format!("server acked {next} of {upto} records on the parting command"),
+            ));
+        }
+        i = next as usize;
     }
+}
 
-    let parting: &[u8] = if opts.seal_at_end { b"SEAL" } else { b"BYE" };
-    if let Err(e) = write_frame(&mut wire, parting) {
-        soft!(e);
-    }
-    if let Err(e) = wire.flush() {
-        soft!(e);
-    }
-    match read_reply(&mut wire) {
-        Ok(Ok(_)) => AttemptEnd::Done,
-        Ok(Err((kind, msg))) => classify_err(&kind, &msg),
-        Err(e) => AttemptEnd::Soft(e),
-    }
+/// Write one encoded message group: a single write call, so the server
+/// wakes once per group rather than once per frame.
+fn send(wire: &mut Wire, group: &[u8]) -> io::Result<()> {
+    wire.write_all(group)?;
+    wire.flush()
 }
 
 // --------------------------------------------------------------- selftest
@@ -790,7 +823,7 @@ pub fn ingest_selftest(
             let name = format!("{:02}-{:02}", 1 + c / 8, 1 + c % 8);
             let lines = synthetic_lines(&name, c, records_per_client);
             let opts = StreamOptions {
-                batch: 16,
+                batch: 4,
                 retry: RetryPolicy {
                     max_attempts: 50,
                     base_delay: Duration::from_millis(2),
@@ -1134,6 +1167,177 @@ mod tests {
         let report = ingest_selftest(&dir, 3, 42).unwrap();
         assert_eq!(report.mismatches, 0, "{report:?}");
         assert_eq!(report.records_acked, report.records_sent, "{report:?}");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A bare listener standing in for the ingest server. Connection `c`
+    /// answers its `HELLO` and each terminator (`FLUSH`, `BYE`, `SEAL`)
+    /// with the next cursor of `acks[c]`, and closes when a command finds
+    /// the script used up. The handle yields every frame each connection
+    /// sent, `REC` frames cut to `REC <seq>`.
+    fn scripted_server(acks: Vec<Vec<u64>>) -> (SocketAddr, JoinHandle<Vec<Vec<String>>>) {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        listener.set_nonblocking(true).unwrap();
+        let handle = thread::spawn(move || {
+            let mut sessions = Vec::new();
+            for script in acks {
+                // A client that never comes back ends the script.
+                let deadline = std::time::Instant::now() + Duration::from_secs(5);
+                let stream = loop {
+                    match listener.accept() {
+                        Ok((s, _)) => break s,
+                        Err(_) if std::time::Instant::now() < deadline => {
+                            thread::sleep(Duration::from_millis(1));
+                        }
+                        Err(_) => return sessions,
+                    }
+                };
+                stream.set_nonblocking(false).unwrap();
+                stream
+                    .set_read_timeout(Some(Duration::from_secs(5)))
+                    .unwrap();
+                let mut reader = FrameReader::new(BufReader::new(stream.try_clone().unwrap()));
+                assert!(reader.expect_magic().unwrap());
+                let mut writer = BufWriter::new(stream);
+                writer.write_all(MAGIC).unwrap();
+                let mut script = script.into_iter();
+                let mut frames = Vec::new();
+                while let Ok(FrameEvent::Frame(p)) = reader.next_frame() {
+                    let text = String::from_utf8(p).unwrap();
+                    let replies = text.starts_with("HELLO ")
+                        || matches!(text.as_str(), "FLUSH" | "BYE" | "SEAL");
+                    frames.push(match text.strip_prefix("REC ") {
+                        Some(rest) => format!("REC {}", rest.split(' ').next().unwrap()),
+                        None => text,
+                    });
+                    if replies {
+                        let Some(next) = script.next() else { break };
+                        ack(&mut writer, next).unwrap();
+                    }
+                }
+                sessions.push(frames);
+            }
+            sessions
+        });
+        (addr, handle)
+    }
+
+    /// The frames a session sends: `HELLO`, `REC` for each of `seqs`,
+    /// with `terminators` spliced in after the given record counts.
+    fn frames(seqs: std::ops::Range<u64>, terminators: &[(u64, &str)]) -> Vec<String> {
+        let mut out = vec!["HELLO 01-01".to_string()];
+        for seq in seqs.clone() {
+            out.push(format!("REC {seq}"));
+            for (after, t) in terminators {
+                if seq + 1 == *after {
+                    out.push(t.to_string());
+                }
+            }
+        }
+        if seqs.is_empty() {
+            out.extend(terminators.iter().map(|(_, t)| t.to_string()));
+        }
+        out
+    }
+
+    fn scripted_opts(batch: usize, seal_at_end: bool) -> StreamOptions {
+        StreamOptions {
+            batch,
+            seal_at_end,
+            retry: RetryPolicy {
+                max_attempts: 3,
+                base_delay: Duration::from_millis(1),
+                max_delay: Duration::from_millis(5),
+            },
+            chaos: None,
+        }
+    }
+
+    #[test]
+    fn a_session_of_up_to_batch_lines_is_two_round_trips() {
+        for count in [1u64, 4] {
+            let (addr, server) = scripted_server(vec![vec![0, count]]);
+            let lines = &error_lines("01-01", 4)[..count as usize];
+            let r = stream_lines(addr, n("01-01"), lines, &scripted_opts(4, false), None).unwrap();
+            assert_eq!((r.acked, r.connects), (count, 1));
+            let sent = server.join().unwrap();
+            assert_eq!(sent, vec![frames(0..count, &[(count, "BYE")])]);
+        }
+    }
+
+    #[test]
+    fn a_session_one_past_batch_flushes_once_then_parts() {
+        let (addr, server) = scripted_server(vec![vec![0, 4, 5]]);
+        let lines = error_lines("01-01", 3);
+        let r = stream_lines(addr, n("01-01"), &lines, &scripted_opts(4, false), None).unwrap();
+        assert_eq!((r.acked, r.connects), (5, 1));
+        assert_eq!(
+            server.join().unwrap(),
+            vec![frames(0..5, &[(4, "FLUSH"), (5, "BYE")])]
+        );
+    }
+
+    #[test]
+    fn seal_at_end_parts_with_seal() {
+        let (addr, server) = scripted_server(vec![vec![0, 3]]);
+        let lines = error_lines("01-01", 1);
+        let r = stream_lines(addr, n("01-01"), &lines, &scripted_opts(4, true), None).unwrap();
+        assert_eq!((r.acked, r.connects), (3, 1));
+        assert_eq!(server.join().unwrap(), vec![frames(0..3, &[(3, "SEAL")])]);
+
+        // A control session: no records, so any cursor is accepted.
+        let (addr, server) = scripted_server(vec![vec![9, 9]]);
+        let r = stream_lines(addr, n("01-01"), &[], &scripted_opts(4, true), None).unwrap();
+        assert_eq!(r.connects, 1);
+        assert_eq!(server.join().unwrap(), vec![frames(0..0, &[(0, "SEAL")])]);
+    }
+
+    #[test]
+    fn a_parting_ack_short_of_the_end_resumes_and_past_it_fails_hard() {
+        let lines = error_lines("01-01", 3);
+        let (addr, server) = scripted_server(vec![vec![0, 2], vec![2, 5]]);
+        let r = stream_lines(addr, n("01-01"), &lines, &scripted_opts(64, false), None).unwrap();
+        assert_eq!((r.acked, r.connects), (5, 2));
+        assert_eq!(
+            server.join().unwrap(),
+            vec![frames(0..5, &[(5, "BYE")]), frames(2..5, &[(5, "BYE")])]
+        );
+
+        let (addr, server) = scripted_server(vec![vec![0, 7]]);
+        let err = stream_lines(addr, n("01-01"), &lines, &scripted_opts(64, false), None)
+            .expect_err("a cursor past the pushed end must fail");
+        assert!(err.to_string().contains("outside the batch"), "{err}");
+        assert_eq!(
+            server.join().unwrap().len(),
+            1,
+            "no reconnect after a hard error"
+        );
+    }
+
+    #[test]
+    fn the_flush_then_bye_ending_of_older_clients_is_still_acked() {
+        let dir = tmpdir("oldclient");
+        let (live, server) = start_pair(&dir, &IngestConfig::default());
+        let lines = error_lines("01-01", 1);
+        let mut wire = Wire::Plain(TcpStream::connect(server.local_addr()).unwrap());
+        wire.write_all(MAGIC).unwrap();
+        write_frame(&mut wire, b"HELLO 01-01").unwrap();
+        wire.flush().unwrap();
+        assert!(FrameReader::new(&mut wire).expect_magic().unwrap());
+        assert_eq!(read_reply(&mut wire).unwrap(), Ok(0));
+        for (seq, line) in lines.iter().enumerate() {
+            write_frame(&mut wire, format!("REC {seq} {line}").as_bytes()).unwrap();
+        }
+        write_frame(&mut wire, b"FLUSH").unwrap();
+        wire.flush().unwrap();
+        assert_eq!(read_reply(&mut wire).unwrap(), Ok(3));
+        write_frame(&mut wire, b"BYE").unwrap();
+        wire.flush().unwrap();
+        assert_eq!(read_reply(&mut wire).unwrap(), Ok(3));
+        assert_eq!(live.next_seq(n("01-01")), 3);
+        server.shutdown();
+        server.join();
         fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -783,12 +783,10 @@ fn sync_once(
         0,
         0,
     );
+    let mut handshake = MAGIC.to_vec();
+    push_frame(&mut handshake, sync.as_bytes());
     let wire = link.get_mut();
-    if let Err(e) = wire
-        .write_all(MAGIC)
-        .and_then(|()| write_frame(wire, sync.as_bytes()))
-        .and_then(|()| wire.flush())
-    {
+    if let Err(e) = wire.write_all(&handshake).and_then(|()| wire.flush()) {
         soft!("handshake write: {e}");
     }
     match FrameReader::new(&mut link).expect_magic() {
