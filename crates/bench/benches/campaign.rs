@@ -31,6 +31,9 @@
 //!   seven query kinds run in process through `Engine::query` on a warm
 //!   block cache (the read path's plan → decode → kernel → merge, with
 //!   the worker pool's fan-out charged to it);
+//! * `serve_cpu_us` — process CPU time per query of the same mix sent
+//!   through the TCP serving layer by one paced client, whose own CPU is
+//!   taken out: the CPU-time counterpart of `serve_p99_us`;
 //! * `catchup_mb_per_sec` — WAL-shipping throughput of a fresh replica
 //!   catching up to a sealed primary over loopback;
 //! * `live_seal_cpu_us` — process CPU µs per record of a fresh
@@ -59,8 +62,8 @@ use std::hint::black_box;
 use uc_cluster::NodeId;
 use uc_faultdb::{
     build_db, stream_lines, Client, Engine, FaultDb, FileEncoding, IngestConfig, IngestServer,
-    LiveDb, QueryOptions, ReplicaConfig, Replication, Role, ServeConfig, Server, StreamOptions,
-    WriteOptions,
+    LiveDb, QueryOptions, ReplicaConfig, Replication, Response, Role, ServeConfig, Server,
+    StreamOptions, WriteOptions,
 };
 use uc_faultlog::files::write_cluster_log;
 use uc_faultlog::ingest::{read_cluster_log_recovering, recover_log};
@@ -163,39 +166,73 @@ fn clock_seconds(clock: i32) -> f64 {
     ts.sec as f64 + ts.nsec as f64 * 1e-9
 }
 
-/// Process CPU µs per query of the serve mix's seven query kinds (a 1-day
-/// `count`, `group class`, `top 5 node`, `hist bits`, a multibit `count`
-/// on one rack, a 30-day `group day` and a 7-day `list`) run in process
-/// through `Engine::query`. The block cache is warmed first; each pass
-/// runs the seven kinds 20 times, and the best pass of 10 is reported, in
-/// quick mode too, since a pass takes milliseconds.
+/// The serve mix's seven query kinds: a 1-day `count`, `group class`,
+/// `top 5 node`, `hist bits`, a multibit `count` on one rack, a 30-day
+/// `group day` and a 7-day `list`.
+const SERVE_MIX: [&str; 7] = [
+    "count where time>=200d and time<201d",
+    "group class",
+    "top 5 node",
+    "hist bits",
+    "count where multibit and rack=2",
+    "group day where time>=200d and time<230d",
+    "list limit 50 where time>=200d and time<207d",
+];
+
+/// Rounds of [`SERVE_MIX`] per measured pass.
+const MIX_ROUNDS: usize = 20;
+
+/// Process CPU µs per query of [`SERVE_MIX`] run in process through
+/// `Engine::query`. The block cache is warmed first; each pass runs the
+/// seven kinds 20 times, and the best pass of 10 is reported, in quick
+/// mode too, since a pass takes milliseconds.
 fn query_mix_cpu_us(db_path: &Path) -> f64 {
     let db = Engine::open_auto(db_path).unwrap();
-    let mix = [
-        "count where time>=200d and time<201d",
-        "group class",
-        "top 5 node",
-        "hist bits",
-        "count where multibit and rack=2",
-        "group day where time>=200d and time<230d",
-        "list limit 50 where time>=200d and time<207d",
-    ];
     let opts = QueryOptions::default();
-    for text in mix {
+    for text in SERVE_MIX {
         db.query(text, &opts).unwrap();
     }
-    let rounds = 20;
     let mut best = f64::INFINITY;
     for _ in 0..10 {
         let cpu0 = process_cpu_seconds();
-        for _ in 0..rounds {
-            for text in mix {
+        for _ in 0..MIX_ROUNDS {
+            for text in SERVE_MIX {
                 black_box(db.query(black_box(text), &opts).unwrap());
             }
         }
-        best = best.min((process_cpu_seconds() - cpu0) / (rounds * mix.len()) as f64);
+        best = best.min((process_cpu_seconds() - cpu0) / (MIX_ROUNDS * SERVE_MIX.len()) as f64);
     }
     best * 1e6
+}
+
+/// Process CPU µs per query of a default-provisioned `Server` on the
+/// sealed db, less the client's own CPU: one `Client` on its own thread
+/// sends [`SERVE_MIX`] 20 times per pass, each request 1 ms after the
+/// previous reply, so each one wakes an idle server, as perfbench
+/// `serve` does at 1,000 queries/s. One unmeasured pass warms the block
+/// cache; the best of 3 passes is reported, in quick mode too.
+fn serve_cpu_us(db_path: &Path) -> f64 {
+    let db = Arc::new(FaultDb::open(db_path).unwrap());
+    let server = Server::start(db, &ServeConfig::default()).unwrap();
+    let addr = server.local_addr();
+    let pass = || {
+        let mut client = Client::connect(addr).unwrap();
+        let (cpu0, own0) = (process_cpu_seconds(), thread_cpu_seconds());
+        for _ in 0..MIX_ROUNDS {
+            for text in SERVE_MIX {
+                std::thread::sleep(Duration::from_millis(1));
+                let reply = client.request(black_box(text)).unwrap();
+                assert!(matches!(reply, Response::Ok(_)), "{text}: {reply:?}");
+            }
+        }
+        (process_cpu_seconds() - cpu0) - (thread_cpu_seconds() - own0)
+    };
+    let run = || std::thread::scope(|s| s.spawn(pass).join().expect("serve client thread"));
+    run();
+    let best = (0..3).map(|_| run()).fold(f64::INFINITY, f64::min);
+    server.shutdown_handle().shutdown();
+    server.join();
+    best / (MIX_ROUNDS * SERVE_MIX.len()) as f64 * 1e6
 }
 
 /// The catch-up corpus's nodes.
@@ -486,6 +523,7 @@ fn emit_trajectory(quick: bool) {
     // policy replay throughput.
     let p99_us = serve_p99_us(&base.join("direct-0.ucfdb"), quick);
     let mix_cpu_us = query_mix_cpu_us(&base.join("direct-0.ucfdb"));
+    let serve_cpu = serve_cpu_us(&base.join("direct-0.ucfdb"));
     let catchup = catchup_mb_per_sec(&base, quick);
     let live_seal_us = live_seal_cpu_us(&base, quick);
     let push_session_us = push_session_cpu_us(&base, quick);
@@ -505,6 +543,7 @@ fn emit_trajectory(quick: bool) {
          \"shard_fanout_rows_per_sec\": {shard_fanout_rows_per_sec:.0},\n  \
          \"serve_p99_us\": {p99_us:.1},\n  \
          \"query_mix_cpu_us\": {mix_cpu_us:.1},\n  \
+         \"serve_cpu_us\": {serve_cpu:.1},\n  \
          \"catchup_mb_per_sec\": {catchup:.2},\n  \
          \"live_seal_cpu_us\": {live_seal_us:.2},\n  \
          \"push_session_cpu_us\": {push_session_us:.2},\n  \

@@ -1,16 +1,20 @@
 //! The query engine: open a database, plan (zone-map pruning), scan
-//! (parallel, cached, CRC-checked), aggregate (deterministic merge).
+//! (cached, CRC-checked, on the caller or the pool), aggregate
+//! (deterministic merge).
 //!
 //! Execution follows the repo's §6 determinism contract: the planner
-//! selects surviving blocks in index order, `par_map` scans them on the
-//! worker pool, and partial aggregates merge *in block order* — so the
-//! result bytes are identical at any thread count, which is exactly what
-//! the server's selftest asserts against a single-threaded engine.
+//! selects surviving blocks in index order and looks each up in the
+//! block cache; a small scan whose blocks are all cached runs on the
+//! calling thread, any other fans out over the worker pool
+//! (`scan_on_caller`); and partial aggregates merge *in block order* —
+//! so the result bytes are identical at any thread count, which is
+//! exactly what the server's selftest asserts against a single-threaded
+//! engine.
 //!
 //! Blocks decode into columnar form ([`Columns`]) and stay columnar in
 //! the cache; the scan itself is the branch-free bitmap kernels of
 //! [`crate::kernel`], not a per-row predicate walk. A sharded database
-//! ([`crate::shard::RootDb`]) runs the same `run_partial` per shard and
+//! ([`crate::shard::RootDb`]) plans and scans each shard the same way and
 //! merges shard aggregates, so both engines share one scan path.
 //!
 //! A per-query deadline is checked once per block task; an expired
@@ -80,6 +84,42 @@ pub(crate) struct ScanAccounting {
     pub(crate) blocks_total: u32,
     pub(crate) blocks_scanned: u32,
     pub(crate) rows_scanned: u64,
+}
+
+/// Most rows a warm scan runs on the calling thread: the measured
+/// crossover. Warm full scans on a 2-vCPU host, two workers against one
+/// (wall time, median ratio over four query kinds × four runs), over
+/// copies of a 48,960-row campaign database: 1.22 at 1×, 1.05 at 2×
+/// (97,920 rows), 0.85 at 4×, 0.82 at 8× and 0.68 at 20×.
+pub(crate) const CALLER_SCAN_ROWS: u64 = 100_000;
+
+/// Whether a scan runs on the calling thread rather than fanning out
+/// over the worker pool: only when every block it scans is already
+/// decoded in the cache, and they hold at most [`CALLER_SCAN_ROWS`] rows.
+/// A cold decode stays on the pool's threads: it allocates a block's
+/// columns, and on a serving connection thread each such allocation
+/// grows a malloc arena of that thread's own (§6).
+pub(crate) fn scan_on_caller(warm: bool, rows: u64) -> bool {
+    warm && rows <= CALLER_SCAN_ROWS
+}
+
+/// The blocks one query scans on one file: those surviving zone-map
+/// pruning, in index order, each with its decoded columns if the cache
+/// held them. Taking it costs one counted cache lookup per block.
+pub(crate) struct Survivors {
+    blocks: Vec<(u32, Option<Arc<Columns>>)>,
+    rows: u64,
+}
+
+impl Survivors {
+    /// Every block is already decoded.
+    pub(crate) fn warm(&self) -> bool {
+        self.blocks.iter().all(|(_, cached)| cached.is_some())
+    }
+
+    pub(crate) fn rows(&self) -> u64 {
+        self.rows
+    }
 }
 
 /// One block's row in a query plan (`uc query --explain`).
@@ -170,11 +210,8 @@ impl FaultDb {
         &self.bytes[meta.offset as usize..(meta.offset + meta.len as u64) as usize]
     }
 
-    /// Fetch one decoded columnar block, through the cache.
-    fn block(&self, index: u32) -> Result<Arc<Columns>, DbError> {
-        if let Some(hit) = self.cache.get(index) {
-            return Ok(hit);
-        }
+    /// Decode one block the cache missed, and cache it.
+    fn decode(&self, index: u32) -> Result<Arc<Columns>, DbError> {
         let meta = &self.footer.blocks[index as usize];
         let columns = format::decode_block_columns(self.payload(index), meta)
             .map_err(|damage| DbError::BlockCorrupt { index, damage })?;
@@ -229,7 +266,9 @@ impl FaultDb {
 
     /// Run a parsed query: prune, scan, merge.
     pub fn run(&self, q: &Query, opts: &QueryOptions) -> Result<QueryResult, DbError> {
-        let (agg, acct) = self.run_partial(q, opts, true)?;
+        let survivors = self.survivors(q);
+        let on_caller = scan_on_caller(survivors.warm(), survivors.rows());
+        let (agg, acct) = self.scan(q, &survivors, opts, !on_caller)?;
         Ok(QueryResult {
             lines: agg.render(&q.action),
             matched: agg.matched,
@@ -241,53 +280,61 @@ impl FaultDb {
         })
     }
 
-    /// Blocks surviving zone-map pruning, in index order.
-    fn survivors(&self, q: &Query) -> Vec<u32> {
-        self.footer
+    /// Blocks surviving zone-map pruning, in index order, each looked up
+    /// in the cache once.
+    pub(crate) fn survivors(&self, q: &Query) -> Survivors {
+        let mut rows = 0;
+        let blocks = self
+            .footer
             .blocks
             .iter()
             .enumerate()
             .filter(|(_, b)| q.pred.may_match(&b.zone))
-            .map(|(i, _)| i as u32)
-            .collect()
+            .map(|(i, b)| {
+                rows += u64::from(b.rows);
+                (i as u32, self.cache.get(i as u32))
+            })
+            .collect();
+        Survivors { blocks, rows }
     }
 
-    /// Prune + scan into an unrendered aggregate. `parallel` fans block
-    /// scans over the worker pool; the shard engine passes `false` so
-    /// shards (not blocks) are the unit of parallelism — partials still
-    /// merge in block order either way, so the aggregate is identical.
-    pub(crate) fn run_partial(
+    /// Scan the survivors into an unrendered aggregate, decoding the
+    /// blocks the cache missed. `fan_out` scans blocks on the worker
+    /// pool; partials merge in block order either way, so the aggregate
+    /// is identical.
+    pub(crate) fn scan(
         &self,
         q: &Query,
+        survivors: &Survivors,
         opts: &QueryOptions,
-        parallel: bool,
+        fan_out: bool,
     ) -> Result<(Aggregate, ScanAccounting), DbError> {
-        let survivors = self.survivors(q);
-        let scan_one = |&index: &u32| -> Result<kernel::Partial, DbError> {
+        let scan_one = |(index, cached): &(u32, Option<Arc<Columns>>)| {
             if opts.deadline.is_some_and(|d| Instant::now() >= d) {
                 return Err(DbError::Timeout);
             }
-            let block = self.block(index)?;
+            let block = match cached {
+                Some(block) => Arc::clone(block),
+                None => self.decode(*index)?,
+            };
             Ok(kernel::scan_columns(q, &block))
         };
-        let partials: Vec<Result<kernel::Partial, DbError>> = if parallel {
-            uc_parallel::par_map(&survivors, |_, index| scan_one(index))
+        let partials: Vec<Result<kernel::Partial, DbError>> = if fan_out {
+            uc_parallel::par_map(&survivors.blocks, |_, block| scan_one(block))
         } else {
-            survivors.iter().map(scan_one).collect()
+            survivors.blocks.iter().map(scan_one).collect()
         };
 
         let mut agg = Aggregate::new();
-        let mut rows_scanned = 0u64;
-        for (partial, &index) in partials.into_iter().zip(&survivors) {
-            rows_scanned += self.footer.blocks[index as usize].rows as u64;
+        for partial in partials {
             agg.merge(partial?);
         }
         Ok((
             agg,
             ScanAccounting {
                 blocks_total: self.blocks(),
-                blocks_scanned: survivors.len() as u32,
-                rows_scanned,
+                blocks_scanned: survivors.blocks.len() as u32,
+                rows_scanned: survivors.rows,
             },
         ))
     }
@@ -533,23 +580,61 @@ mod tests {
     }
 
     #[test]
+    fn only_small_warm_scans_run_on_the_caller() {
+        assert!(
+            !scan_on_caller(false, 1),
+            "a cold survivor goes to the pool"
+        );
+        assert!(scan_on_caller(true, CALLER_SCAN_ROWS));
+        assert!(!scan_on_caller(true, CALLER_SCAN_ROWS + 1));
+
+        // Survivors are warm once a query has decoded all of them.
+        let db = build("warmth", 1000, 64);
+        let q = parse_query("count where time>=400000").unwrap();
+        let cold = db.survivors(&q);
+        assert!(!cold.warm());
+        assert_eq!(cold.rows(), 1000 - 768, "blocks 12..16 hold rows 768..1000");
+        db.run(&q, &QueryOptions::default()).unwrap();
+        assert!(db.survivors(&q).warm());
+    }
+
+    /// Every query runs cold on a freshly opened file, then warm; the
+    /// answers and the cache counters must not depend on the thread
+    /// limit. The larger file's full scans stay on the pool when warm.
+    #[test]
     fn results_identical_across_thread_counts() {
-        let db = build("threads", 2000, 128);
-        let queries = [
-            "count",
-            "count where multibit",
-            "group blade",
-            "group hour",
-            "top 5 node",
-            "hist bits",
-            "list limit 10 where time>=1000",
-        ];
-        for q in queries {
-            let one = uc_parallel::with_thread_limit(1, || db.query(q, &QueryOptions::default()))
-                .unwrap();
-            let eight = uc_parallel::with_thread_limit(8, || db.query(q, &QueryOptions::default()))
-                .unwrap();
-            assert_eq!(one, eight, "{q}");
+        let large = CALLER_SCAN_ROWS as usize + 10_000;
+        for (tag, n, rows_per_block) in [("threads", 2000, 128), ("threads-large", large, 4096)] {
+            let path = build(tag, n, rows_per_block).path().to_path_buf();
+            let queries = [
+                "count",
+                "count where multibit",
+                "group blade",
+                "group hour",
+                "top 5 node",
+                "hist bits",
+                "list limit 10 where time>=1000",
+                "count where time>=100000 and time<150000",
+            ];
+            let runs = |threads| {
+                uc_parallel::with_thread_limit(threads, || {
+                    let mut out = Vec::new();
+                    for q in queries {
+                        let db = FaultDb::open(&path).unwrap();
+                        for _ in 0..2 {
+                            out.push((
+                                db.query(q, &QueryOptions::default()).unwrap(),
+                                db.cache_stats(),
+                            ));
+                        }
+                    }
+                    out
+                })
+            };
+            let one = runs(1);
+            for threads in [2, 8] {
+                assert_eq!(runs(threads), one, "{tag} at {threads} threads");
+            }
         }
     }
 

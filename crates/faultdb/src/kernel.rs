@@ -1,16 +1,15 @@
 //! Branch-free scan kernels: evaluate a predicate over a decoded
 //! columnar block into a selection bitmap, then run the query's action
-//! over the bitmap — count by popcount, group/top/hist by iterating set
-//! bits, list by materializing only selected rows.
+//! over the bitmap — count by popcount, group/top/hist by counting the
+//! keys of selected rows, list by materializing only selected rows.
 //!
-//! The per-row branching of the old scan (`faults.iter().filter(|f|
-//! pred.matches(f))` — a recursive AST walk per row) is replaced by one
-//! pass per *leaf* predicate: each leaf is a tight compare loop that
-//! packs `(cmp as u64) << (i & 63)` into 64-row words (no data-dependent
-//! branches, so the compiler vectorizes it), and `and`/`or`/`not`
-//! combine whole words. The invariant throughout is that bits at
-//! positions `>= rows` are zero in every bitmap — `not` re-masks the
-//! tail to preserve it.
+//! The predicate is evaluated 64 rows (one bitmap word) at a time. Each
+//! leaf is a tight compare loop that writes one 0/1 byte per row into a
+//! stack buffer (no data-dependent branches, so the compiler vectorizes
+//! it); `and`/`or`/`not` combine the bytes, and the finished chunk packs
+//! into its word eight bytes per multiply. No leaf allocates. The
+//! invariant throughout is that bits at positions `>= rows` are zero in
+//! every bitmap.
 //!
 //! This module also owns the partial/aggregate machinery shared by the
 //! single-file engine and the shard fan-out: partials merge additively
@@ -18,6 +17,7 @@
 //! what keeps results byte-identical at any thread count (§6).
 
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 use uc_analysis::fault::{BitClass, Fault};
 use uc_cluster::{NodeId, RACKS, TOTAL_BLADES, TOTAL_NODES};
@@ -28,57 +28,44 @@ use crate::query::{blade_node_range, rack_node_range, Action, Dim, FlipDir, Pred
 
 // ------------------------------------------------------------- bitmaps
 
+/// Rows per predicate chunk: one bitmap word.
+const CHUNK: usize = 64;
+
 /// Number of 64-bit words covering `rows` rows.
 fn words_for(rows: usize) -> usize {
-    rows.div_ceil(64)
+    rows.div_ceil(CHUNK)
 }
 
-/// Mask off bits at positions `>= rows` in the last word.
-fn mask_tail(words: &mut [u64], rows: usize) {
-    if !rows.is_multiple_of(64) {
-        if let Some(last) = words.last_mut() {
-            *last &= (1u64 << (rows % 64)) - 1;
-        }
+/// Write `test` of each value of `col` into `out`, one 0/1 byte per row.
+fn leaf<T: Copy>(col: &[T], out: &mut [u8], test: impl Fn(T) -> bool) {
+    for (o, &v) in out.iter_mut().zip(col) {
+        *o = u8::from(test(v));
     }
 }
 
-/// Build a bitmap from a per-row predicate closure. The closure is a
-/// pure comparison, so the inner loop compiles without branches.
-fn bitmap_from<F: FnMut(usize) -> bool>(rows: usize, mut f: F) -> Vec<u64> {
-    let mut words = vec![0u64; words_for(rows)];
-    for (w, word) in words.iter_mut().enumerate() {
-        let base = w * 64;
-        let n = 64.min(rows - base);
-        let mut acc = 0u64;
-        for i in 0..n {
-            acc |= (f(base + i) as u64) << i;
-        }
-        *word = acc;
-    }
-    words
+/// `lo <= v <= hi` (for `lo <= hi`) as one unsigned compare, so the leaf
+/// loop stays a single vector compare.
+fn within(lo: u32, hi: u32) -> impl Fn(u32) -> bool {
+    move |v| v.wrapping_sub(lo) <= hi.wrapping_sub(lo)
 }
 
-/// Evaluate a predicate tree over a block into a selection bitmap.
-pub(crate) fn eval_pred(p: &Pred, c: &Columns) -> Vec<u64> {
-    let rows = c.len();
+/// Evaluate `p` over the block rows `rows` (at most [`CHUNK`] of them)
+/// into `out`, one 0/1 byte per row; `out.len() == rows.len()`.
+fn fill(p: &Pred, c: &Columns, rows: Range<usize>, out: &mut [u8]) {
     match p {
-        Pred::All => {
-            let mut words = vec![u64::MAX; words_for(rows)];
-            mask_tail(&mut words, rows);
-            words
-        }
-        Pred::MultiBit => bitmap_from(rows, |i| c.bits[i] >= 2),
+        Pred::All => out.fill(1),
+        Pred::MultiBit => leaf(&c.bits[rows], out, |b| b >= 2),
         Pred::Node(n) => {
             let v = n.0;
-            bitmap_from(rows, |i| c.node[i] == v)
+            leaf(&c.node[rows], out, |x| x == v)
         }
         Pred::Blade(b) => {
             let (lo, hi) = blade_node_range(*b);
-            bitmap_from(rows, |i| lo <= c.node[i] && c.node[i] <= hi)
+            leaf(&c.node[rows], out, within(lo, hi))
         }
         Pred::Rack(r) => {
             let (lo, hi) = rack_node_range(*r);
-            bitmap_from(rows, |i| lo <= c.node[i] && c.node[i] <= hi)
+            leaf(&c.node[rows], out, within(lo, hi))
         }
         Pred::Class(class) => {
             // BitClass::of as a range test on the derived bits column:
@@ -91,76 +78,114 @@ pub(crate) fn eval_pred(p: &Pred, c: &Columns) -> Vec<u64> {
                 BitClass::Five => (5, 5),
                 BitClass::SixPlus => (6, u32::MAX),
             };
-            bitmap_from(rows, |i| lo <= c.bits[i] && c.bits[i] <= hi)
+            leaf(&c.bits[rows], out, within(lo, hi))
         }
         Pred::Dir(d) => {
             let v = *d as u8;
-            bitmap_from(rows, |i| c.dir[i] == v)
+            leaf(&c.dir[rows], out, |x| x == v)
         }
         Pred::BitsEq(n) => {
             let v = *n;
-            bitmap_from(rows, |i| c.bits[i] == v)
+            leaf(&c.bits[rows], out, |x| x == v)
         }
         Pred::BitsGe(n) => {
             let v = *n;
-            bitmap_from(rows, |i| c.bits[i] >= v)
+            leaf(&c.bits[rows], out, |x| x >= v)
         }
         Pred::BitsLe(n) => {
             let v = *n;
-            bitmap_from(rows, |i| c.bits[i] <= v)
+            leaf(&c.bits[rows], out, |x| x <= v)
         }
         Pred::RawGe(n) => {
             let v = *n;
-            bitmap_from(rows, |i| c.raw_logs[i] >= v)
+            leaf(&c.raw_logs[rows], out, |x| x >= v)
         }
         Pred::TimeGe(t) => {
             let v = t.as_secs();
-            bitmap_from(rows, |i| c.time[i] >= v)
+            leaf(&c.time[rows], out, |x| x >= v)
         }
         Pred::TimeGt(t) => {
             let v = t.as_secs();
-            bitmap_from(rows, |i| c.time[i] > v)
+            leaf(&c.time[rows], out, |x| x > v)
         }
         Pred::TimeLe(t) => {
             let v = t.as_secs();
-            bitmap_from(rows, |i| c.time[i] <= v)
+            leaf(&c.time[rows], out, |x| x <= v)
         }
         Pred::TimeLt(t) => {
             let v = t.as_secs();
-            bitmap_from(rows, |i| c.time[i] < v)
+            leaf(&c.time[rows], out, |x| x < v)
         }
-        Pred::And(a, b) => {
-            let mut wa = eval_pred(a, c);
-            let wb = eval_pred(b, c);
-            for (x, y) in wa.iter_mut().zip(&wb) {
-                *x &= y;
-            }
-            wa
-        }
-        Pred::Or(a, b) => {
-            let mut wa = eval_pred(a, c);
-            let wb = eval_pred(b, c);
-            for (x, y) in wa.iter_mut().zip(&wb) {
-                *x |= y;
-            }
-            wa
-        }
+        Pred::And(a, b) => fill_both(a, b, c, rows, out, |x, y| x & y),
+        Pred::Or(a, b) => fill_both(a, b, c, rows, out, |x, y| x | y),
         Pred::Not(p) => {
-            let mut w = eval_pred(p, c);
-            for x in w.iter_mut() {
-                *x = !*x;
+            fill(p, c, rows, out);
+            for o in out.iter_mut() {
+                *o ^= 1;
             }
-            mask_tail(&mut w, rows);
-            w
         }
     }
+}
+
+/// [`fill`] `a` into `out` and `b` into a second buffer, then combine
+/// them byte by byte with `op`.
+fn fill_both(
+    a: &Pred,
+    b: &Pred,
+    c: &Columns,
+    rows: Range<usize>,
+    out: &mut [u8],
+    op: impl Fn(u8, u8) -> u8,
+) {
+    fill(a, c, rows.clone(), out);
+    let mut other = [0u8; CHUNK];
+    let other = &mut other[..out.len()];
+    fill(b, c, rows, other);
+    for (o, &x) in out.iter_mut().zip(other.iter()) {
+        *o = op(*o, x);
+    }
+}
+
+/// Pack 64 0/1 bytes into one word, byte `i` to bit `i`. Each group of
+/// eight bytes packs with one multiply: byte `k` of the group lands in
+/// bit `56 + k` of the product, and since no two partial products share
+/// a bit position, nothing carries into the top byte.
+fn pack(bytes: &[u8; CHUNK]) -> u64 {
+    let mut word = 0u64;
+    for (g, group) in bytes.chunks_exact(8).enumerate() {
+        let x = u64::from_le_bytes(group.try_into().expect("an 8-byte group"));
+        word |= (x.wrapping_mul(0x0102_0408_1020_4080) >> 56) << (8 * g);
+    }
+    word
+}
+
+/// Evaluate a predicate tree over a block into a selection bitmap.
+pub(crate) fn eval_pred(p: &Pred, c: &Columns) -> Vec<u64> {
+    let rows = c.len();
+    if let Pred::All = p {
+        let mut words = vec![u64::MAX; words_for(rows)];
+        if !rows.is_multiple_of(CHUNK) {
+            *words.last_mut().expect("a partial last word") = (1u64 << (rows % CHUNK)) - 1;
+        }
+        return words;
+    }
+    (0..rows)
+        .step_by(CHUNK)
+        .map(|base| {
+            let end = rows.min(base + CHUNK);
+            // Bytes past `end` stay zero, so tail bits stay zero.
+            let mut bytes = [0u8; CHUNK];
+            fill(p, c, base..end, &mut bytes[..end - base]);
+            pack(&bytes)
+        })
+        .collect()
 }
 
 /// Iterate the set bit positions of a selection bitmap.
 fn for_each_set<F: FnMut(usize)>(words: &[u64], mut f: F) {
     for (w, &word) in words.iter().enumerate() {
         let mut word = word;
-        let base = w * 64;
+        let base = w * CHUNK;
         while word != 0 {
             f(base + word.trailing_zeros() as usize);
             word &= word - 1;
@@ -168,21 +193,52 @@ fn for_each_set<F: FnMut(usize)>(words: &[u64], mut f: F) {
     }
 }
 
-/// Count the key of every selected row into `slots`, one slot per key.
-/// Consecutive rows count into four interleaved copies of the array,
-/// summed at the end. In the paper's data nearly every row has the same
-/// key (one flood node holds most faults, and nearly all flip one bit),
-/// and a single array would chain every row's load, add and store
-/// through one counter.
-fn tally(sel: &[u64], slots: &mut [u64], key: impl Fn(usize) -> i64) {
+/// Count the key of every selected row into `slots`, one slot per key;
+/// a row's key is `key` of its value in `col`. Consecutive rows count
+/// into `LANES` interleaved copies of the array, summed at the end. In
+/// the paper's data nearly every row has the same key (one flood node
+/// holds most faults, and nearly all flip one bit), and a single array
+/// would chain every row's load, add and store through one counter. A
+/// lane counts rows of one block, whose row count is a `u32`, so `u32`
+/// lanes cannot overflow. A word whose 64 rows are all selected is
+/// walked as a dense run, with no per-row bit search.
+fn tally<T: Copy, const LANES: usize>(
+    sel: &[u64],
+    col: &[T],
+    slots: &mut [u64],
+    key: impl Fn(T) -> usize,
+) {
     let keys = slots.len();
-    let mut lanes = vec![0u64; 4 * keys];
-    for_each_set(sel, |i| lanes[(i & 3) * keys + key(i) as usize] += 1);
-    for lane in lanes.chunks_exact(keys) {
-        for (slot, n) in slots.iter_mut().zip(lane) {
-            *slot += n;
+    let mut lanes = vec![0u32; LANES * keys];
+    for (word, rows) in sel.iter().zip(col.chunks(CHUNK)) {
+        if *word == u64::MAX {
+            for run in rows.chunks_exact(LANES) {
+                for (lane, &v) in run.iter().enumerate() {
+                    lanes[lane * keys + key(v)] += 1;
+                }
+            }
+        } else {
+            let mut word = *word;
+            while word != 0 {
+                let i = word.trailing_zeros() as usize;
+                lanes[i % LANES * keys + key(rows[i])] += 1;
+                word &= word - 1;
+            }
         }
     }
+    for lane in lanes.chunks_exact(keys) {
+        for (slot, &n) in slots.iter_mut().zip(lane) {
+            *slot += u64::from(n);
+        }
+    }
+}
+
+/// Histogram of the selected rows' flipped-bit counts, one bin per count
+/// 0..=32.
+fn hist_bits(sel: &[u64], c: &Columns) -> Box<[u64; 33]> {
+    let mut bins = Box::new([0u64; 33]);
+    tally::<_, 8>(sel, &c.bits, &mut bins[..], |b| b.min(32) as usize);
+    bins
 }
 
 fn popcount(words: &[u64]) -> u64 {
@@ -202,19 +258,6 @@ pub(crate) fn kernel_name(action: &Action) -> &'static str {
 }
 
 // ----------------------------------------------------------------- scan
-
-/// Dimension key for one row of a columnar block (see [`render_key`]).
-fn key_of_row(dim: Dim, c: &Columns, i: usize) -> i64 {
-    match dim {
-        Dim::Node => c.node[i] as i64,
-        Dim::Blade => (NodeId(c.node[i]).blade().0 + 1) as i64,
-        Dim::Rack => (NodeId(c.node[i]).blade().rack() + 1) as i64,
-        Dim::Class => BitClass::of(c.bits[i]) as i64,
-        Dim::Dir => c.dir[i] as i64,
-        Dim::Hour => SimTime::from_secs(c.time[i]).hour_of_day() as i64,
-        Dim::Day => SimTime::from_secs(c.time[i]).day_index(),
-    }
-}
 
 /// Scan one decoded block: evaluate the predicate into a bitmap, then
 /// run the action's kernel over the selected rows.
@@ -245,20 +288,33 @@ pub(crate) fn scan_columns(q: &Query, c: &Columns) -> Partial {
         }
         Action::Top { by, .. } | Action::Group(by) => {
             let mut counts = Counts::for_dim(by);
+            let blade = |n| NodeId(n).blade();
             match &mut counts {
                 // One arm per dimension, so each row loop compiles for one
-                // key function.
+                // key function; the keys are those `render_key` renders.
+                // Node has the one large domain, so it takes fewer lanes.
                 Counts::Dense(slots) => match by {
-                    Dim::Node => tally(&sel, slots, |i| key_of_row(Dim::Node, c, i)),
-                    Dim::Blade => tally(&sel, slots, |i| key_of_row(Dim::Blade, c, i)),
-                    Dim::Rack => tally(&sel, slots, |i| key_of_row(Dim::Rack, c, i)),
-                    Dim::Class => tally(&sel, slots, |i| key_of_row(Dim::Class, c, i)),
-                    Dim::Dir => tally(&sel, slots, |i| key_of_row(Dim::Dir, c, i)),
-                    Dim::Hour => tally(&sel, slots, |i| key_of_row(Dim::Hour, c, i)),
+                    Dim::Node => tally::<_, 4>(&sel, &c.node, slots, |n| n as usize),
+                    Dim::Blade => tally::<_, 8>(&sel, &c.node, slots, |n| blade(n).0 as usize + 1),
+                    Dim::Rack => {
+                        tally::<_, 8>(&sel, &c.node, slots, |n| blade(n).rack() as usize + 1)
+                    }
+                    // Classes fold from the bits histogram.
+                    Dim::Class => {
+                        for (bits, n) in hist_bits(&sel, c).iter().enumerate() {
+                            slots[BitClass::of(bits as u32) as usize] += n;
+                        }
+                    }
+                    Dim::Dir => tally::<_, 8>(&sel, &c.dir, slots, usize::from),
+                    Dim::Hour => tally::<_, 8>(&sel, &c.time, slots, |t| {
+                        SimTime::from_secs(t).hour_of_day() as usize
+                    }),
                     Dim::Day => unreachable!("`day` counts into a map"),
                 },
+                // Only `day` counts into a map.
                 Counts::Sparse(map) => for_each_set(&sel, |i| {
-                    *map.entry(key_of_row(by, c, i)).or_insert(0) += 1;
+                    *map.entry(SimTime::from_secs(c.time[i]).day_index())
+                        .or_insert(0) += 1;
                 }),
             }
             Partial::Keyed {
@@ -266,14 +322,10 @@ pub(crate) fn scan_columns(q: &Query, c: &Columns) -> Partial {
                 matched: popcount(&sel),
             }
         }
-        Action::HistBits => {
-            let mut bins = Box::new([0u64; 33]);
-            tally(&sel, &mut bins[..], |i| i64::from(c.bits[i].min(32)));
-            Partial::Hist {
-                bins,
-                matched: popcount(&sel),
-            }
-        }
+        Action::HistBits => Partial::Hist {
+            bins: hist_bits(&sel, c),
+            matched: popcount(&sel),
+        },
     }
 }
 
@@ -319,9 +371,9 @@ pub(crate) enum Counts {
 }
 
 impl Counts {
-    /// Empty counts for `dim`. A dense array covers every key
-    /// [`key_of_row`] can give for a decoded block: decode refuses a node
-    /// at or past `TOTAL_NODES`, and blades and racks derive from it.
+    /// Empty counts for `dim`. A dense array covers every key a decoded
+    /// block can give: decode refuses a node at or past `TOTAL_NODES`,
+    /// and blades and racks derive from it.
     fn for_dim(dim: Dim) -> Counts {
         let keys = match dim {
             Dim::Node => TOTAL_NODES as usize,
@@ -484,6 +536,18 @@ mod tests {
     use super::*;
     use crate::encoding::{decode_columns, encode_packed, BlockEncoding};
     use crate::query::parse_query;
+    use proptest::prelude::*;
+    use uc_simclock::StreamRng;
+
+    const DIMS: [Dim; 7] = [
+        Dim::Node,
+        Dim::Blade,
+        Dim::Rack,
+        Dim::Class,
+        Dim::Dir,
+        Dim::Hour,
+        Dim::Day,
+    ];
 
     fn sample(n: usize) -> Vec<Fault> {
         (0..n)
@@ -643,15 +707,6 @@ mod tests {
 
     #[test]
     fn kernels_agree_with_the_legacy_row_scan() {
-        const DIMS: [Dim; 7] = [
-            Dim::Node,
-            Dim::Blade,
-            Dim::Rack,
-            Dim::Class,
-            Dim::Dir,
-            Dim::Hour,
-            Dim::Day,
-        ];
         let mut queries: Vec<Query> = [
             "count",
             "count where multibit",
@@ -689,6 +744,116 @@ mod tests {
         // The spread sample fills the whole dense node domain.
         let by_node = parse_query("group node").unwrap();
         assert_eq!(oracle(&by_node, &spread(3_000)).len(), TOTAL_NODES as usize);
+    }
+
+    /// A random fault: any of the 1,080 nodes, 1..=32 flipped bits in any
+    /// of the three directions, a time up to 30 days before the epoch.
+    fn random_fault(rng: &mut StreamRng) -> Fault {
+        let bits = rng.range_inclusive(1, 32) as u32;
+        let mut positions: Vec<u32> = (0..32).collect();
+        rng.shuffle(&mut positions);
+        let mask = positions[..bits as usize]
+            .iter()
+            .fold(0u32, |m, &p| m | 1 << p);
+        let base = rng.next_u32();
+        // Mixed needs one flipped bit each way, so two bits at least.
+        let (expected, actual) = match rng.below(if bits >= 2 { 3 } else { 2 }) {
+            0 => (base | mask, (base | mask) & !mask),
+            1 => (base & !mask, (base & !mask) | mask),
+            _ => {
+                // The lowest flipped bit goes 1 -> 0, the highest 0 -> 1.
+                let low = mask & mask.wrapping_neg();
+                let high = 1u32 << (31 - mask.leading_zeros());
+                let e = (base | low) & !high;
+                (e, e ^ mask)
+            }
+        };
+        Fault {
+            node: NodeId(rng.below(u64::from(TOTAL_NODES)) as u32),
+            time: SimTime::from_secs(random_time(rng)),
+            vaddr: 0x40 * rng.below(1 << 20),
+            expected,
+            actual,
+            temp: rng.chance(0.5).then(|| rng.next_f64() as f32 * 60.0),
+            raw_logs: rng.range_inclusive(1, 6),
+        }
+    }
+
+    /// Seconds from 30 days before the epoch to 400 days after it.
+    fn random_time(rng: &mut StreamRng) -> i64 {
+        rng.range_inclusive(0, 430 * 86_400) as i64 - 30 * 86_400
+    }
+
+    /// A random predicate tree of at most `depth` levels over every leaf
+    /// and `and`/`or`/`not`.
+    fn random_pred(rng: &mut StreamRng, depth: u32) -> Pred {
+        if depth > 1 && rng.chance(0.6) {
+            let op = rng.below(3);
+            let mut sub = || Box::new(random_pred(rng, depth - 1));
+            return match op {
+                0 => Pred::And(sub(), sub()),
+                1 => Pred::Or(sub(), sub()),
+                _ => Pred::Not(sub()),
+            };
+        }
+        let time = SimTime::from_secs(random_time(rng));
+        match rng.below(15) {
+            0 => Pred::All,
+            1 => Pred::MultiBit,
+            2 => Pred::Node(NodeId(rng.below(u64::from(TOTAL_NODES)) as u32)),
+            3 => Pred::Blade(rng.range_inclusive(1, u64::from(TOTAL_BLADES)) as u32),
+            4 => Pred::Rack(rng.range_inclusive(1, u64::from(RACKS)) as u32),
+            5 => Pred::Class(*rng.pick(&BitClass::ALL)),
+            6 => Pred::Dir(*rng.pick(&[FlipDir::OneToZero, FlipDir::ZeroToOne, FlipDir::Mixed])),
+            7 => Pred::BitsEq(rng.below(34) as u32),
+            8 => Pred::BitsGe(rng.below(34) as u32),
+            9 => Pred::BitsLe(rng.below(34) as u32),
+            10 => Pred::RawGe(rng.below(8)),
+            11 => Pred::TimeGe(time),
+            12 => Pred::TimeGt(time),
+            13 => Pred::TimeLe(time),
+            _ => Pred::TimeLt(time),
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn kernels_match_the_row_oracle_on_random_blocks(
+            seed in any::<u64>(),
+            rows in 0usize..301,
+        ) {
+            let mut rng = StreamRng::from_seed(seed);
+            let faults: Vec<Fault> = (0..rows).map(|_| random_fault(&mut rng)).collect();
+            let pred = random_pred(&mut rng, 4);
+            // The bitmap on every block length down to 63 rows shorter,
+            // so each case meets every tail length mod 64 (and mod 8).
+            for len in rows.saturating_sub(63)..=rows {
+                let sel = eval_pred(&pred, &columns(&faults[..len]));
+                let mut want = vec![0u64; words_for(len)];
+                for (i, f) in faults[..len].iter().enumerate() {
+                    want[i / 64] |= u64::from(pred.matches(f)) << (i % 64);
+                }
+                // Equal words: every tail bit at or past `len` is zero.
+                prop_assert_eq!(&sel, &want, "{:?} over {} rows", pred, len);
+            }
+            let mut actions = vec![
+                Action::Count,
+                Action::List { limit: Some(rng.below(12) as usize) },
+                Action::List { limit: None },
+                Action::HistBits,
+            ];
+            for by in DIMS {
+                actions.push(Action::Group(by));
+                actions.push(Action::Top { k: rng.range_inclusive(1, 8) as usize, by });
+            }
+            let c = columns(&faults);
+            for action in actions {
+                let q = Query { action, pred: pred.clone() };
+                let mut agg = Aggregate::new();
+                agg.merge(scan_columns(&q, &c));
+                prop_assert_eq!(agg.render(&q.action), oracle(&q, &faults), "{:?}", q);
+            }
+        }
     }
 
     #[test]

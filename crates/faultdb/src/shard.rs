@@ -23,9 +23,11 @@
 //! itself sorted by `fault_sort_key`.
 //!
 //! **Determinism of the fan-out (§6).** Queries prune shards by the
-//! catalog zone maps, scan survivors on `par_map` (order-preserving; the
-//! per-shard scan is sequential so shards, not blocks, are the unit of
-//! parallelism), and merge per-shard aggregates *in shard order*. Counts,
+//! catalog zone maps, scan survivors in order on the caller when the
+//! single file's rule allows it (`scan_on_caller` over every surviving
+//! block) or else on `par_map` (order-preserving; the per-shard scan is
+//! sequential so shards, not blocks, are the unit of parallelism), and
+//! merge per-shard aggregates *in shard order*. Counts,
 //! histograms, and keyed counts are commutative sums, so any order gives
 //! the same bytes; row lists are k-way merged on the fully discriminating
 //! `fault_sort_key` (the `analysis::extract` merge), which reassembles
@@ -48,7 +50,9 @@ use uc_analysis::fault::Fault;
 use uc_faultlog::durable::crc::crc32;
 
 use crate::cache::CacheStats;
-use crate::db::{DbOptions, FaultDb, QueryOptions, QueryResult, ScanAccounting};
+use crate::db::{
+    scan_on_caller, DbOptions, FaultDb, QueryOptions, QueryResult, ScanAccounting, Survivors,
+};
 use crate::error::DbError;
 use crate::format::{self, Provenance, Reader, WriteOptions, ZoneMap};
 use crate::kernel::{self, Aggregate};
@@ -437,15 +441,28 @@ impl RootDb {
         self.run(&parse_query(text)?, opts)
     }
 
-    /// Run a parsed query: prune shards, fan out, merge deterministically.
+    /// Run a parsed query: prune shards, scan them on the caller or fan
+    /// out (the single file's rule over all surviving blocks), merge
+    /// deterministically.
     pub fn run(&self, q: &Query, opts: &QueryOptions) -> Result<QueryResult, DbError> {
-        let survivors = self.survivors(q);
-        let partials = uc_parallel::par_map(&survivors, |_, &s| {
-            self.scan_counts[s].fetch_add(1, Ordering::Relaxed);
+        let survivors: Vec<(usize, Survivors)> = self
+            .survivors(q)
+            .into_iter()
+            .map(|s| (s, self.shards[s].survivors(q)))
+            .collect();
+        let warm = survivors.iter().all(|(_, blocks)| blocks.warm());
+        let rows = survivors.iter().map(|(_, blocks)| blocks.rows()).sum();
+        let scan_shard = |(s, blocks): &(usize, Survivors)| {
+            self.scan_counts[*s].fetch_add(1, Ordering::Relaxed);
             // Sequential inside the shard: shards are the unit of
             // parallelism, so the pool is never nested.
-            self.shards[s].run_partial(q, opts, false)
-        });
+            self.shards[*s].scan(q, blocks, opts, false)
+        };
+        let partials: Vec<_> = if scan_on_caller(warm, rows) {
+            survivors.iter().map(scan_shard).collect()
+        } else {
+            uc_parallel::par_map(&survivors, |_, shard| scan_shard(shard))
+        };
 
         let mut aggs: Vec<Aggregate> = Vec::with_capacity(survivors.len());
         let mut acct = ScanAccounting {

@@ -15,8 +15,8 @@ use uc_analysis::extract::fault_sort_key;
 use uc_analysis::fault::Fault;
 use uc_cluster::NodeId;
 use uc_faultdb::{
-    format, write_sharded, Engine, FaultDb, FileEncoding, QueryOptions, RootDb, Snapshot,
-    WriteOptions,
+    format, write_sharded, CacheStats, Engine, FaultDb, FileEncoding, QueryOptions, QueryResult,
+    RootDb, Snapshot, WriteOptions,
 };
 use uc_parallel::with_thread_limit;
 use uc_simclock::SimTime;
@@ -139,36 +139,51 @@ fn every_engine_shape_answers_byte_identically() {
         format::write_db(&snap, &single, &wopts).unwrap();
 
         // Sharded roots at several window counts (racks multiply these).
-        let mut engines: Vec<(String, Engine)> = vec![(
-            format!("single/{enc_tag}"),
-            Engine::open_auto(&single).unwrap(),
-        )];
+        let mut shapes: Vec<(String, PathBuf)> = vec![(format!("single/{enc_tag}"), single)];
         for windows in [1usize, 3, 8] {
             let root = dir.join(format!("root-{enc_tag}-w{windows}"));
             let summary = write_sharded(&snap, &root, windows, &wopts).unwrap();
             assert!(summary.shards >= windows, "both racks are occupied");
-            engines.push((
-                format!("root/{enc_tag}/w{windows}"),
-                Engine::open_auto(&root).unwrap(),
-            ));
+            shapes.push((format!("root/{enc_tag}/w{windows}"), root));
         }
 
-        for (tag, engine) in &engines {
+        for (tag, path) in &shapes {
+            // Each query runs cold on a freshly opened engine, then warm:
+            // answers, scan accounting and cache counters must not depend
+            // on the thread limit, and every answer is the oracle's.
+            let mut at_one_thread = None;
             for threads in [1usize, 2, 8] {
-                let got: Vec<(Vec<String>, u64)> = with_thread_limit(threads, || {
-                    QUERIES
-                        .iter()
-                        .map(|q| {
-                            let r = engine.query(q, &opts).unwrap();
-                            (r.lines, r.matched)
-                        })
-                        .collect()
+                let runs: Vec<(QueryResult, CacheStats)> = with_thread_limit(threads, || {
+                    let mut runs = Vec::new();
+                    for q in QUERIES {
+                        let engine = Engine::open_auto(path).unwrap();
+                        for _ in 0..2 {
+                            runs.push((engine.query(q, &opts).unwrap(), engine.cache_stats()));
+                        }
+                    }
+                    runs
                 });
-                assert_eq!(got, oracle, "{tag} at {threads} threads");
+                for (i, (r, _)) in runs.iter().enumerate() {
+                    let got = (r.lines.clone(), r.matched);
+                    assert_eq!(
+                        got,
+                        oracle[i / 2],
+                        "{tag} at {threads} threads: {}",
+                        QUERIES[i / 2]
+                    );
+                }
+                match &at_one_thread {
+                    None => at_one_thread = Some(runs),
+                    Some(want) => assert_eq!(&runs, want, "{tag} at {threads} threads"),
+                }
             }
             // The analyze path: byte-identical report text.
             assert_eq!(
-                engine.snapshot().unwrap().report_text(),
+                Engine::open_auto(path)
+                    .unwrap()
+                    .snapshot()
+                    .unwrap()
+                    .report_text(),
                 oracle_report,
                 "{tag} snapshot"
             );
