@@ -34,6 +34,10 @@
 //! * `serve_cpu_us` — process CPU time per query of the same mix sent
 //!   through the TCP serving layer by one paced client, whose own CPU is
 //!   taken out: the CPU-time counterpart of `serve_p99_us`;
+//! * `row_agg_cpu_us` — process CPU time per query of five aggregations
+//!   under `where raw>=1`, which no zone map proves, so every block runs
+//!   the row kernels: they stay guarded once repeated whole scans answer
+//!   from per-block counts;
 //! * `catchup_mb_per_sec` — WAL-shipping throughput of a fresh replica
 //!   catching up to a sealed primary over loopback;
 //! * `live_seal_cpu_us` — process CPU µs per record of a fresh
@@ -179,28 +183,38 @@ const SERVE_MIX: [&str; 7] = [
     "list limit 50 where time>=200d and time<207d",
 ];
 
-/// Rounds of [`SERVE_MIX`] per measured pass.
+/// Full-scan aggregations under a predicate no zone map can prove
+/// (`raw>=1`): every block runs the row kernels.
+const ROW_AGG: [&str; 5] = [
+    "group class where raw>=1",
+    "top 5 node where raw>=1",
+    "hist bits where raw>=1",
+    "group hour where raw>=1",
+    "group day where raw>=1",
+];
+
+/// Rounds of a query list per measured pass.
 const MIX_ROUNDS: usize = 20;
 
-/// Process CPU µs per query of [`SERVE_MIX`] run in process through
+/// Process CPU µs per query of `queries` run in process through
 /// `Engine::query`. The block cache is warmed first; each pass runs the
-/// seven kinds 20 times, and the best pass of 10 is reported, in quick
-/// mode too, since a pass takes milliseconds.
-fn query_mix_cpu_us(db_path: &Path) -> f64 {
+/// list 20 times, and the best pass of 10 is reported, in quick mode
+/// too, since a pass takes milliseconds.
+fn warm_query_cpu_us(db_path: &Path, queries: &[&str]) -> f64 {
     let db = Engine::open_auto(db_path).unwrap();
     let opts = QueryOptions::default();
-    for text in SERVE_MIX {
+    for text in queries {
         db.query(text, &opts).unwrap();
     }
     let mut best = f64::INFINITY;
     for _ in 0..10 {
         let cpu0 = process_cpu_seconds();
         for _ in 0..MIX_ROUNDS {
-            for text in SERVE_MIX {
+            for text in queries {
                 black_box(db.query(black_box(text), &opts).unwrap());
             }
         }
-        best = best.min((process_cpu_seconds() - cpu0) / (MIX_ROUNDS * SERVE_MIX.len()) as f64);
+        best = best.min((process_cpu_seconds() - cpu0) / (MIX_ROUNDS * queries.len()) as f64);
     }
     best * 1e6
 }
@@ -522,7 +536,8 @@ fn emit_trajectory(quick: bool) {
     // Serving-layer tail latency, replication catch-up throughput, and
     // policy replay throughput.
     let p99_us = serve_p99_us(&base.join("direct-0.ucfdb"), quick);
-    let mix_cpu_us = query_mix_cpu_us(&base.join("direct-0.ucfdb"));
+    let mix_cpu_us = warm_query_cpu_us(&base.join("direct-0.ucfdb"), &SERVE_MIX);
+    let row_agg_us = warm_query_cpu_us(&base.join("direct-0.ucfdb"), &ROW_AGG);
     let serve_cpu = serve_cpu_us(&base.join("direct-0.ucfdb"));
     let catchup = catchup_mb_per_sec(&base, quick);
     let live_seal_us = live_seal_cpu_us(&base, quick);
@@ -544,6 +559,7 @@ fn emit_trajectory(quick: bool) {
          \"serve_p99_us\": {p99_us:.1},\n  \
          \"query_mix_cpu_us\": {mix_cpu_us:.1},\n  \
          \"serve_cpu_us\": {serve_cpu:.1},\n  \
+         \"row_agg_cpu_us\": {row_agg_us:.1},\n  \
          \"catchup_mb_per_sec\": {catchup:.2},\n  \
          \"live_seal_cpu_us\": {live_seal_us:.2},\n  \
          \"push_session_cpu_us\": {push_session_us:.2},\n  \

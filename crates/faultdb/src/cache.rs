@@ -8,20 +8,52 @@
 //! counters are process-wide atomics — the server reports them and the
 //! benchmarks record them.
 //!
+//! Each cached `Block` also holds the block's all-rows counts per
+//! dimension, filled in by the first query that takes the block whole
+//! (see [`crate::kernel`]). They live and die with the decoded block.
+//!
 //! Correctness note: the cache stores *decoded, CRC-verified* blocks
 //! keyed by index in an immutable file, so a hit can never observe
 //! different bytes than a miss — caching is invisible to query results
-//! by construction. Two racing misses on one block may both decode it;
-//! the second insert wins and the counters show two misses. That is a
-//! performance wrinkle, not a correctness one.
+//! by construction, and so are the counts: they are a function of the
+//! block's rows alone. Two racing misses on one block may both decode
+//! it; the second insert wins and the counters show two misses. That is
+//! a performance wrinkle, not a correctness one.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
 
 use crate::encoding::Columns;
+use crate::format::ZoneMap;
+use crate::kernel::Counts;
+
+/// Dimensions a block keeps all-rows counts for: one per [`crate::query::Dim`].
+const DIMS: usize = 7;
+
+/// A decoded block as the cache holds it.
+pub(crate) struct Block {
+    pub(crate) columns: Columns,
+    /// The footer's zone map; decode proved that every row lies inside it.
+    pub(crate) zone: ZoneMap,
+    /// All-rows counts, indexed by `Dim as usize`, each computed once.
+    pub(crate) counts: [OnceLock<Counts>; DIMS],
+    /// All-rows histogram of flipped-bit counts, computed once.
+    pub(crate) hist: OnceLock<Box<[u64; 33]>>,
+}
+
+impl Block {
+    pub(crate) fn new(columns: Columns, zone: ZoneMap) -> Block {
+        Block {
+            columns,
+            zone,
+            counts: Default::default(),
+            hist: OnceLock::new(),
+        }
+    }
+}
 
 /// Number of shards; power of two so `index % SHARDS` is a mask.
 const SHARDS: usize = 8;
@@ -47,7 +79,7 @@ impl CacheStats {
 }
 
 struct Entry {
-    block: Arc<Columns>,
+    block: Arc<Block>,
     last_used: u64,
 }
 
@@ -83,7 +115,7 @@ impl BlockCache {
     }
 
     /// Look a block up, refreshing its LRU position on a hit.
-    pub fn get(&self, index: u32) -> Option<Arc<Columns>> {
+    pub(crate) fn get(&self, index: u32) -> Option<Arc<Block>> {
         let mut shard = self.shard(index).lock();
         shard.clock += 1;
         let clock = shard.clock;
@@ -102,7 +134,7 @@ impl BlockCache {
 
     /// Insert a freshly decoded block, evicting the least recently used
     /// entry of the shard if it is full.
-    pub fn insert(&self, index: u32, block: Arc<Columns>) {
+    pub(crate) fn insert(&self, index: u32, block: Arc<Block>) {
         let mut shard = self.shard(index).lock();
         shard.clock += 1;
         let clock = shard.clock;
@@ -134,8 +166,8 @@ impl BlockCache {
 mod tests {
     use super::*;
 
-    fn block(_n: usize) -> Arc<Columns> {
-        Arc::new(Columns::default())
+    fn block(_n: usize) -> Arc<Block> {
+        Arc::new(Block::new(Columns::default(), ZoneMap::empty()))
     }
 
     #[test]

@@ -11,9 +11,13 @@
 //! exactly what the server's selftest asserts against a single-threaded
 //! engine.
 //!
-//! Blocks decode into columnar form ([`Columns`]) and stay columnar in
-//! the cache; the scan itself is the branch-free bitmap kernels of
-//! [`crate::kernel`], not a per-row predicate walk. A sharded database
+//! Blocks decode into columnar form ([`crate::encoding::Columns`]) and
+//! stay columnar in the cache; the scan itself is the branch-free bitmap
+//! kernels of [`crate::kernel`], not a per-row predicate walk. The
+//! planner also marks each surviving block whose zone map proves every
+//! row selected ([`crate::query::Pred::must_match`]); the scan answers
+//! such a block from its row count or its cached all-rows counts, with
+//! no row loop. A sharded database
 //! ([`crate::shard::RootDb`]) plans and scans each shard the same way and
 //! merges shard aggregates, so both engines share one scan path.
 //!
@@ -30,8 +34,8 @@ use std::time::Instant;
 
 use uc_analysis::fault::Fault;
 
-use crate::cache::{BlockCache, CacheStats};
-use crate::encoding::{BlockEncoding, Columns};
+use crate::cache::{Block, BlockCache, CacheStats};
+use crate::encoding::BlockEncoding;
 use crate::error::DbError;
 use crate::format::{self, Footer, MAGIC, TRAILER_LEN};
 use crate::kernel::{self, Aggregate};
@@ -74,7 +78,9 @@ pub struct QueryResult {
     pub blocks_total: u32,
     /// Blocks that survived zone-map pruning and were scanned.
     pub blocks_scanned: u32,
-    /// Rows decoded and tested.
+    /// Rows of the scanned blocks, whether or not the row loop ran: a
+    /// block the zone map proves wholly selected is answered from its
+    /// row count or its cached counts, and its rows count here too.
     pub rows_scanned: u64,
 }
 
@@ -103,18 +109,27 @@ pub(crate) fn scan_on_caller(warm: bool, rows: u64) -> bool {
     warm && rows <= CALLER_SCAN_ROWS
 }
 
+/// One block a query scans.
+struct Survivor {
+    index: u32,
+    /// The decoded block, if the cache held it.
+    cached: Option<Arc<Block>>,
+    /// The zone map proves that every row matches the predicate.
+    whole: bool,
+}
+
 /// The blocks one query scans on one file: those surviving zone-map
-/// pruning, in index order, each with its decoded columns if the cache
-/// held them. Taking it costs one counted cache lookup per block.
+/// pruning, in index order. Taking it costs one counted cache lookup per
+/// block.
 pub(crate) struct Survivors {
-    blocks: Vec<(u32, Option<Arc<Columns>>)>,
+    blocks: Vec<Survivor>,
     rows: u64,
 }
 
 impl Survivors {
     /// Every block is already decoded.
     pub(crate) fn warm(&self) -> bool {
-        self.blocks.iter().all(|(_, cached)| cached.is_some())
+        self.blocks.iter().all(|b| b.cached.is_some())
     }
 
     pub(crate) fn rows(&self) -> u64 {
@@ -130,6 +145,9 @@ pub struct BlockPlan {
     pub encoding: BlockEncoding,
     /// `false` means the zone map pruned the block.
     pub scan: bool,
+    /// The zone map proves that every row matches, so the scan runs no
+    /// row loop over the block.
+    pub whole: bool,
 }
 
 /// An open, validated fault database (file fully resident in memory).
@@ -211,11 +229,11 @@ impl FaultDb {
     }
 
     /// Decode one block the cache missed, and cache it.
-    fn decode(&self, index: u32) -> Result<Arc<Columns>, DbError> {
+    fn decode(&self, index: u32) -> Result<Arc<Block>, DbError> {
         let meta = &self.footer.blocks[index as usize];
         let columns = format::decode_block_columns(self.payload(index), meta)
             .map_err(|damage| DbError::BlockCorrupt { index, damage })?;
-        let block = Arc::new(columns);
+        let block = Arc::new(Block::new(columns, meta.zone));
         self.cache.insert(index, Arc::clone(&block));
         Ok(block)
     }
@@ -281,7 +299,7 @@ impl FaultDb {
     }
 
     /// Blocks surviving zone-map pruning, in index order, each looked up
-    /// in the cache once.
+    /// in the cache once and marked whole when its zone map proves it.
     pub(crate) fn survivors(&self, q: &Query) -> Survivors {
         let mut rows = 0;
         let blocks = self
@@ -292,7 +310,11 @@ impl FaultDb {
             .filter(|(_, b)| q.pred.may_match(&b.zone))
             .map(|(i, b)| {
                 rows += u64::from(b.rows);
-                (i as u32, self.cache.get(i as u32))
+                Survivor {
+                    index: i as u32,
+                    cached: self.cache.get(i as u32),
+                    whole: q.pred.must_match(&b.zone),
+                }
             })
             .collect();
         Survivors { blocks, rows }
@@ -309,15 +331,15 @@ impl FaultDb {
         opts: &QueryOptions,
         fan_out: bool,
     ) -> Result<(Aggregate, ScanAccounting), DbError> {
-        let scan_one = |(index, cached): &(u32, Option<Arc<Columns>>)| {
+        let scan_one = |s: &Survivor| {
             if opts.deadline.is_some_and(|d| Instant::now() >= d) {
                 return Err(DbError::Timeout);
             }
-            let block = match cached {
+            let block = match &s.cached {
                 Some(block) => Arc::clone(block),
-                None => self.decode(*index)?,
+                None => self.decode(s.index)?,
             };
-            Ok(kernel::scan_columns(q, &block))
+            Ok(kernel::scan_block(q, &block, s.whole))
         };
         let partials: Vec<Result<kernel::Partial, DbError>> = if fan_out {
             uc_parallel::par_map(&survivors.blocks, |_, block| scan_one(block))
@@ -340,17 +362,22 @@ impl FaultDb {
     }
 
     /// Pure planning for `--explain`: which blocks the zone maps keep,
-    /// and how each is encoded. No payload is touched.
+    /// which of those they prove wholly selected, and how each is
+    /// encoded. No payload is touched.
     pub fn plan(&self, q: &Query) -> Vec<BlockPlan> {
         self.footer
             .blocks
             .iter()
             .enumerate()
-            .map(|(i, b)| BlockPlan {
-                index: i as u32,
-                rows: b.rows,
-                encoding: b.encoding,
-                scan: q.pred.may_match(&b.zone),
+            .map(|(i, b)| {
+                let scan = q.pred.may_match(&b.zone);
+                BlockPlan {
+                    index: i as u32,
+                    rows: b.rows,
+                    encoding: b.encoding,
+                    scan,
+                    whole: scan && q.pred.must_match(&b.zone),
+                }
             })
             .collect()
     }
@@ -407,7 +434,7 @@ impl From<Engine> for DbHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::format::{write_db, FileEncoding, WriteOptions};
+    use crate::format::{write_db, FileEncoding, WriteOptions, ZoneMap};
     use crate::kernel::render_fault;
     use uc_cluster::NodeId;
     use uc_simclock::SimTime;
@@ -659,6 +686,75 @@ mod tests {
         let warm = db.cache_stats();
         assert_eq!(warm.hits, db.blocks() as u64);
         assert_eq!(warm.misses, cold.misses);
+    }
+
+    /// A footer whose zone map is narrower than its block's rows, sealed
+    /// under a recomputed CRC, passes `open`; every query that scans the
+    /// block, and `verify_deep`, must name the damage instead of trusting
+    /// the bounds (a whole-block answer, a dense `day` index).
+    #[test]
+    fn narrowed_zone_map_is_typed_block_damage() {
+        let clean = build("zone-clean", 1000, 64);
+        let bytes = fs::read(clean.path()).unwrap();
+        let trailer_at = bytes.len() - TRAILER_LEN;
+        let footer_off = clean
+            .footer
+            .blocks
+            .last()
+            .map_or(0, |b| b.offset + u64::from(b.len));
+        let narrowings: [fn(&mut ZoneMap); 6] = [
+            |z| z.min_time += 1,
+            |z| z.max_time -= 1,
+            |z| z.min_node += 1,
+            |z| z.max_node -= 1,
+            |z| z.class_map &= !1,
+            |z| z.dir_map &= !1,
+        ];
+        for (k, narrow) in narrowings.iter().enumerate() {
+            let damaged = 5u32;
+            let mut footer = clean.footer.clone();
+            narrow(&mut footer.blocks[damaged as usize].zone);
+            let encoded = format::encode_footer(&footer);
+            let mut bad = bytes[..footer_off as usize].to_vec();
+            bad.extend_from_slice(&encoded);
+            bad.extend_from_slice(&footer_off.to_le_bytes());
+            bad.extend_from_slice(&(encoded.len() as u32).to_le_bytes());
+            bad.extend_from_slice(&uc_faultlog::durable::crc::crc32(&encoded).to_le_bytes());
+            assert_eq!(bad.len(), trailer_at + TRAILER_LEN, "narrowing {k}");
+            let path = tempdir(&format!("zone-{k}")).join("t.fdb");
+            fs::write(&path, &bad).unwrap();
+            let db = FaultDb::open(&path).unwrap();
+            let is_damage = |e: DbError| {
+                matches!(
+                    e,
+                    DbError::BlockCorrupt {
+                        index: 5,
+                        damage: crate::error::BlockDamage::OutsideZone
+                    }
+                )
+            };
+            assert!(is_damage(db.verify_deep().unwrap_err()), "narrowing {k}");
+            for text in [
+                "count",
+                "count where multibit",
+                "count where not multibit",
+                "group day",
+                "group node",
+                "hist bits",
+                "top 3 node where time>=1000",
+                "list limit 3 where time>=150000",
+            ] {
+                let q = parse_query(text).unwrap();
+                if !db.plan(&q)[damaged as usize].scan {
+                    continue;
+                }
+                // Cold, and again: a damaged block never enters the cache.
+                for _ in 0..2 {
+                    let err = db.run(&q, &QueryOptions::default()).unwrap_err();
+                    assert!(is_damage(err), "narrowing {k}: {text}");
+                }
+            }
+        }
     }
 
     #[test]

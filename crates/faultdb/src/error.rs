@@ -22,6 +22,8 @@ pub enum BlockDamage {
     LayoutMismatch,
     /// A decoded column value is not representable (e.g. bad node id).
     BadValue,
+    /// A decoded row lies outside the block's footer zone map.
+    OutsideZone,
 }
 
 impl fmt::Display for BlockDamage {
@@ -31,6 +33,7 @@ impl fmt::Display for BlockDamage {
             BlockDamage::OutOfBounds => write!(f, "offset/length out of bounds"),
             BlockDamage::LayoutMismatch => write!(f, "payload length disagrees with layout"),
             BlockDamage::BadValue => write!(f, "column value out of range"),
+            BlockDamage::OutsideZone => write!(f, "row outside the block's zone map"),
         }
     }
 }

@@ -134,6 +134,31 @@ impl ZoneMap {
         }
         z
     }
+
+    /// Whether every decoded row lies inside this zone map: its time and
+    /// node within the bounds, its bit class and flip direction among the
+    /// bitmaps'. Each column folds in one pass with no early exit, so the
+    /// loops stay branch-free.
+    fn covers(&self, c: &Columns) -> bool {
+        fn min_max<T: Copy + Ord>(col: &[T], empty: (T, T)) -> (T, T) {
+            col.iter()
+                .fold(empty, |(lo, hi), &v| (lo.min(v), hi.max(v)))
+        }
+        let (t_lo, t_hi) = min_max(&c.time, (i64::MAX, i64::MIN));
+        let (n_lo, n_hi) = min_max(&c.node, (u32::MAX, 0));
+        // `BitClass::of` as a shift: 0 and 1 bits are class 0, 6+ class 5.
+        let classes = c
+            .bits
+            .iter()
+            .fold(0u8, |m, &b| m | 1 << (b.clamp(1, 6) - 1));
+        let dirs = c.dir.iter().fold(0u8, |m, &d| m | 1 << d);
+        self.min_time <= t_lo
+            && t_hi <= self.max_time
+            && self.min_node <= n_lo
+            && n_hi <= self.max_node
+            && classes & !self.class_map == 0
+            && dirs & !self.dir_map == 0
+    }
 }
 
 /// Footer entry for one block.
@@ -233,7 +258,7 @@ fn encode_block(faults: &[Fault], file_enc: FileEncoding) -> (Vec<u8>, ZoneMap, 
     (payload, zone, enc)
 }
 
-fn encode_footer(footer: &Footer) -> Vec<u8> {
+pub(crate) fn encode_footer(footer: &Footer) -> Vec<u8> {
     let mut out = Vec::with_capacity(64 + footer.blocks.len() * block_meta_len(footer.version));
     push_u32(&mut out, footer.version);
     push_u32(&mut out, footer.rows_per_block);
@@ -583,12 +608,19 @@ pub fn decode_footer(bytes: &[u8], blocks_end: u64) -> Result<Footer, DbError> {
 
 /// Decode one block payload into columnar form. The caller has already
 /// sliced `payload` per the footer; this verifies the CRC before
-/// trusting a byte, then the exact column layout and every value.
+/// trusting a byte, then the exact column layout and every value, then
+/// that every row lies inside the block's zone map. The footer CRC only
+/// proves that the writer wrote that zone map; the scan's whole-block
+/// answers and its dense `day` counts rely on it being true.
 pub fn decode_block_columns(payload: &[u8], meta: &BlockMeta) -> Result<Columns, BlockDamage> {
     if crc32(payload) != meta.crc {
         return Err(BlockDamage::ChecksumMismatch);
     }
-    encoding::decode_columns(payload, meta.rows as usize, meta.encoding)
+    let c = encoding::decode_columns(payload, meta.rows as usize, meta.encoding)?;
+    if !meta.zone.covers(&c) {
+        return Err(BlockDamage::OutsideZone);
+    }
+    Ok(c)
 }
 
 /// Decode one block payload back into faults (row form).

@@ -11,6 +11,12 @@
 //! invariant throughout is that bits at positions `>= rows` are zero in
 //! every bitmap.
 //!
+//! A block whose zone map proves that every row matches
+//! ([`Pred::must_match`]) skips the predicate and the row loop: `count`
+//! takes its row count, `list` its first rows, and `group`, `top` and
+//! `hist` read the block's all-rows counts, which the same row kernels
+//! compute on first use and the cached block keeps (`cache::Block`).
+//!
 //! This module also owns the partial/aggregate machinery shared by the
 //! single-file engine and the shard fan-out: partials merge additively
 //! in block order (and shard aggregates merge in shard order), which is
@@ -18,11 +24,13 @@
 
 use std::collections::BTreeMap;
 use std::ops::Range;
+use std::sync::Arc;
 
 use uc_analysis::fault::{BitClass, Fault};
 use uc_cluster::{NodeId, RACKS, TOTAL_BLADES, TOTAL_NODES};
 use uc_simclock::SimTime;
 
+use crate::cache::Block;
 use crate::encoding::Columns;
 use crate::query::{blade_node_range, rack_node_range, Action, Dim, FlipDir, Pred, Query};
 
@@ -159,15 +167,20 @@ fn pack(bytes: &[u8; CHUNK]) -> u64 {
     word
 }
 
+/// The selection bitmap of every one of `rows` rows.
+fn all_rows(rows: usize) -> Vec<u64> {
+    let mut words = vec![u64::MAX; words_for(rows)];
+    if !rows.is_multiple_of(CHUNK) {
+        *words.last_mut().expect("a partial last word") = (1u64 << (rows % CHUNK)) - 1;
+    }
+    words
+}
+
 /// Evaluate a predicate tree over a block into a selection bitmap.
 pub(crate) fn eval_pred(p: &Pred, c: &Columns) -> Vec<u64> {
     let rows = c.len();
     if let Pred::All = p {
-        let mut words = vec![u64::MAX; words_for(rows)];
-        if !rows.is_multiple_of(CHUNK) {
-            *words.last_mut().expect("a partial last word") = (1u64 << (rows % CHUNK)) - 1;
-        }
-        return words;
+        return all_rows(rows);
     }
     (0..rows)
         .step_by(CHUNK)
@@ -259,13 +272,39 @@ pub(crate) fn kernel_name(action: &Action) -> &'static str {
 
 // ----------------------------------------------------------------- scan
 
-/// Scan one decoded block: evaluate the predicate into a bitmap, then
-/// run the action's kernel over the selected rows.
-pub(crate) fn scan_columns(q: &Query, c: &Columns) -> Partial {
-    let rows = c.len();
-    // count over `all` needs no bitmap at all: every row matches.
-    if matches!((&q.action, &q.pred), (Action::Count, Pred::All)) {
-        return Partial::Count(rows as u64);
+/// Scan one decoded block. A block the zone map proves wholly selected
+/// (`whole`) skips the predicate and the row loop; any other evaluates
+/// the predicate into a bitmap and runs the action's kernel over the
+/// selected rows.
+pub(crate) fn scan_block(q: &Query, block: &Arc<Block>, whole: bool) -> Partial {
+    let c = &block.columns;
+    if whole {
+        let rows = c.len() as u64;
+        return match q.action {
+            Action::Count => Partial::Count(rows),
+            Action::List { limit } => Partial::List {
+                rows: (0..c.len().min(limit.unwrap_or(usize::MAX)))
+                    .map(|i| c.fault(i))
+                    .collect(),
+                matched: rows,
+            },
+            // Fill the block's counts here, on the scanning thread; the
+            // merge reads them in place.
+            Action::Top { by, .. } | Action::Group(by) => {
+                whole_counts(block, by);
+                Partial::Whole {
+                    block: Arc::clone(block),
+                    by: Some(by),
+                }
+            }
+            Action::HistBits => {
+                whole_hist(block);
+                Partial::Whole {
+                    block: Arc::clone(block),
+                    by: None,
+                }
+            }
+        };
     }
     let sel = eval_pred(&q.pred, c);
     match q.action {
@@ -286,47 +325,88 @@ pub(crate) fn scan_columns(q: &Query, c: &Columns) -> Partial {
                 matched,
             }
         }
-        Action::Top { by, .. } | Action::Group(by) => {
-            let mut counts = Counts::for_dim(by);
-            let blade = |n| NodeId(n).blade();
-            match &mut counts {
-                // One arm per dimension, so each row loop compiles for one
-                // key function; the keys are those `render_key` renders.
-                // Node has the one large domain, so it takes fewer lanes.
-                Counts::Dense(slots) => match by {
-                    Dim::Node => tally::<_, 4>(&sel, &c.node, slots, |n| n as usize),
-                    Dim::Blade => tally::<_, 8>(&sel, &c.node, slots, |n| blade(n).0 as usize + 1),
-                    Dim::Rack => {
-                        tally::<_, 8>(&sel, &c.node, slots, |n| blade(n).rack() as usize + 1)
-                    }
-                    // Classes fold from the bits histogram.
-                    Dim::Class => {
-                        for (bits, n) in hist_bits(&sel, c).iter().enumerate() {
-                            slots[BitClass::of(bits as u32) as usize] += n;
-                        }
-                    }
-                    Dim::Dir => tally::<_, 8>(&sel, &c.dir, slots, usize::from),
-                    Dim::Hour => tally::<_, 8>(&sel, &c.time, slots, |t| {
-                        SimTime::from_secs(t).hour_of_day() as usize
-                    }),
-                    Dim::Day => unreachable!("`day` counts into a map"),
-                },
-                // Only `day` counts into a map.
-                Counts::Sparse(map) => for_each_set(&sel, |i| {
-                    *map.entry(SimTime::from_secs(c.time[i]).day_index())
-                        .or_insert(0) += 1;
-                }),
-            }
-            Partial::Keyed {
-                counts,
-                matched: popcount(&sel),
-            }
-        }
+        Action::Top { by, .. } | Action::Group(by) => Partial::Keyed {
+            counts: keyed_counts(by, &sel, block),
+            matched: popcount(&sel),
+        },
         Action::HistBits => Partial::Hist {
             bins: hist_bits(&sel, c),
             matched: popcount(&sel),
         },
     }
+}
+
+/// The block's all-rows counts for `by`, computed on first use.
+fn whole_counts(block: &Block, by: Dim) -> &Counts {
+    block.counts[by as usize]
+        .get_or_init(|| keyed_counts(by, &all_rows(block.columns.len()), block))
+}
+
+/// The block's all-rows bits histogram, computed on first use.
+fn whole_hist(block: &Block) -> &[u64; 33] {
+    block
+        .hist
+        .get_or_init(|| hist_bits(&all_rows(block.columns.len()), &block.columns))
+}
+
+/// Count the selected rows of a block by the key of dimension `by`.
+fn keyed_counts(by: Dim, sel: &[u64], block: &Block) -> Counts {
+    let c = &block.columns;
+    let blade = |n| NodeId(n).blade();
+    let keys = match by {
+        Dim::Node => TOTAL_NODES as usize,
+        Dim::Blade => TOTAL_BLADES as usize + 1,
+        Dim::Rack => RACKS as usize + 1,
+        Dim::Class => BitClass::ALL.len(),
+        Dim::Dir => FlipDir::Mixed as usize + 1,
+        Dim::Hour => 24,
+        Dim::Day => return day_counts(sel, block),
+    };
+    // A dense array covers every key a decoded block can give: decode
+    // refuses a node at or past `TOTAL_NODES`, and blades and racks
+    // derive from it.
+    let mut slots = vec![0; keys];
+    // One arm per dimension, so each row loop compiles for one key
+    // function; the keys are those `render_key` renders. Node has the one
+    // large domain, so it takes fewer lanes.
+    match by {
+        Dim::Node => tally::<_, 4>(sel, &c.node, &mut slots, |n| n as usize),
+        Dim::Blade => tally::<_, 8>(sel, &c.node, &mut slots, |n| blade(n).0 as usize + 1),
+        Dim::Rack => tally::<_, 8>(sel, &c.node, &mut slots, |n| blade(n).rack() as usize + 1),
+        // Classes fold from the bits histogram.
+        Dim::Class => {
+            for (bits, n) in hist_bits(sel, c).iter().enumerate() {
+                slots[BitClass::of(bits as u32) as usize] += n;
+            }
+        }
+        Dim::Dir => tally::<_, 8>(sel, &c.dir, &mut slots, usize::from),
+        Dim::Hour => tally::<_, 8>(sel, &c.time, &mut slots, |t| {
+            SimTime::from_secs(t).hour_of_day() as usize
+        }),
+        Dim::Day => unreachable!("`day` returned above"),
+    }
+    Counts::Dense(slots)
+}
+
+/// Count the selected rows by day. The block's days span its zone map's
+/// time bounds, which decode proved hold every row; when that span is at
+/// most the block's row count, the rows count into a dense array over
+/// it. A wider span (a valid block can hold times anywhere in i64
+/// seconds) counts into an ordered map, one insert per selected row.
+fn day_counts(sel: &[u64], block: &Block) -> Counts {
+    let c = &block.columns;
+    let day = |t| SimTime::from_secs(t).day_index();
+    let first = day(block.zone.min_time);
+    // Day indices lie within ±2^47, so the difference cannot overflow.
+    let span = day(block.zone.max_time) - first + 1;
+    if (1..=c.len() as i64).contains(&span) {
+        let mut slots = vec![0; span as usize];
+        tally::<_, 4>(sel, &c.time, &mut slots, |t| (day(t) - first) as usize);
+        return Counts::Days { first, slots };
+    }
+    let mut map = BTreeMap::new();
+    for_each_set(sel, |i| *map.entry(day(c.time[i])).or_insert(0) += 1);
+    Counts::Sparse(map)
 }
 
 // ------------------------------------------------------------ aggregation
@@ -363,55 +443,33 @@ pub(crate) fn render_fault(f: &Fault) -> String {
 
 /// Group counts of one dimension. The six dimensions with a fixed domain
 /// count into a dense array indexed by the key itself, so index order is
-/// key order; `day` keeps an ordered map, because a valid block can hold
-/// times anywhere in i64 seconds.
+/// key order. `day` counts one block into a dense array over that
+/// block's days when it can (see [`day_counts`]); every other `day`
+/// count, and every aggregate over blocks, is an ordered map.
 pub(crate) enum Counts {
     Dense(Vec<u64>),
+    /// Slot `i` counts day `first + i`.
+    Days {
+        first: i64,
+        slots: Vec<u64>,
+    },
     Sparse(BTreeMap<i64, u64>),
 }
 
 impl Counts {
-    /// Empty counts for `dim`. A dense array covers every key a decoded
-    /// block can give: decode refuses a node at or past `TOTAL_NODES`,
-    /// and blades and racks derive from it.
-    fn for_dim(dim: Dim) -> Counts {
-        let keys = match dim {
-            Dim::Node => TOTAL_NODES as usize,
-            Dim::Blade => TOTAL_BLADES as usize + 1,
-            Dim::Rack => RACKS as usize + 1,
-            Dim::Class => BitClass::ALL.len(),
-            Dim::Dir => FlipDir::Mixed as usize + 1,
-            Dim::Hour => 24,
-            Dim::Day => return Counts::Sparse(BTreeMap::new()),
-        };
-        Counts::Dense(vec![0; keys])
-    }
-
-    fn add(&mut self, other: Counts) {
-        match (self, other) {
-            (Counts::Dense(acc), Counts::Dense(more)) => {
-                for (a, m) in acc.iter_mut().zip(more) {
-                    *a += m;
-                }
-            }
-            (Counts::Sparse(acc), Counts::Sparse(more)) => {
-                for (k, v) in more {
-                    *acc.entry(k).or_insert(0) += v;
-                }
-            }
-            _ => unreachable!("partials of one query count one dimension"),
-        }
-    }
-
     /// Every (key, count) with a count above zero, in key order.
     fn pairs(&self) -> Vec<(i64, u64)> {
-        match self {
-            Counts::Dense(slots) => slots
+        let nonzero = |offset: i64, slots: &[u64]| {
+            slots
                 .iter()
                 .enumerate()
                 .filter(|(_, &v)| v > 0)
-                .map(|(k, &v)| (k as i64, v))
-                .collect(),
+                .map(|(k, &v)| (offset + k as i64, v))
+                .collect()
+        };
+        match self {
+            Counts::Dense(slots) => nonzero(0, slots),
+            Counts::Days { first, slots } => nonzero(*first, slots),
             Counts::Sparse(map) => map.iter().map(|(&k, &v)| (k, v)).collect(),
         }
     }
@@ -420,9 +478,24 @@ impl Counts {
 /// Per-block partial aggregate; additive, merged in block order.
 pub(crate) enum Partial {
     Count(u64),
-    List { rows: Vec<Fault>, matched: u64 },
-    Keyed { counts: Counts, matched: u64 },
-    Hist { bins: Box<[u64; 33]>, matched: u64 },
+    List {
+        rows: Vec<Fault>,
+        matched: u64,
+    },
+    Keyed {
+        counts: Counts,
+        matched: u64,
+    },
+    Hist {
+        bins: Box<[u64; 33]>,
+        matched: u64,
+    },
+    /// A wholly selected block: its all-rows counts for `by`, or its
+    /// histogram when `by` is `None`, merged by reference.
+    Whole {
+        block: Arc<Block>,
+        by: Option<Dim>,
+    },
 }
 
 pub(crate) struct Aggregate {
@@ -446,11 +519,30 @@ impl Aggregate {
         }
     }
 
-    fn add_counts(&mut self, counts: Option<Counts>) {
-        match (&mut self.counts, counts) {
-            (Some(acc), Some(more)) => acc.add(more),
-            (acc @ None, more) => *acc = more,
-            (Some(_), None) => {}
+    /// Add one block's or one shard's counts; the first sets the shape.
+    fn add_counts(&mut self, more: &Counts) {
+        let acc = self.counts.get_or_insert_with(|| match more {
+            Counts::Dense(slots) => Counts::Dense(vec![0; slots.len()]),
+            Counts::Days { .. } | Counts::Sparse(_) => Counts::Sparse(BTreeMap::new()),
+        });
+        match (acc, more) {
+            (Counts::Dense(acc), Counts::Dense(more)) => {
+                for (a, m) in acc.iter_mut().zip(more) {
+                    *a += m;
+                }
+            }
+            (Counts::Sparse(acc), Counts::Days { .. } | Counts::Sparse(_)) => {
+                for (k, v) in more.pairs() {
+                    *acc.entry(k).or_insert(0) += v;
+                }
+            }
+            _ => unreachable!("partials of one query count one dimension"),
+        }
+    }
+
+    fn add_bins(&mut self, bins: &[u64; 33]) {
+        for (acc, v) in self.bins.iter_mut().zip(bins) {
+            *acc += v;
         }
     }
 
@@ -465,14 +557,19 @@ impl Aggregate {
                 self.matched += matched;
             }
             Partial::Keyed { counts, matched } => {
-                self.add_counts(Some(counts));
+                self.add_counts(&counts);
                 self.matched += matched;
             }
             Partial::Hist { bins, matched } => {
-                for (acc, v) in self.bins.iter_mut().zip(bins.iter()) {
-                    *acc += v;
-                }
+                self.add_bins(&bins);
                 self.matched += matched;
+            }
+            Partial::Whole { block, by } => {
+                match by {
+                    Some(by) => self.add_counts(whole_counts(&block, by)),
+                    None => self.add_bins(whole_hist(&block)),
+                }
+                self.matched += block.columns.len() as u64;
             }
         }
     }
@@ -485,10 +582,10 @@ impl Aggregate {
         self.matched += other.matched;
         self.count += other.count;
         self.rows.extend(other.rows);
-        self.add_counts(other.counts);
-        for (acc, v) in self.bins.iter_mut().zip(other.bins.iter()) {
-            *acc += v;
+        if let Some(counts) = &other.counts {
+            self.add_counts(counts);
         }
+        self.add_bins(&other.bins);
     }
 
     /// Replace the accumulated rows (after a k-way merge across shards).
@@ -534,7 +631,9 @@ impl Aggregate {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::BlockCache;
     use crate::encoding::{decode_columns, encode_packed, BlockEncoding};
+    use crate::format::ZoneMap;
     use crate::query::parse_query;
     use proptest::prelude::*;
     use uc_simclock::StreamRng;
@@ -567,6 +666,23 @@ mod tests {
     fn columns(faults: &[Fault]) -> Columns {
         let payload = encode_packed(faults);
         decode_columns(&payload, faults.len(), BlockEncoding::Packed).unwrap()
+    }
+
+    /// A decoded block with its exact zone map, as the cache holds it.
+    fn block(faults: &[Fault]) -> Arc<Block> {
+        Arc::new(Block::new(columns(faults), ZoneMap::of(faults)))
+    }
+
+    /// Scan a block as the engine does: whole when the zone map proves it.
+    fn scan(q: &Query, b: &Arc<Block>) -> Partial {
+        scan_block(q, b, q.pred.must_match(&b.zone))
+    }
+
+    /// Render one block's partial.
+    fn render_one(q: &Query, p: Partial) -> Vec<String> {
+        let mut agg = Aggregate::new();
+        agg.merge(p);
+        agg.render(&q.action)
     }
 
     #[test]
@@ -697,8 +813,8 @@ mod tests {
         let mut total = Aggregate::new();
         for half in [left, right] {
             let mut agg = Aggregate::new();
-            for block in half {
-                agg.merge(scan_columns(q, &columns(block)));
+            for faults in half {
+                agg.merge(scan(q, &block(faults)));
             }
             total.absorb(agg);
         }
@@ -787,15 +903,30 @@ mod tests {
     /// A random predicate tree of at most `depth` levels over every leaf
     /// and `and`/`or`/`not`.
     fn random_pred(rng: &mut StreamRng, depth: u32) -> Pred {
+        random_tree(rng, depth, &mut random_leaf)
+    }
+
+    /// A random tree of at most `depth` levels over `and`/`or`/`not`, its
+    /// leaves drawn by `leaf`.
+    fn random_tree(
+        rng: &mut StreamRng,
+        depth: u32,
+        leaf: &mut impl FnMut(&mut StreamRng) -> Pred,
+    ) -> Pred {
         if depth > 1 && rng.chance(0.6) {
             let op = rng.below(3);
-            let mut sub = || Box::new(random_pred(rng, depth - 1));
+            let mut sub = || Box::new(random_tree(rng, depth - 1, leaf));
             return match op {
                 0 => Pred::And(sub(), sub()),
                 1 => Pred::Or(sub(), sub()),
                 _ => Pred::Not(sub()),
             };
         }
+        leaf(rng)
+    }
+
+    /// Any leaf, its value drawn over the whole domain.
+    fn random_leaf(rng: &mut StreamRng) -> Pred {
         let time = SimTime::from_secs(random_time(rng));
         match rng.below(15) {
             0 => Pred::All,
@@ -846,12 +977,195 @@ mod tests {
                 actions.push(Action::Group(by));
                 actions.push(Action::Top { k: rng.range_inclusive(1, 8) as usize, by });
             }
-            let c = columns(&faults);
+            let b = block(&faults);
+            // The whole-block path answers with every row, so it runs
+            // under a predicate the zone map proves.
+            let proven = Pred::Or(Box::new(pred.clone()), Box::new(Pred::All));
+            let cache = BlockCache::new(1);
             for action in actions {
                 let q = Query { action, pred: pred.clone() };
-                let mut agg = Aggregate::new();
-                agg.merge(scan_columns(&q, &c));
-                prop_assert_eq!(agg.render(&q.action), oracle(&q, &faults), "{:?}", q);
+                prop_assert_eq!(render_one(&q, scan_block(&q, &b, false)), oracle(&q, &faults), "{:?}", q);
+                if pred.must_match(&b.zone) {
+                    prop_assert_eq!(render_one(&q, scan_block(&q, &b, true)), oracle(&q, &faults), "{:?}", q);
+                }
+                // First use computes the block's counts, second use reuses
+                // them, and a block evicted from the cache and decoded
+                // again computes them afresh.
+                let whole = Query { action, pred: proven.clone() };
+                let want = oracle(&whole, &faults);
+                cache.insert(0, block(&faults));
+                for _ in 0..2 {
+                    let cached = cache.get(0).expect("block 0 is cached");
+                    prop_assert_eq!(render_one(&whole, scan_block(&whole, &cached, true)), want.clone(), "{:?}", whole);
+                }
+                cache.insert(8, block(&[]));
+                prop_assert!(cache.get(0).is_none(), "block 0 shares a one-block shard with 8");
+                cache.insert(0, block(&faults));
+                let redecoded = cache.get(0).expect("block 0 is cached again");
+                prop_assert_eq!(render_one(&whole, scan_block(&whole, &redecoded, true)), want, "{:?}", whole);
+            }
+        }
+
+        /// `must_match` is sound: whenever it holds, the row filter keeps
+        /// every row; and so is `may_match`: whenever some row matches, it
+        /// holds. Blocks are narrowed so that the predicates, drawn around
+        /// the block's own values, often hold on every row.
+        #[test]
+        fn must_match_never_holds_when_a_row_fails(seed in any::<u64>(), rows in 0usize..40) {
+            let mut rng = StreamRng::from_seed(seed);
+            let faults = narrow_block(&mut rng, rows);
+            let zone = ZoneMap::of(&faults);
+            for _ in 0..32 {
+                let pred = random_tree(&mut rng, 4, &mut |rng| near_leaf(rng, &faults));
+                if pred.must_match(&zone) {
+                    prop_assert!(faults.iter().all(|f| pred.matches(f)), "{:?} on {:?}", pred, faults);
+                }
+                if faults.iter().any(|f| pred.matches(f)) {
+                    prop_assert!(pred.may_match(&zone), "{:?} on {:?}", pred, faults);
+                }
+            }
+        }
+    }
+
+    /// `rows` random faults, each of the node, time and bits columns
+    /// narrowed at random: one node or one blade, one hour, one bit count.
+    /// A fault may flip no bit at all (class one, direction mixed), which
+    /// extraction never emits but decode accepts.
+    fn narrow_block(rng: &mut StreamRng, rows: usize) -> Vec<Fault> {
+        let mut faults: Vec<Fault> = (0..rows).map(|_| random_fault(rng)).collect();
+        let node = rng.below(u64::from(TOTAL_NODES)) as u32;
+        let (lo, hi) = blade_node_range(NodeId(node).blade().0 + 1);
+        let hour = random_time(rng);
+        let (narrow_node, narrow_blade, narrow_time, narrow_bits, unflipped) = (
+            rng.chance(0.3),
+            rng.chance(0.3),
+            rng.chance(0.5),
+            rng.chance(0.4),
+            rng.chance(0.2),
+        );
+        let template = faults.first().copied();
+        for f in &mut faults {
+            if narrow_node {
+                f.node = NodeId(node);
+            } else if narrow_blade {
+                f.node = NodeId(rng.range_inclusive(u64::from(lo), u64::from(hi)) as u32);
+            }
+            if narrow_time {
+                f.time = SimTime::from_secs(hour + rng.below(3_600) as i64);
+            }
+            if narrow_bits {
+                let t = template.expect("a fault exists");
+                (f.expected, f.actual) = (t.expected, t.actual);
+            }
+            if unflipped && rng.chance(0.5) {
+                f.actual = f.expected;
+            }
+        }
+        faults
+    }
+
+    /// A leaf whose value comes from a random fault of `faults` (nudged by
+    /// at most one), so that it often holds on a narrowed block; `all`, or
+    /// a fully random leaf, some of the time.
+    fn near_leaf(rng: &mut StreamRng, faults: &[Fault]) -> Pred {
+        let Some(f) = faults.get(rng.below(faults.len().max(1) as u64) as usize) else {
+            return random_leaf(rng);
+        };
+        if rng.chance(0.1) {
+            return random_leaf(rng);
+        }
+        let nudge = |rng: &mut StreamRng, v: i64| v + rng.range_inclusive(0, 2) as i64 - 1;
+        let bits = nudge(rng, i64::from(f.bits_corrupted())).max(0) as u32;
+        let time = SimTime::from_secs(nudge(rng, f.time.as_secs()));
+        match rng.below(15) {
+            0 => Pred::All,
+            1 => Pred::MultiBit,
+            2 => Pred::Node(f.node),
+            3 => Pred::Blade(f.node.blade().0 + 1),
+            4 => Pred::Rack(f.node.blade().rack() + 1),
+            5 => Pred::Class(f.bit_class()),
+            6 => Pred::Dir(FlipDir::of(f)),
+            7 => Pred::BitsEq(bits),
+            8 => Pred::BitsGe(bits),
+            9 => Pred::BitsLe(bits),
+            10 => Pred::RawGe(nudge(rng, f.raw_logs as i64).max(0) as u64),
+            11 => Pred::TimeGe(time),
+            12 => Pred::TimeGt(time),
+            13 => Pred::TimeLe(time),
+            _ => Pred::TimeLt(time),
+        }
+    }
+
+    /// The soundness property above is not vacuous: over narrowed blocks,
+    /// `must_match` proves predicates of every leaf kind that `all` does
+    /// not decide by itself.
+    #[test]
+    fn must_match_proves_leaves_of_every_kind() {
+        let mut proven = std::collections::BTreeSet::new();
+        for seed in 0..300 {
+            let mut rng = StreamRng::from_seed(seed);
+            let rows = rng.range_inclusive(1, 40) as usize;
+            let faults = narrow_block(&mut rng, rows);
+            let zone = ZoneMap::of(&faults);
+            for _ in 0..32 {
+                let leaf = near_leaf(&mut rng, &faults);
+                if leaf.must_match(&zone) {
+                    assert!(faults.iter().all(|f| leaf.matches(f)), "{leaf:?}");
+                    let kind = format!("{leaf:?}");
+                    proven.insert(kind[..kind.find('(').unwrap_or(kind.len())].to_string());
+                }
+                let not = Pred::Not(Box::new(leaf));
+                if not.must_match(&zone) {
+                    proven.insert("Not".to_string());
+                }
+            }
+        }
+        for kind in [
+            "All", "MultiBit", "Node", "Blade", "Rack", "Class", "Dir", "BitsEq", "BitsGe",
+            "BitsLe", "RawGe", "TimeGe", "TimeGt", "TimeLe", "TimeLt", "Not",
+        ] {
+            assert!(proven.contains(kind), "{kind} never proven: {proven:?}");
+        }
+    }
+
+    #[test]
+    fn day_counts_densely_over_a_narrow_span_and_sparsely_past_it() {
+        // 300 rows over 3 days: dense, 3 slots from day -1.
+        let narrow: Vec<Fault> = spread(300)
+            .into_iter()
+            .enumerate()
+            .map(|(i, f)| Fault {
+                time: SimTime::from_secs(i as i64 * 800 - 86_400),
+                ..f
+            })
+            .collect();
+        // 3 rows 10 days apart span 21 days, more than the rows: sparse.
+        let wide: Vec<Fault> = spread(3)
+            .into_iter()
+            .enumerate()
+            .map(|(i, f)| Fault {
+                time: SimTime::from_secs(i as i64 * 10 * 86_400),
+                ..f
+            })
+            .collect();
+        let by_day = parse_query("group day").unwrap();
+        let windowed = parse_query("group day where time>=1000").unwrap();
+        for (faults, dense) in [(&narrow, true), (&wide, false)] {
+            let b = block(faults);
+            let sel = all_rows(faults.len());
+            match keyed_counts(Dim::Day, &sel, &b) {
+                Counts::Days { first, slots } => {
+                    assert!(dense);
+                    assert_eq!((first, slots.len()), (-1, 3));
+                }
+                Counts::Sparse(map) => {
+                    assert!(!dense);
+                    assert_eq!(map.len(), 3);
+                }
+                Counts::Dense(_) => panic!("day never counts into a fixed domain"),
+            }
+            for q in [&by_day, &windowed] {
+                assert_eq!(render_one(q, scan(q, &b)), oracle(q, faults), "{q:?}");
             }
         }
     }
@@ -871,7 +1185,7 @@ mod tests {
                 raw_logs: 1,
             })
             .collect();
-        let c = columns(&faults);
+        let b = block(&faults);
         let day = |t: i64| SimTime::from_secs(t).day_index();
         let (lo, hi) = (day(i64::MIN), day(i64::MAX));
         for (q, want) in [
@@ -896,24 +1210,32 @@ mod tests {
                 vec![format!("{lo} 1"), "-1 1".into()],
             ),
         ] {
-            let started = std::time::Instant::now();
-            let mut agg = Aggregate::new();
-            agg.merge(scan_columns(&q, &c));
-            assert_eq!(agg.render(&q.action), want, "{q:?}");
-            assert_eq!(agg.render(&q.action), oracle(&q, &faults), "{q:?}");
-            assert!(
-                started.elapsed() < std::time::Duration::from_secs(1),
-                "{q:?}"
-            );
+            // The row kernels and the whole-block path alike.
+            for whole in [false, true] {
+                let started = std::time::Instant::now();
+                let got = render_one(&q, scan_block(&q, &b, whole));
+                assert_eq!(got, want, "{q:?}");
+                assert_eq!(got, oracle(&q, &faults), "{q:?}");
+                assert!(
+                    started.elapsed() < std::time::Duration::from_secs(1),
+                    "{q:?}"
+                );
+            }
         }
     }
 
     #[test]
     fn empty_block_scans_clean() {
-        let c = columns(&[]);
-        let q = parse_query("count where multibit").unwrap();
-        let mut agg = Aggregate::new();
-        agg.merge(scan_columns(&q, &c));
-        assert_eq!(agg.render(&q.action), vec!["0".to_string()]);
+        let b = block(&[]);
+        for text in ["count where multibit", "count", "group day", "hist bits"] {
+            let q = parse_query(text).unwrap();
+            for whole in [false, true] {
+                assert_eq!(
+                    render_one(&q, scan_block(&q, &b, whole)),
+                    oracle(&q, &[]),
+                    "{text}"
+                );
+            }
+        }
     }
 }

@@ -27,6 +27,8 @@
 //! only say "definitely empty", never discard a block that could hold a
 //! match. `not` is the deliberate worst case — zone maps cannot be
 //! complemented, so `Not` always scans (the row filter stays exact).
+//! The dual, `must_match`, says "every row matches" only when the zone
+//! map proves it; the scan then skips the block's row loop.
 
 use uc_analysis::fault::{BitClass, Fault};
 use uc_cluster::{NodeId, BLADES_PER_CHASSIS, CHASSIS_PER_RACK, SOCS_PER_BLADE, TOTAL_BLADES};
@@ -152,23 +154,38 @@ pub(crate) fn rack_node_range(rack1: u32) -> (u32, u32) {
     )
 }
 
+/// Inclusive range of corrupted-bit counts a bit class holds. `One`
+/// starts at 0: `BitClass::of(0)` is `One`.
+fn class_bits(class: BitClass) -> (u32, u32) {
+    match class {
+        BitClass::One => (0, 1),
+        BitClass::Two => (2, 2),
+        BitClass::Three => (3, 3),
+        BitClass::Four => (4, 4),
+        BitClass::Five => (5, 5),
+        BitClass::SixPlus => (6, 32),
+    }
+}
+
 /// Bit classes whose bit-count range intersects `[lo, hi]` corrupted bits.
 fn class_mask_for_bits(lo: u32, hi: u32) -> u8 {
     let mut mask = 0u8;
-    for (i, class) in BitClass::ALL.iter().enumerate() {
-        let (cmin, cmax) = match class {
-            BitClass::One => (1, 1),
-            BitClass::Two => (2, 2),
-            BitClass::Three => (3, 3),
-            BitClass::Four => (4, 4),
-            BitClass::Five => (5, 5),
-            BitClass::SixPlus => (6, 32),
-        };
+    for (i, &class) in BitClass::ALL.iter().enumerate() {
+        let (cmin, cmax) = class_bits(class);
         if cmax >= lo && cmin <= hi {
             mask |= 1 << i;
         }
     }
     mask
+}
+
+/// Whether every bit class in `class_map` lies wholly inside `[lo, hi]`
+/// corrupted bits.
+fn classes_within(class_map: u8, lo: u32, hi: u32) -> bool {
+    BitClass::ALL.iter().enumerate().all(|(i, &class)| {
+        let (cmin, cmax) = class_bits(class);
+        class_map & (1 << i) == 0 || (lo <= cmin && cmax <= hi)
+    })
 }
 
 impl Pred {
@@ -226,6 +243,41 @@ impl Pred {
             // rows of a block whose range is exactly [X, X]'s — only if
             // other rows share it. Stay conservative.
             Pred::Not(_) => true,
+        }
+    }
+
+    /// The dual of [`Pred::may_match`]: `true` only when the zone map
+    /// proves that every row of the block matches. Decode refuses a
+    /// block with a row outside its zone map, so a scan may then answer
+    /// from the block's row count or its all-rows counts.
+    pub fn must_match(&self, z: &ZoneMap) -> bool {
+        match self {
+            Pred::All => true,
+            // No zone bound covers `raw`.
+            Pred::RawGe(n) => *n == 0,
+            Pred::MultiBit => z.class_map & (1 << BitClass::One as u8) == 0,
+            Pred::Node(n) => z.min_node == n.0 && z.max_node == n.0,
+            Pred::Blade(b) => {
+                let (lo, hi) = blade_node_range(*b);
+                lo <= z.min_node && z.max_node <= hi
+            }
+            Pred::Rack(r) => {
+                let (lo, hi) = rack_node_range(*r);
+                lo <= z.min_node && z.max_node <= hi
+            }
+            Pred::Class(c) => z.class_map & !(1 << *c as u8) == 0,
+            Pred::Dir(d) => z.dir_map & !(1 << *d as u8) == 0,
+            Pred::BitsEq(n) => classes_within(z.class_map, *n, *n),
+            Pred::BitsGe(n) => classes_within(z.class_map, *n, u32::MAX),
+            Pred::BitsLe(n) => classes_within(z.class_map, 0, *n),
+            Pred::TimeGe(t) => z.min_time >= t.as_secs(),
+            Pred::TimeGt(t) => z.min_time > t.as_secs(),
+            Pred::TimeLe(t) => z.max_time <= t.as_secs(),
+            Pred::TimeLt(t) => z.max_time < t.as_secs(),
+            Pred::And(a, b) => a.must_match(z) && b.must_match(z),
+            Pred::Or(a, b) => a.must_match(z) || b.must_match(z),
+            // Every row matches `not p` when none can match `p`.
+            Pred::Not(p) => !p.may_match(z),
         }
     }
 }

@@ -418,7 +418,9 @@ pub const SELFTEST_QUERIES: &[&str] = &[
     "group class",
     "group blade",
     "group hour",
+    "group day",
     "top 3 node",
+    "top 3 node where time>=2d",
     "hist bits",
     "list limit 5",
     "count where dir=1to0 or dir=mixed",
@@ -434,11 +436,15 @@ pub const SELFTEST_QUERIES: &[&str] = &[
 /// answers are precomputed with a thread limit of 1.
 pub fn selftest(db: impl Into<Engine>, clients: usize) -> Result<SelftestReport, DbError> {
     let db = db.into();
+    // The expected answers come from a second engine over the same files,
+    // so the server's clients race each block's first decode and the
+    // first computation of its whole-block counts.
+    let oracle = Engine::open_auto(db.path())?;
     let expected: Vec<Vec<String>> = SELFTEST_QUERIES
         .iter()
         .map(|q| {
             uc_parallel::with_thread_limit(1, || {
-                db.query(q, &QueryOptions::default()).map(|r| r.lines)
+                oracle.query(q, &QueryOptions::default()).map(|r| r.lines)
             })
         })
         .collect::<Result<_, _>>()?;

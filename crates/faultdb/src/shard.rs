@@ -589,6 +589,14 @@ impl Engine {
         }
     }
 
+    /// Where the database lives: its file, or its root directory.
+    pub fn path(&self) -> &Path {
+        match self {
+            Engine::Single(db) => db.path(),
+            Engine::Root(db) => db.dir(),
+        }
+    }
+
     pub fn rows(&self) -> u64 {
         match self {
             Engine::Single(db) => db.rows(),
@@ -668,7 +676,11 @@ impl Engine {
                     b.index,
                     b.rows,
                     b.encoding.label(),
-                    if b.scan { "scan" } else { "prune" }
+                    match (b.scan, b.whole) {
+                        (true, true) => "whole",
+                        (true, false) => "scan",
+                        (false, _) => "prune",
+                    }
                 ));
             }
         };
@@ -887,6 +899,21 @@ mod tests {
         assert!(lines[1].starts_with("shards total="), "{:?}", lines[1]);
         assert!(lines.iter().any(|l| l.ends_with(" prune")), "{lines:?}");
         assert!(lines.iter().any(|l| l.contains("enc=")), "{lines:?}");
+        // Shards split by rack, so every surviving block is wholly rack 1.
+        let blocks = |lines: &[String], mark: &str| {
+            lines
+                .iter()
+                .filter(|l| l.contains(" block ") && l.ends_with(mark))
+                .count()
+        };
+        assert!(blocks(&lines, " whole") > 0, "{lines:?}");
+        assert_eq!(blocks(&lines, " scan"), 0, "{lines:?}");
+        // A window covers its inner blocks whole and cuts its edge blocks.
+        let window = engine
+            .explain("group day where time>=100000 and time<400000")
+            .unwrap();
+        assert!(blocks(&window, " whole") > 0, "{window:?}");
+        assert!(blocks(&window, " scan") > 0, "{window:?}");
         // Planning decodes nothing.
         assert_eq!(engine.cache_stats().misses, 0);
     }

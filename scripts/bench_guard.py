@@ -41,6 +41,7 @@ LOWER_IS_BETTER = (
     "serve_p99_us",
     "query_mix_cpu_us",
     "serve_cpu_us",
+    "row_agg_cpu_us",
     "live_seal_cpu_us",
     "push_session_cpu_us",
 )
