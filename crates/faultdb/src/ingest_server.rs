@@ -55,7 +55,7 @@ use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::{self, JoinHandle};
+use std::thread;
 use std::time::Duration;
 
 use uc_cluster::NodeId;
@@ -718,206 +718,12 @@ fn send(wire: &mut Wire, group: &[u8]) -> io::Result<()> {
     wire.flush()
 }
 
-// --------------------------------------------------------------- selftest
-
-/// What `uc serve --ingest --selftest N` reports.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct IngestSelftestReport {
-    pub clients: usize,
-    pub records_sent: u64,
-    pub records_acked: u64,
-    pub reconnects: u64,
-    pub chaos_events: u64,
-    pub sheds: u64,
-    /// Divergences between the live database and the batch oracle —
-    /// zero or the selftest failed.
-    pub mismatches: u64,
-}
-
-/// Deterministic synthetic corpus for one node: a session with a burst
-/// of single-bit errors, shaped like the campaign's real logs.
-fn synthetic_lines(node: &str, client: usize, records: usize) -> Vec<String> {
-    let mut lines = Vec::with_capacity(records + 2);
-    lines.push(format!("START t=0 node={node} alloc=3221225472 temp=30.0"));
-    for k in 0..records {
-        let vaddr = 0x400 + 0x100 * (k as u64) + ((client as u64) << 20);
-        lines.push(format!(
-            "ERROR t={t} node={node} vaddr=0x{vaddr:08x} page=0x{page:06x} \
-             expected=0xffffffff actual=0xfffffffe temp=33.0",
-            t = 60 + 7200 * (k as i64),
-            page = vaddr >> 12
-        ));
-    }
-    lines.push(format!(
-        "END t={t} node={node} temp=31.0",
-        t = 7200 * records as i64 + 120
-    ));
-    lines
-}
-
-/// End-to-end proof of the live path under fault injection: N chaos-
-/// wrapped clients stream synthetic corpora into an *under-provisioned*
-/// ingest server (so overload sheds happen) while a query client hammers
-/// the live handle; afterwards the sealed generation must answer every
-/// selftest query byte-identically to a batch-built oracle over the same
-/// records — and the generation file itself must be byte-identical to
-/// the oracle's database file.
-pub fn ingest_selftest(
-    live_dir: &std::path::Path,
-    clients: usize,
-    seed: u64,
-) -> Result<IngestSelftestReport, DbError> {
-    use crate::format::WriteOptions;
-    use crate::server::{Client, Response, ServeConfig, Server, SELFTEST_QUERIES};
-
-    let clients = clients.clamp(1, 16);
-    let records_per_client = 40;
-    let (live, _) = LiveDb::open(live_dir)?;
-    let live = Arc::new(live);
-
-    // Deliberately tight: 2 workers, queue of 2 — with more clients than
-    // that, sheds are likely and the retry path gets exercised for real.
-    let cfg = IngestConfig {
-        workers: 2,
-        queue: 2,
-        ..IngestConfig::default()
-    };
-    let ingest = IngestServer::start(Arc::clone(&live), &cfg)?;
-    let ingest_addr = ingest.local_addr();
-    let query_server = Server::start(live.handle(), &ServeConfig::default())?;
-    let query_addr = query_server.local_addr();
-
-    // Queries run *while* ingest is in flight: every answer must come
-    // from exactly one sealed generation (snapshot isolation), so the
-    // only acceptable responses are clean answers or typed sheds.
-    let query_stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let query_thread = {
-        let stop = Arc::clone(&query_stop);
-        thread::spawn(move || -> u64 {
-            let mut errors = 0u64;
-            while !stop.load(Ordering::Relaxed) {
-                if let Ok(mut c) = Client::connect(query_addr) {
-                    match c.request("count") {
-                        Ok(Response::Ok(lines)) => {
-                            if lines.len() != 1 || lines[0].parse::<u64>().is_err() {
-                                errors += 1;
-                            }
-                        }
-                        Ok(Response::Err { kind, .. }) if kind == "overloaded" => {}
-                        _ => errors += 1,
-                    }
-                }
-                thread::sleep(Duration::from_millis(2));
-            }
-            errors
-        })
-    };
-
-    let tally = Arc::new(NetChaosTally::default());
-    let mut report = IngestSelftestReport {
-        clients,
-        ..IngestSelftestReport::default()
-    };
-    let streams: Vec<JoinHandle<Result<(StreamReport, u64), DbError>>> = (0..clients)
-        .map(|c| {
-            let name = format!("{:02}-{:02}", 1 + c / 8, 1 + c % 8);
-            let lines = synthetic_lines(&name, c, records_per_client);
-            let opts = StreamOptions {
-                batch: 4,
-                retry: RetryPolicy {
-                    max_attempts: 50,
-                    base_delay: Duration::from_millis(2),
-                    max_delay: Duration::from_millis(50),
-                },
-                seal_at_end: false,
-                chaos: Some(NetChaosConfig::hostile(
-                    seed ^ (c as u64).wrapping_mul(0x9E37),
-                )),
-            };
-            let tally = Arc::clone(&tally);
-            thread::spawn(move || {
-                let node = NodeId::from_name(&name).expect("selftest names are valid");
-                let sent = lines.len() as u64;
-                stream_lines(ingest_addr, node, &lines, &opts, Some(tally)).map(|r| (r, sent))
-            })
-        })
-        .collect();
-    for t in streams {
-        match t.join() {
-            Ok(Ok((r, sent))) => {
-                report.records_sent += sent;
-                report.records_acked += r.acked;
-                report.reconnects += u64::from(r.connects.saturating_sub(1));
-            }
-            Ok(Err(_)) | Err(_) => report.mismatches += 1,
-        }
-    }
-    report.chaos_events = tally.total();
-    report.sheds = ingest.stats().rejected;
-
-    // Seal the final generation and stop the churn.
-    live.seal()?;
-    query_stop.store(true, Ordering::Relaxed);
-    report.mismatches += query_thread.join().unwrap_or(1);
-
-    // Batch oracle: the same records as plain text log files.
-    let oracle_dir = live_dir.join("selftest-oracle");
-    let _ = std::fs::remove_dir_all(&oracle_dir);
-    std::fs::create_dir_all(&oracle_dir).map_err(|e| DbError::io(&oracle_dir, e))?;
-    for c in 0..clients {
-        let name = format!("{:02}-{:02}", 1 + c / 8, 1 + c % 8);
-        let lines = synthetic_lines(&name, c, records_per_client);
-        let mut text = lines.join("\n");
-        text.push('\n');
-        std::fs::write(oracle_dir.join(format!("node-{name}.log")), text)
-            .map_err(|e| DbError::io(&oracle_dir, e))?;
-    }
-    let oracle_db_path = live_dir.join("selftest-oracle.ucfdb");
-    crate::build::build_db(&oracle_dir, &oracle_db_path, &WriteOptions::default())?;
-
-    // Strongest possible equivalence: the served generation *file* is
-    // byte-identical to the batch-built database.
-    let status = live.status();
-    let gen_path = live_dir.join(crate::catalog::gen_file_name(status.generation));
-    let live_bytes = std::fs::read(&gen_path).map_err(|e| DbError::io(&gen_path, e))?;
-    let oracle_bytes =
-        std::fs::read(&oracle_db_path).map_err(|e| DbError::io(&oracle_db_path, e))?;
-    if live_bytes != oracle_bytes {
-        report.mismatches += 1;
-    }
-
-    // And the query layer agrees, over the wire.
-    let oracle = crate::db::FaultDb::open(&oracle_db_path)?;
-    if let Ok(mut c) = Client::connect(query_addr) {
-        for q in SELFTEST_QUERIES {
-            let expected = uc_parallel::with_thread_limit(1, || {
-                oracle
-                    .query(q, &crate::db::QueryOptions::default())
-                    .map(|r| r.lines)
-            })?;
-            match c.request(q) {
-                Ok(Response::Ok(lines)) if lines == expected => {}
-                _ => report.mismatches += 1,
-            }
-        }
-    } else {
-        report.mismatches += 1;
-    }
-
-    ingest.shutdown();
-    ingest.join();
-    query_server.shutdown();
-    query_server.join();
-    let _ = std::fs::remove_dir_all(&oracle_dir);
-    let _ = std::fs::remove_file(&oracle_db_path);
-    Ok(report)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::fs;
     use std::path::{Path, PathBuf};
+    use std::thread::JoinHandle;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("uc-ing-{tag}-{}", std::process::id()));
@@ -929,8 +735,25 @@ mod tests {
         NodeId::from_name(name).unwrap()
     }
 
-    fn error_lines(node: &str, count: usize) -> Vec<String> {
-        synthetic_lines(node, 0, count)
+    /// Deterministic synthetic corpus for one node: a session with a burst
+    /// of single-bit errors, shaped like the campaign's real logs.
+    fn synthetic_lines(node: &str, records: usize) -> Vec<String> {
+        let mut lines = Vec::with_capacity(records + 2);
+        lines.push(format!("START t=0 node={node} alloc=3221225472 temp=30.0"));
+        for k in 0..records {
+            let vaddr = 0x400 + 0x100 * (k as u64);
+            lines.push(format!(
+                "ERROR t={t} node={node} vaddr=0x{vaddr:08x} page=0x{page:06x} \
+                 expected=0xffffffff actual=0xfffffffe temp=33.0",
+                t = 60 + 7200 * (k as i64),
+                page = vaddr >> 12
+            ));
+        }
+        lines.push(format!(
+            "END t={t} node={node} temp=31.0",
+            t = 7200 * records as i64 + 120
+        ));
+        lines
     }
 
     fn start_pair(dir: &Path, cfg: &IngestConfig) -> (Arc<LiveDb>, IngestServer) {
@@ -944,7 +767,7 @@ mod tests {
     fn clean_stream_is_acked_and_replay_is_idempotent() {
         let dir = tmpdir("clean");
         let (live, server) = start_pair(&dir, &IngestConfig::default());
-        let lines = error_lines("01-01", 10);
+        let lines = synthetic_lines("01-01", 10);
         let r = stream_lines(
             server.local_addr(),
             n("01-01"),
@@ -1025,7 +848,7 @@ mod tests {
     fn bad_node_name_is_rejected_hard() {
         let dir = tmpdir("badnode");
         let (_live, server) = start_pair(&dir, &IngestConfig::default());
-        let lines = error_lines("01-01", 2);
+        let lines = synthetic_lines("01-01", 2);
         let err = stream_lines(
             server.local_addr(),
             n("01-01"),
@@ -1118,7 +941,7 @@ mod tests {
         let (live, server) = start_pair(&dir, &IngestConfig::default());
         // A quiet second node keeps the chaos node under the flood
         // filter's 50% share, so its faults actually appear in queries.
-        let quiet = error_lines("01-02", 30);
+        let quiet = synthetic_lines("01-02", 30);
         stream_lines(
             server.local_addr(),
             n("01-02"),
@@ -1127,7 +950,7 @@ mod tests {
             None,
         )
         .unwrap();
-        let lines = error_lines("01-01", 30);
+        let lines = synthetic_lines("01-01", 30);
         let tally = Arc::new(NetChaosTally::default());
         let opts = StreamOptions {
             batch: 4,
@@ -1158,15 +981,6 @@ mod tests {
         assert_eq!(live.handle().current().rows(), 60, "sealed and served");
         server.shutdown();
         server.join();
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn selftest_under_chaos_matches_batch_oracle_byte_for_byte() {
-        let dir = tmpdir("selftest");
-        let report = ingest_selftest(&dir, 3, 42).unwrap();
-        assert_eq!(report.mismatches, 0, "{report:?}");
-        assert_eq!(report.records_acked, report.records_sent, "{report:?}");
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1258,7 +1072,7 @@ mod tests {
     fn a_session_of_up_to_batch_lines_is_two_round_trips() {
         for count in [1u64, 4] {
             let (addr, server) = scripted_server(vec![vec![0, count]]);
-            let lines = &error_lines("01-01", 4)[..count as usize];
+            let lines = &synthetic_lines("01-01", 4)[..count as usize];
             let r = stream_lines(addr, n("01-01"), lines, &scripted_opts(4, false), None).unwrap();
             assert_eq!((r.acked, r.connects), (count, 1));
             let sent = server.join().unwrap();
@@ -1269,7 +1083,7 @@ mod tests {
     #[test]
     fn a_session_one_past_batch_flushes_once_then_parts() {
         let (addr, server) = scripted_server(vec![vec![0, 4, 5]]);
-        let lines = error_lines("01-01", 3);
+        let lines = synthetic_lines("01-01", 3);
         let r = stream_lines(addr, n("01-01"), &lines, &scripted_opts(4, false), None).unwrap();
         assert_eq!((r.acked, r.connects), (5, 1));
         assert_eq!(
@@ -1281,7 +1095,7 @@ mod tests {
     #[test]
     fn seal_at_end_parts_with_seal() {
         let (addr, server) = scripted_server(vec![vec![0, 3]]);
-        let lines = error_lines("01-01", 1);
+        let lines = synthetic_lines("01-01", 1);
         let r = stream_lines(addr, n("01-01"), &lines, &scripted_opts(4, true), None).unwrap();
         assert_eq!((r.acked, r.connects), (3, 1));
         assert_eq!(server.join().unwrap(), vec![frames(0..3, &[(3, "SEAL")])]);
@@ -1295,7 +1109,7 @@ mod tests {
 
     #[test]
     fn a_parting_ack_short_of_the_end_resumes_and_past_it_fails_hard() {
-        let lines = error_lines("01-01", 3);
+        let lines = synthetic_lines("01-01", 3);
         let (addr, server) = scripted_server(vec![vec![0, 2], vec![2, 5]]);
         let r = stream_lines(addr, n("01-01"), &lines, &scripted_opts(64, false), None).unwrap();
         assert_eq!((r.acked, r.connects), (5, 2));
@@ -1319,7 +1133,7 @@ mod tests {
     fn the_flush_then_bye_ending_of_older_clients_is_still_acked() {
         let dir = tmpdir("oldclient");
         let (live, server) = start_pair(&dir, &IngestConfig::default());
-        let lines = error_lines("01-01", 1);
+        let lines = synthetic_lines("01-01", 1);
         let mut wire = Wire::Plain(TcpStream::connect(server.local_addr()).unwrap());
         wire.write_all(MAGIC).unwrap();
         write_frame(&mut wire, b"HELLO 01-01").unwrap();

@@ -39,8 +39,7 @@
 //! * `listener` (crate-private) — the connection runtime both servers
 //!   run on: bind, acceptor, bounded admission shedding with a typed
 //!   `ERR overloaded`, worker pool, read deadlines, prompt shutdown.
-//! * [`server`] — `uc serve`: the query line protocol, its client, and
-//!   the loadgen selftest.
+//! * [`server`] — `uc serve`: the query line protocol and its client.
 //! * [`wal`] — the streaming write-ahead log: CRC-framed durable
 //!   segments holding every accepted record, replayable after any crash.
 //! * [`catalog`] — the live database: WAL replay, generation sealing
@@ -51,8 +50,7 @@
 //! * [`lock`] — the PID-stamped `LOCK` that keeps a live directory
 //!   single-writer.
 //! * [`ingest_server`] — `uc serve --ingest` / `uc stream`: the framed
-//!   TCP push protocol with sequence-numbered idempotent replay and a
-//!   chaos-driven selftest.
+//!   TCP push protocol with sequence-numbered idempotent replay.
 //! * [`repl`] — WAL-shipping replicas over the ingest port, and
 //!   epoch-fenced failover.
 //! * [`scrub`] — `uc scrub`: the rate-limited CRC scrubber that reseals
@@ -97,19 +95,14 @@ pub use encoding::BlockEncoding;
 pub use error::{BlockDamage, DbError};
 pub use format::{FileEncoding, WriteOptions, WriteSummary};
 pub use ingest_server::{
-    ingest_selftest, stream_lines, IngestConfig, IngestSelftestReport, IngestServer,
-    IngestServerStats, StreamOptions, StreamReport,
+    stream_lines, IngestConfig, IngestServer, IngestServerStats, StreamOptions, StreamReport,
 };
 pub use lock::LiveLock;
 pub use query::{parse_query, Query};
-pub use repl::{
-    repl_selftest, NodeAdmin, ReplSelftestReport, ReplicaConfig, Replication, ReplicationStats,
-    Role,
-};
+pub use repl::{NodeAdmin, ReplicaConfig, Replication, ReplicationStats, Role};
 pub use scrub::{scrub_live_dir, ScrubConfig, ScrubReport, Scrubber};
 pub use server::{
-    selftest, Client, Response, SelftestReport, ServeConfig, Server, ServerAdmin, ShutdownHandle,
-    MAX_REQUEST_LINE,
+    Client, Response, ServeConfig, Server, ServerAdmin, ShutdownHandle, MAX_REQUEST_LINE,
 };
 pub use shard::{
     is_root_dir, write_sharded, Engine, RootCatalog, RootDb, RootWriteSummary, ShardEntry,

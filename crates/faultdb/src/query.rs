@@ -25,10 +25,10 @@
 //! Every atom knows how to test one [`Fault`] (`matches`) and how to
 //! test a block's [`ZoneMap`] conservatively (`may_match`): pruning may
 //! only say "definitely empty", never discard a block that could hold a
-//! match. `not` is the deliberate worst case — zone maps cannot be
-//! complemented, so `Not` always scans (the row filter stays exact).
-//! The dual, `must_match`, says "every row matches" only when the zone
-//! map proves it; the scan then skips the block's row loop.
+//! match. The dual, `must_match`, says "every row matches" only when the
+//! zone map proves it; the scan then skips the block's row loop. Each
+//! bounds the other under `not`: `not p` may match only where `p` need
+//! not match every row, and must match only where `p` matches none.
 
 use uc_analysis::fault::{BitClass, Fault};
 use uc_cluster::{NodeId, BLADES_PER_CHASSIS, CHASSIS_PER_RACK, SOCS_PER_BLADE, TOTAL_BLADES};
@@ -239,10 +239,7 @@ impl Pred {
             Pred::TimeLt(t) => z.min_time < t.as_secs(),
             Pred::And(a, b) => a.may_match(z) && b.may_match(z),
             Pred::Or(a, b) => a.may_match(z) || b.may_match(z),
-            // Zone maps cannot be complemented: `not node=X` may match
-            // rows of a block whose range is exactly [X, X]'s — only if
-            // other rows share it. Stay conservative.
-            Pred::Not(_) => true,
+            Pred::Not(p) => !p.must_match(z),
         }
     }
 
@@ -634,9 +631,11 @@ mod tests {
         assert!(!may("count where class=2"));
         assert!(may("count where class=1"));
         assert!(!may("count where dir=0to1"));
-        // `not` never prunes.
+        // `not p` prunes exactly where every row provably matches `p`.
         assert!(may("count where not time>=150"));
-        assert!(may("count where not blade=3"));
+        assert!(!may("count where not blade=3"));
+        assert!(!may("count where not (class=1 and dir=1to0)"));
+        assert!(may("count where not blade=4"));
     }
 
     #[test]

@@ -14,20 +14,18 @@ use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use crate::db::{DbHandle, QueryOptions};
 use crate::error::DbError;
 pub use crate::listener::ShutdownHandle;
-use crate::shard::Engine;
 
 /// Hard cap on one request line. A client that streams bytes without a
 /// newline is answered with a typed `ERR line-too-long` and disconnected
 /// instead of growing an unbounded buffer.
 pub const MAX_REQUEST_LINE: usize = 8192;
 
-/// Server tuning; `Default` suits tests and the selftest.
+/// Server tuning; `Default` suits tests.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
     /// Bind address; port 0 picks a free port.
@@ -333,7 +331,7 @@ pub enum Response {
     Err { kind: String, message: String },
 }
 
-/// Minimal blocking client used by the selftest, the CLI, and tests.
+/// Minimal blocking client used by the CLI and tests.
 pub struct Client {
     reader: BufReader<TcpStream>,
     writer: BufWriter<TcpStream>,
@@ -399,141 +397,16 @@ impl Client {
     }
 }
 
-// --------------------------------------------------------------- selftest
-
-/// What `uc serve --selftest N` reports.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct SelftestReport {
-    pub clients: usize,
-    pub requests: u64,
-    pub ok: u64,
-    pub overloaded_rejections: u64,
-    pub mismatches: u64,
-}
-
-/// Queries the selftest exercises — every action, some with predicates.
-pub const SELFTEST_QUERIES: &[&str] = &[
-    "count",
-    "count where multibit",
-    "group class",
-    "group blade",
-    "group hour",
-    "group day",
-    "top 3 node",
-    "top 3 node where time>=2d",
-    "hist bits",
-    "list limit 5",
-    "count where dir=1to0 or dir=mixed",
-];
-
-/// Hammer a freshly started server with `clients` concurrent clients and
-/// assert every successful response matches the single-threaded engine.
-///
-/// The server is deliberately under-provisioned (2 workers, queue 2) so
-/// overload sheds some connections; shed requests retry with backoff and
-/// are counted, proving rejection is bounded and typed rather than a
-/// hang. Determinism of the concurrent path is the whole point: expected
-/// answers are precomputed with a thread limit of 1.
-pub fn selftest(db: impl Into<Engine>, clients: usize) -> Result<SelftestReport, DbError> {
-    let db = db.into();
-    // The expected answers come from a second engine over the same files,
-    // so the server's clients race each block's first decode and the
-    // first computation of its whole-block counts.
-    let oracle = Engine::open_auto(db.path())?;
-    let expected: Vec<Vec<String>> = SELFTEST_QUERIES
-        .iter()
-        .map(|q| {
-            uc_parallel::with_thread_limit(1, || {
-                oracle.query(q, &QueryOptions::default()).map(|r| r.lines)
-            })
-        })
-        .collect::<Result<_, _>>()?;
-    let expected = Arc::new(expected);
-
-    let cfg = ServeConfig {
-        workers: 2,
-        queue: 2,
-        ..ServeConfig::default()
-    };
-    let server = Server::start(db.clone(), &cfg)?;
-    let addr = server.local_addr();
-
-    let per_client = SELFTEST_QUERIES.len();
-    let tallies: Vec<JoinHandle<(u64, u64, u64, u64)>> = (0..clients.max(1))
-        .map(|c| {
-            let expected = Arc::clone(&expected);
-            thread::spawn(move || {
-                let (mut requests, mut ok, mut rejected, mut mismatches) = (0u64, 0u64, 0u64, 0u64);
-                for i in 0..per_client {
-                    let qi = (c + i) % SELFTEST_QUERIES.len();
-                    let query = SELFTEST_QUERIES[qi];
-                    // Bounded retry: overload answers arrive immediately,
-                    // so a short backoff clears the burst.
-                    let mut answered = false;
-                    for attempt in 0..50 {
-                        let Ok(mut client) = Client::connect(addr) else {
-                            thread::sleep(Duration::from_millis(2));
-                            continue;
-                        };
-                        requests += 1;
-                        match client.request(query) {
-                            Ok(Response::Ok(lines)) => {
-                                ok += 1;
-                                if lines != expected[qi] {
-                                    mismatches += 1;
-                                }
-                                answered = true;
-                            }
-                            Ok(Response::Err { kind, .. }) if kind == "overloaded" => {
-                                rejected += 1;
-                                thread::sleep(Duration::from_millis(1 + attempt as u64));
-                                continue;
-                            }
-                            Ok(Response::Err { .. }) => {
-                                mismatches += 1;
-                                answered = true;
-                            }
-                            Err(_) => {
-                                thread::sleep(Duration::from_millis(2));
-                                continue;
-                            }
-                        }
-                        break;
-                    }
-                    if !answered {
-                        mismatches += 1;
-                    }
-                }
-                (requests, ok, rejected, mismatches)
-            })
-        })
-        .collect();
-
-    let mut report = SelftestReport {
-        clients: clients.max(1),
-        ..SelftestReport::default()
-    };
-    for t in tallies {
-        let (requests, ok, rejected, mismatches) = t.join().unwrap_or((0, 0, 0, 1));
-        report.requests += requests;
-        report.ok += ok;
-        report.overloaded_rejections += rejected;
-        report.mismatches += mismatches;
-    }
-
-    server.shutdown();
-    server.join();
-    Ok(report)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::db::FaultDb;
     use crate::format::{write_db, WriteOptions};
     use crate::listener::Admission;
+    use crate::shard::Engine;
     use crate::snapshot::Snapshot;
     use std::path::PathBuf;
+    use std::thread;
     use uc_analysis::fault::Fault;
     use uc_cluster::NodeId;
     use uc_simclock::SimTime;
@@ -865,12 +738,5 @@ mod tests {
         server.shutdown();
         server.join();
         std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn selftest_small_fleet_matches_single_threaded() {
-        let report = selftest(test_db("selftest", 400), 4).unwrap();
-        assert_eq!(report.mismatches, 0, "{report:?}");
-        assert_eq!(report.ok, 4 * SELFTEST_QUERIES.len() as u64);
     }
 }

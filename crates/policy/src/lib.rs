@@ -45,4 +45,4 @@ pub use policies::{
 pub use replay::{
     replay, run_comparison, train_len, Comparison, PolicyKind, PolicyRun, ReplayConfig,
 };
-pub use report::{best_static, eval_cost_of, fmt_nh, render_csv, render_table, worst_static};
+pub use report::{best_static, fmt_nh, render_csv, render_table, worst_static};

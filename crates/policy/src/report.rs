@@ -91,14 +91,6 @@ pub fn render_csv(cmp: &Comparison) -> String {
     out
 }
 
-/// Convenience for tests and the selftest: the eval cost of one kind.
-pub fn eval_cost_of(cmp: &Comparison, kind: crate::replay::PolicyKind) -> Option<u64> {
-    cmp.runs
-        .iter()
-        .find(|r| r.kind == kind)
-        .map(|r| r.eval_cost_mnh)
-}
-
 /// The worst (highest eval cost) static baseline in the comparison.
 pub fn worst_static(cmp: &Comparison) -> Option<&PolicyRun> {
     use crate::replay::PolicyKind::*;

@@ -37,25 +37,18 @@
 //! - `uc serve <db> [--addr host:port] [--workers N] [--queue N]` — serve
 //!   the database over a line-protocol TCP socket with bounded admission
 //!   (overload is a typed `ERR overloaded` rejection, never a hang);
-//!   `--selftest N` instead hammers a fresh in-process server with N
-//!   concurrent clients and verifies every response against the
-//!   single-threaded engine;
 //! - `uc serve <livedir> --ingest x [--ingest-addr host:port]` — the live
 //!   variant: open (or create) a streaming-ingest database directory,
 //!   accept framed record pushes on the ingest endpoint (acked once
 //!   written to the WAL, which is fsynced when a generation seals),
 //!   answer snapshot-isolated queries on the query endpoint during
 //!   ingest, and seal a generation on drain. SIGINT,
-//!   SIGTERM, and the `SHUTDOWN` command all drain gracefully.
-//!   `--selftest N` runs the chaos end-to-end check instead: N
-//!   fault-injected clients stream into an under-provisioned server and
-//!   the sealed generation must byte-match a batch-built oracle;
+//!   SIGTERM, and the `SHUTDOWN` command all drain gracefully;
 //! - `uc stream <addr> <logdir>` — push every `node-*.log` in a
 //!   directory to a live ingest server, one resilient
 //!   sequence-numbered session per node (reconnect resumes from the
 //!   server's cursor; replay is exactly-once); `--seal x` seals a
-//!   queryable generation at the end, `--chaos-seed N` injects
-//!   deterministic transport faults for self-torture;
+//!   queryable generation at the end;
 //! - `uc scan [--mb N] [--iters N]` — scan real host memory (memtester
 //!   mode; see also the `memscan_host` example for fault injection);
 //! - `uc report [--seed N] [--blades N] [--csv <dir>]` — run a campaign in memory and
@@ -65,8 +58,7 @@
 //!   online mitigation policy engine and print the cost-vs-coverage
 //!   table (static baselines, a seeded tabular bandit, and the
 //!   clairvoyant oracle lower bound; see DESIGN.md §13). `--csv <file>`
-//!   exports the table; `--selftest x` runs the end-to-end determinism
-//!   and bound check instead.
+//!   exports the table.
 //!
 //! Argument handling is deliberately bare: flags are `--key value` pairs.
 //! Each subcommand's row in [`COMMANDS`] declares its flags and
@@ -321,31 +313,27 @@ const COMMANDS: &[Command] = &[
     Command {
         name: "serve",
         usage: &[
-            "uc serve <db> [--addr host:port] [--workers N] [--queue N] [--timeout-ms N] [--selftest N]",
-            "uc serve <livedir> --ingest x [--ingest-addr host:port] [--addr host:port] [--workers N] [--queue N] [--timeout-ms N] [--selftest N] [--chaos-seed N]",
+            "uc serve <db> [--addr host:port] [--workers N] [--queue N] [--timeout-ms N]",
+            "uc serve <livedir> --ingest x [--ingest-addr host:port] [--addr host:port] [--workers N] [--queue N] [--timeout-ms N]",
             "uc serve <livedir> --ingest x --replica-of host:port [--auto-promote-ms N] [...]",
-            "uc serve --ingest x --selftest-repl x [--chaos-seed N]",
         ],
         flags: &[
             "addr",
             "workers",
             "queue",
             "timeout-ms",
-            "selftest",
-            "selftest-repl",
             "ingest",
             "ingest-addr",
-            "chaos-seed",
             "replica-of",
             "auto-promote-ms",
         ],
-        positional: 0..=1,
+        positional: 1..=1,
         run: cmd_serve,
     },
     Command {
         name: "stream",
-        usage: &["uc stream <addr> <logdir> [--batch N] [--max-attempts N] [--chaos-seed N] [--seal x]"],
-        flags: &["batch", "max-attempts", "chaos-seed", "seal"],
+        usage: &["uc stream <addr> <logdir> [--batch N] [--max-attempts N] [--seal x]"],
+        flags: &["batch", "max-attempts", "seal"],
         positional: 2..=2,
         run: cmd_stream,
     },
@@ -367,10 +355,9 @@ const COMMANDS: &[Command] = &[
         name: "policy",
         usage: &[
             "uc policy <db|livedir> [--policy never|always-checkpoint|threshold|bandit|oracle|all] [--seed N] [--train-days D] [--threshold N] [--csv <file>]",
-            "uc policy --selftest x [--seed N]",
         ],
-        flags: &["policy", "seed", "train-days", "threshold", "csv", "selftest"],
-        positional: 0..=1,
+        flags: &["policy", "seed", "train-days", "threshold", "csv"],
+        positional: 1..=1,
         run: cmd_policy,
     },
     Command {
@@ -695,12 +682,9 @@ fn cmd_serve(args: &Args) -> Result<(), Fail> {
         request_timeout: Duration::from_millis(args.num::<u64>("timeout-ms", 5_000)?.max(1)),
         ..ServeConfig::default()
     };
-    let selftest = args.num_min("selftest", 0, 1)?;
     for (flag, needs) in [
         ("ingest-addr", "ingest"),
         ("replica-of", "ingest"),
-        ("selftest-repl", "ingest"),
-        ("chaos-seed", "ingest"),
         ("auto-promote-ms", "replica-of"),
     ] {
         if args.has(flag) && !args.has(needs) {
@@ -709,52 +693,13 @@ fn cmd_serve(args: &Args) -> Result<(), Fail> {
             )));
         }
     }
-    if args.has("replica-of") && selftest > 0 {
-        return Err(Fail::Usage(
-            "--selftest and --replica-of are mutually exclusive".into(),
-        ));
-    }
-    if !args.has("selftest-repl") && args.positional.is_empty() {
-        return Err(Fail::Usage(
-            "serve needs a database path (or --selftest-repl)".into(),
-        ));
-    }
 
     if args.has("ingest") {
-        return cmd_serve_ingest(args, selftest, &query_cfg);
+        return cmd_serve_ingest(args, &query_cfg);
     }
 
     let db_path = PathBuf::from(&args.positional[0]);
     let db = uc_faultdb::Engine::open_auto(&db_path).map_err(run_err("serve"))?;
-
-    if selftest > 0 {
-        let report = uc_faultdb::selftest(db.clone(), selftest).map_err(run_err("selftest"))?;
-        // A failed verdict outranks a closed stdout, so it is checked
-        // before the print's result is.
-        let printed = outln!(
-            "selftest: {} clients, {} requests, {} ok, {} overloaded rejections, {} mismatches",
-            report.clients,
-            report.requests,
-            report.ok,
-            report.overloaded_rejections,
-            report.mismatches
-        );
-        let cache = db.cache_stats();
-        eprintln!(
-            "cache: {} hits, {} misses, {} evictions ({:.1}% hit rate)",
-            cache.hits,
-            cache.misses,
-            cache.evictions,
-            100.0 * cache.hit_rate()
-        );
-        if report.mismatches > 0 {
-            return Err(Fail::Run(
-                "selftest FAILED: concurrent responses diverged from the single-threaded engine"
-                    .into(),
-            ));
-        }
-        return printed;
-    }
 
     let server = uc_faultdb::Server::start(db, &query_cfg).map_err(run_err("serve"))?;
     eprintln!(
@@ -780,41 +725,9 @@ fn cmd_serve(args: &Args) -> Result<(), Fail> {
 
 /// `uc serve <livedir> --ingest`: a live database with a framed push
 /// endpoint for nodes and the usual query endpoint for readers, both
-/// draining gracefully on SHUTDOWN or SIGINT/SIGTERM. With
-/// `--selftest N`, runs the chaos-driven end-to-end check instead.
-fn cmd_serve_ingest(args: &Args, selftest: usize, query_cfg: &ServeConfig) -> Result<(), Fail> {
-    if args.has("selftest-repl") {
-        let report = uc_faultdb::repl_selftest(args.num("chaos-seed", 1)?)
-            .map_err(run_err("replication selftest FAILED"))?;
-        outln!("{}", report.render())?;
-        return Ok(());
-    }
-
+/// draining gracefully on SHUTDOWN or SIGINT/SIGTERM.
+fn cmd_serve_ingest(args: &Args, query_cfg: &ServeConfig) -> Result<(), Fail> {
     let dir = PathBuf::from(&args.positional[0]);
-
-    if selftest > 0 {
-        let seed = args.num("chaos-seed", 1)?;
-        let report = uc_faultdb::ingest_selftest(&dir, selftest, seed)
-            .map_err(run_err("ingest selftest"))?;
-        let printed = outln!(
-            "ingest selftest: {} clients, {}/{} records acked, {} reconnects, \
-             {} chaos events, {} sheds, {} mismatches",
-            report.clients,
-            report.records_acked,
-            report.records_sent,
-            report.reconnects,
-            report.chaos_events,
-            report.sheds,
-            report.mismatches
-        );
-        if report.mismatches > 0 || report.records_acked != report.records_sent {
-            return Err(Fail::Run(
-                "ingest selftest FAILED: live database diverged from the batch oracle".into(),
-            ));
-        }
-        return printed;
-    }
-
     let auto_promote_ms = args.num("auto-promote-ms", 0)?;
     let (live, open) = uc_faultdb::LiveDb::open(&dir).map_err(run_err("serve --ingest"))?;
     let live = Arc::new(live);
@@ -952,7 +865,6 @@ fn cmd_serve_ingest(args: &Args, selftest: usize, query_cfg: &ServeConfig) -> Re
 fn cmd_stream(args: &Args) -> Result<(), Fail> {
     let batch = args.num_min("batch", 64, 1)?;
     let max_attempts = args.num_min("max-attempts", 10, 1)?;
-    let chaos_seed = args.num("chaos-seed", 0)?;
     let addr = {
         use std::net::ToSocketAddrs;
         let text = &args.positional[0];
@@ -970,8 +882,7 @@ fn cmd_stream(args: &Args) -> Result<(), Fail> {
             max_attempts,
             ..StreamOptions::default().retry
         },
-        seal_at_end: false,
-        chaos: (chaos_seed > 0).then(|| uc_faultlog::chaos::NetChaosConfig::hostile(chaos_seed)),
+        ..StreamOptions::default()
     };
     let t0 = std::time::Instant::now();
     let mut total_acked = 0u64;
@@ -1276,22 +1187,6 @@ fn cmd_policy(args: &Args) -> Result<(), Fail> {
     use uc_policy::{render_csv, render_table, run_comparison, PolicyKind, ReplayConfig};
 
     let seed = args.num("seed", 0)?;
-    if args.has("selftest") {
-        if !args.positional.is_empty() {
-            return Err(Fail::Usage(
-                "policy --selftest builds its own corpus and takes no database path".into(),
-            ));
-        }
-        let report = unprotected_computing::policyrun::policy_selftest(seed)
-            .map_err(run_err("policy selftest FAILED"))?;
-        outln!("{report}")?;
-        return Ok(());
-    }
-    let Some(path) = args.positional.first() else {
-        return Err(Fail::Usage(
-            "policy requires a database path (or --selftest x)".into(),
-        ));
-    };
     let kinds: Vec<PolicyKind> = match args.get("policy") {
         None | Some("all") => PolicyKind::ALL.to_vec(),
         Some(name) => vec![PolicyKind::parse(name).ok_or_else(|| {
@@ -1307,7 +1202,7 @@ fn cmd_policy(args: &Args) -> Result<(), Fail> {
     };
     let threshold = args.num_min("threshold", 3, 1)?;
 
-    let path = PathBuf::from(path);
+    let path = PathBuf::from(&args.positional[0]);
     let db = open_replay_engine(&path).map_err(run_err("policy"))?;
     let t0 = std::time::Instant::now();
     let days = db.collect_days().map_err(run_err("policy"))?;

@@ -41,7 +41,6 @@
 //! ```
 
 pub mod direct;
-pub mod policyrun;
 
 pub use uc_analysis as analysis;
 pub use uc_cluster as cluster;

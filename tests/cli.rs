@@ -46,11 +46,21 @@ fn unknown_subcommand_exits_2() {
 
 #[test]
 fn unknown_flag_exits_2_and_names_the_flag() {
-    let out = uc(&["analyze", "somedir", "--frob", "x"]);
-    assert_eq!(out.status.code(), Some(2));
-    let err = stderr(&out);
-    assert!(err.contains("--frob"), "{err}");
-    assert!(err.contains("usage:"), "{err}");
+    for (args, flag) in [
+        (&["analyze", "somedir", "--frob", "x"][..], "--frob"),
+        (&["serve", "some.fdb", "--selftest", "4"][..], "--selftest"),
+        (&["policy", "--selftest", "x"][..], "--selftest"),
+        (
+            &["stream", "127.0.0.1:1", "somedir", "--chaos-seed", "1"][..],
+            "--chaos-seed",
+        ),
+    ] {
+        let out = uc(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let err = stderr(&out);
+        assert!(err.contains(flag), "{args:?}: {err}");
+        assert!(err.contains("usage:"), "{args:?}: {err}");
+    }
 }
 
 #[test]
@@ -217,34 +227,20 @@ fn ingest_addr_without_ingest_is_a_usage_error() {
     assert!(stderr(&out).contains("--ingest-addr"), "{}", stderr(&out));
 }
 
+/// `serve` has no `--chaos-seed`: fault injection lives in the tests'
+/// `UC_CHAOS_SEED`. The flag is a usage error without `--ingest` and
+/// with it.
 #[test]
 fn chaos_seed_without_ingest_is_a_usage_error() {
-    let out = uc(&["serve", "somedir", "--chaos-seed", "7"]);
-    assert_eq!(out.status.code(), Some(2));
-    assert!(stderr(&out).contains("--chaos-seed"), "{}", stderr(&out));
-}
-
-#[test]
-fn ingest_selftest_passes_through_the_binary() {
-    let base = std::env::temp_dir().join(format!("uc-cli-ingest-self-{}", std::process::id()));
-    let _ = fs::remove_dir_all(&base);
-    fs::create_dir_all(&base).unwrap();
-
-    let out = uc(&[
-        "serve",
-        base.to_str().unwrap(),
-        "--ingest",
-        "x",
-        "--selftest",
-        "3",
-        "--chaos-seed",
-        "11",
-    ]);
-    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
-    let text = stdout(&out);
-    assert!(text.contains("0 mismatches"), "{text}");
-
-    let _ = fs::remove_dir_all(&base);
+    for args in [
+        &["serve", "somedir", "--chaos-seed", "7"][..],
+        &["serve", "somedir", "--ingest", "x", "--chaos-seed", "7"][..],
+    ] {
+        let out = uc(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let err = stderr(&out);
+        assert!(err.contains("--chaos-seed"), "{args:?}: {err}");
+    }
 }
 
 /// A live server child. If an assertion fails, the server must die with
@@ -729,7 +725,7 @@ fn help_lists_every_subcommand_and_exits_0() {
 
 #[test]
 fn policy_usage_errors_exit_2() {
-    // No database path and no --selftest.
+    // No database path.
     let out = uc(&["policy"]);
     assert_eq!(out.status.code(), Some(2));
     assert!(stderr(&out).contains("usage:"), "{}", stderr(&out));
@@ -759,10 +755,6 @@ fn policy_usage_errors_exit_2() {
     let out = uc(&["policy", "some.fdb", "--frob", "x"]);
     assert_eq!(out.status.code(), Some(2));
     assert!(stderr(&out).contains("--frob"), "{}", stderr(&out));
-
-    // --selftest and a positional path are contradictory.
-    let out = uc(&["policy", "some.fdb", "--selftest", "x"]);
-    assert_eq!(out.status.code(), Some(2));
 }
 
 /// Multi-day logs for the policy replay: one node faulting daily on the
@@ -890,24 +882,6 @@ fn policy_on_faultless_db_says_so_and_exits_0() {
         "{}",
         stdout(&out)
     );
-
-    let _ = fs::remove_dir_all(&base);
-}
-
-#[test]
-fn serve_selftest_passes_through_the_binary() {
-    let base = std::env::temp_dir().join(format!("uc-cli-serve-{}", std::process::id()));
-    let _ = fs::remove_dir_all(&base);
-    let logs = base.join("logs");
-    write_tiny_logs(&logs);
-    let db = base.join("faults.fdb");
-    let built = uc(&["build-db", logs.to_str().unwrap(), db.to_str().unwrap()]);
-    assert_eq!(built.status.code(), Some(0), "{}", stderr(&built));
-
-    let out = uc(&["serve", db.to_str().unwrap(), "--selftest", "4"]);
-    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
-    let text = stdout(&out);
-    assert!(text.contains("0 mismatches"), "{text}");
 
     let _ = fs::remove_dir_all(&base);
 }

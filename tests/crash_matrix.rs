@@ -7,9 +7,12 @@
 //! `UC_CHAOS_SEED` (default 1) varies the campaign seed so a CI matrix
 //! exercises different corpora with the same invariants.
 
+mod common;
+
 use std::fs;
 use std::path::PathBuf;
 
+use common::chaos_seed;
 use uc_faultlog::durable::{
     fsck_dir, scan_segment_bytes, write_cluster_log_durable, FRAME_HEADER_LEN, MAGIC,
 };
@@ -17,13 +20,6 @@ use uc_faultlog::ingest::read_cluster_log_recovering;
 use uc_faultlog::store::ClusterLog;
 use unprotected_core::checkpoint::run_campaign_checkpointed;
 use unprotected_core::{render, run_campaign, CampaignConfig, Report};
-
-fn chaos_seed() -> u64 {
-    std::env::var("UC_CHAOS_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1)
-}
 
 fn tempdir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(

@@ -13,9 +13,11 @@
 //! unparseable lines, and a node whose raw-error share crosses the 50%
 //! flood line while the stream runs.
 
-use std::fs;
-use std::path::PathBuf;
+mod common;
 
+use std::fs;
+
+use common::fresh_dir;
 use uc_cluster::NodeId;
 use uc_faultdb::{build_db, gen_file_name, LiveDb, WriteOptions};
 
@@ -42,13 +44,6 @@ impl Rng {
     fn pct(&mut self, pct: u64) -> bool {
         self.below(100) < pct
     }
-}
-
-fn fresh_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("uc-live-seal-{tag}-{}", std::process::id()));
-    let _ = fs::remove_dir_all(&dir);
-    fs::create_dir_all(&dir).unwrap();
-    dir
 }
 
 const POOL: [&str; 6] = ["01-01", "01-02", "02-01", "02-02", "02-03", "03-01"];

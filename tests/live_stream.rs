@@ -7,54 +7,22 @@
 //! Every snapshot is restored into a fresh directory, optionally
 //! damaged at the tail the way a real crash tears a page, fsck'd under
 //! the conservation law, reopened, and the reopened database must
-//! answer every selftest query exactly like a batch database built from
-//! the records the WAL actually preserved — including byte-identical
-//! generation files.
+//! answer every query of the shared list exactly like a batch database
+//! built from the records the WAL actually preserved — including
+//! byte-identical generation files.
 //!
 //! Seed the damage schedule with `UC_CHAOS_SEED` (default 1); CI runs
 //! several seeds.
+
+mod common;
 
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 
+use common::{answers, build_oracle, chaos_seed, fresh_dir, Rng};
 use uc_cluster::NodeId;
-use uc_faultdb::server::SELFTEST_QUERIES;
-use uc_faultdb::{
-    build_db, fsck_live_dir, gen_file_name, Engine, FaultDb, LiveDb, QueryOptions, WriteOptions,
-};
-
-fn chaos_seed() -> u64 {
-    std::env::var("UC_CHAOS_SEED")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1)
-}
-
-/// xorshift64* — deterministic schedule jitter, seeded from the env.
-struct Rng(u64);
-
-impl Rng {
-    fn new(seed: u64) -> Rng {
-        Rng(seed.wrapping_mul(0x9E3779B97F4A7C15) | 1)
-    }
-    fn next(&mut self) -> u64 {
-        self.0 ^= self.0 << 13;
-        self.0 ^= self.0 >> 7;
-        self.0 ^= self.0 << 17;
-        self.0.wrapping_mul(0x2545F4914F6CDD1D)
-    }
-    fn below(&mut self, bound: u64) -> u64 {
-        self.next() % bound.max(1)
-    }
-}
-
-fn fresh_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("uc-live-stream-{tag}-{}", std::process::id()));
-    let _ = fs::remove_dir_all(&dir);
-    fs::create_dir_all(&dir).unwrap();
-    dir
-}
+use uc_faultdb::{fsck_live_dir, gen_file_name, Engine, FaultDb, LiveDb, QueryOptions};
 
 /// A node's full corpus: a session frame around a burst of single-bit
 /// errors, shaped like the campaign's real text logs.
@@ -121,41 +89,6 @@ fn active_wal_tmp(dir: &Path) -> Option<PathBuf> {
                 .is_some_and(|n| n.starts_with("wal-") && n.ends_with(".dlog.tmp"))
         })
         .max()
-}
-
-/// Batch oracle over exactly `lines_by_node`: plain text node logs in a
-/// fresh directory, through the standard `build-db` pipeline.
-fn build_oracle(tag: &str, lines_by_node: &BTreeMap<String, Vec<String>>) -> Option<PathBuf> {
-    if lines_by_node.values().all(|v| v.is_empty()) {
-        return None;
-    }
-    let logdir = fresh_dir(&format!("{tag}-oracle-logs"));
-    for (node, lines) in lines_by_node {
-        if lines.is_empty() {
-            continue;
-        }
-        let mut text = lines.join("\n");
-        text.push('\n');
-        fs::write(logdir.join(format!("node-{node}.log")), text).unwrap();
-    }
-    let out = std::env::temp_dir().join(format!(
-        "uc-live-stream-{tag}-oracle-{}.ucfdb",
-        std::process::id()
-    ));
-    let _ = fs::remove_file(&out);
-    build_db(&logdir, &out, &WriteOptions::default()).unwrap();
-    let _ = fs::remove_dir_all(&logdir);
-    Some(out)
-}
-
-/// Every selftest query, answered single-threaded for a stable oracle.
-fn answers(db: &Engine) -> Vec<Vec<String>> {
-    uc_parallel::with_thread_limit(1, || {
-        SELFTEST_QUERIES
-            .iter()
-            .map(|q| db.query(q, &QueryOptions::default()).unwrap().lines)
-            .collect()
-    })
 }
 
 #[test]

@@ -11,28 +11,22 @@
 //!    disconnects — never duplicates and never loses a record, whatever
 //!    the fault schedule.
 
+mod common;
+
 use std::collections::BTreeMap;
 use std::fs;
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
 use proptest::prelude::*;
 
+use common::{build_oracle, fresh_dir};
 use uc_cluster::NodeId;
 use uc_faultdb::{
-    build_db, stream_lines, FaultDb, IngestConfig, IngestServer, LiveDb, QueryOptions,
-    StreamOptions, WriteOptions,
+    stream_lines, FaultDb, IngestConfig, IngestServer, LiveDb, QueryOptions, StreamOptions,
 };
 use uc_faultlog::chaos::{NetChaosConfig, NetChaosTally};
 use uc_faultlog::durable::RetryPolicy;
-
-fn fresh_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("uc-live-props-{tag}-{}", std::process::id()));
-    let _ = fs::remove_dir_all(&dir);
-    fs::create_dir_all(&dir).unwrap();
-    dir
-}
 
 fn corpus(node: &str, salt: u64, records: usize) -> Vec<String> {
     let mut lines = Vec::with_capacity(records + 2);
@@ -55,25 +49,14 @@ fn corpus(node: &str, salt: u64, records: usize) -> Vec<String> {
 
 /// Batch oracle: the canonical `count` answer for a sealed record set.
 fn oracle_count(tag: &str, sealed: &BTreeMap<String, Vec<String>>) -> Vec<String> {
-    if sealed.values().all(Vec::is_empty) {
+    let Some(out) = build_oracle(tag, sealed) else {
         return vec!["0".to_string()];
-    }
-    let logdir = fresh_dir(&format!("{tag}-logs"));
-    for (node, lines) in sealed {
-        if lines.is_empty() {
-            continue;
-        }
-        let mut text = lines.join("\n");
-        text.push('\n');
-        fs::write(logdir.join(format!("node-{node}.log")), text).unwrap();
-    }
-    let out = logdir.join("oracle.ucfdb");
-    build_db(&logdir, &out, &WriteOptions::default()).unwrap();
+    };
     let db = FaultDb::open(&out).unwrap();
     let lines = uc_parallel::with_thread_limit(1, || {
         db.query("count", &QueryOptions::default()).unwrap().lines
     });
-    let _ = fs::remove_dir_all(&logdir);
+    let _ = fs::remove_file(&out);
     lines
 }
 

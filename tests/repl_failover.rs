@@ -8,35 +8,23 @@
 //! Seed the fault schedule with `UC_CHAOS_SEED` (default 1); CI runs
 //! several seeds.
 
+mod common;
+
 use std::collections::BTreeMap;
 use std::fs;
-use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use common::{
+    answers, assert_gens_byte_identical, await_convergence, build_oracle, chaos_seed, fresh_dir,
+};
 use uc_cluster::NodeId;
-use uc_faultdb::server::SELFTEST_QUERIES;
 use uc_faultdb::{
-    build_db, stream_lines, Client, Engine, FaultDb, IngestConfig, IngestServer, LiveDb, NodeAdmin,
-    QueryOptions, ReplicaConfig, Replication, Response, Role, ServeConfig, Server, ServerAdmin,
-    StreamOptions, WriteOptions,
+    stream_lines, Client, Engine, FaultDb, IngestConfig, IngestServer, LiveDb, NodeAdmin,
+    ReplicaConfig, Replication, Response, Role, ServeConfig, Server, ServerAdmin, StreamOptions,
 };
 use uc_faultlog::chaos::NetChaosConfig;
 use uc_faultlog::durable::RetryPolicy;
-
-fn chaos_seed() -> u64 {
-    std::env::var("UC_CHAOS_SEED")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1)
-}
-
-fn fresh_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("uc-failover-{tag}-{}", std::process::id()));
-    let _ = fs::remove_dir_all(&dir);
-    fs::create_dir_all(&dir).unwrap();
-    dir
-}
 
 fn corpus(node: &str, salt: u64, records: usize) -> Vec<String> {
     let mut lines = Vec::with_capacity(records + 2);
@@ -70,75 +58,6 @@ fn chaotic_opts(seed: u64) -> StreamOptions {
     }
 }
 
-/// Wait until the replica's status matches the primary's sealed state.
-fn await_convergence(primary: &LiveDb, replica: &LiveDb, what: &str) {
-    let want = primary.status();
-    let deadline = Instant::now() + Duration::from_secs(60);
-    loop {
-        let got = replica.status();
-        if got.records == want.records
-            && got.stream_crc == want.stream_crc
-            && got.generation == want.generation
-        {
-            return;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "{what}: replica stuck at {}/{} records, gen {}/{}",
-            got.records,
-            want.records,
-            got.generation,
-            want.generation
-        );
-        std::thread::sleep(Duration::from_millis(10));
-    }
-}
-
-/// Every `gen-*.ucfdb` present in BOTH directories must be byte-equal.
-fn assert_gens_byte_identical(a: &Path, b: &Path) {
-    let mut compared = 0usize;
-    for entry in fs::read_dir(a).unwrap().map(|e| e.unwrap()) {
-        let name = entry.file_name().to_str().unwrap().to_string();
-        if !(name.starts_with("gen-") && name.ends_with(".ucfdb")) {
-            continue;
-        }
-        let peer = b.join(&name);
-        if !peer.exists() {
-            continue;
-        }
-        assert_eq!(
-            fs::read(entry.path()).unwrap(),
-            fs::read(&peer).unwrap(),
-            "{name}: replica generation diverges from the primary's bytes"
-        );
-        compared += 1;
-    }
-    assert!(compared >= 2, "only {compared} generations compared");
-}
-
-fn answers(db: &Engine) -> Vec<Vec<String>> {
-    uc_parallel::with_thread_limit(1, || {
-        SELFTEST_QUERIES
-            .iter()
-            .map(|q| db.query(q, &QueryOptions::default()).unwrap().lines)
-            .collect()
-    })
-}
-
-fn build_oracle(tag: &str, lines_by_node: &BTreeMap<String, Vec<String>>) -> PathBuf {
-    let logdir = fresh_dir(&format!("{tag}-oracle-logs"));
-    for (node, lines) in lines_by_node {
-        let mut text = lines.join("\n");
-        text.push('\n');
-        fs::write(logdir.join(format!("node-{node}.log")), text).unwrap();
-    }
-    let out = std::env::temp_dir().join(format!("uc-failover-{tag}-{}.ucfdb", std::process::id()));
-    let _ = fs::remove_file(&out);
-    build_db(&logdir, &out, &WriteOptions::default()).unwrap();
-    let _ = fs::remove_dir_all(&logdir);
-    out
-}
-
 /// The full life of a replicated pair: chaotic catch-up, wire-driven
 /// promotion, client resume on the new primary, and fencing of the
 /// divergent ex-primary.
@@ -160,7 +79,7 @@ fn failover_promotes_replica_and_fences_divergent_ex_primary() {
     const PREFIX: usize = 8;
 
     // --- primary A with a role-aware ingest endpoint.
-    let dir_a = fresh_dir("a");
+    let dir_a = fresh_dir("failover-a");
     let (live_a, _) = LiveDb::open(&dir_a).unwrap();
     let live_a = Arc::new(live_a);
     let ingest_a = IngestServer::start_with_role(
@@ -173,7 +92,7 @@ fn failover_promotes_replica_and_fences_divergent_ex_primary() {
 
     // --- replica B: sync loop over a hostile link, role-aware ingest,
     // query endpoint with the replication admin answering PROMOTE.
-    let dir_b = fresh_dir("b");
+    let dir_b = fresh_dir("failover-b");
     let (live_b, _) = LiveDb::open(&dir_b).unwrap();
     let live_b = Arc::new(live_b);
     let mut rcfg = ReplicaConfig::new(&addr_a.to_string());
@@ -279,7 +198,7 @@ fn failover_promotes_replica_and_fences_divergent_ex_primary() {
         .enumerate()
         .map(|(i, n)| (n.to_string(), forked[i].clone()))
         .collect();
-    let oracle_path = build_oracle("post-promote", &sealed);
+    let oracle_path = build_oracle("post-promote", &sealed).unwrap();
     let oracle: Engine = std::sync::Arc::new(FaultDb::open(&oracle_path).unwrap()).into();
     assert_eq!(
         answers(&live_b.handle().current()),

@@ -7,43 +7,14 @@
 //! Seed the corruption schedule with `UC_CHAOS_SEED` (default 1); CI
 //! runs several seeds.
 
+mod common;
+
 use std::fs;
 use std::path::PathBuf;
 
+use common::{chaos_seed, fresh_dir, Rng};
 use uc_cluster::NodeId;
 use uc_faultdb::{fsck_live_dir, gen_file_name, scrub_live_dir, LiveDb, ScrubConfig, ScrubReport};
-
-fn chaos_seed() -> u64 {
-    std::env::var("UC_CHAOS_SEED")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1)
-}
-
-/// xorshift64* — deterministic corruption positions, seeded from the env.
-struct Rng(u64);
-
-impl Rng {
-    fn new(seed: u64) -> Rng {
-        Rng(seed.wrapping_mul(0x9E3779B97F4A7C15) | 1)
-    }
-    fn next(&mut self) -> u64 {
-        self.0 ^= self.0 << 13;
-        self.0 ^= self.0 >> 7;
-        self.0 ^= self.0 << 17;
-        self.0.wrapping_mul(0x2545F4914F6CDD1D)
-    }
-    fn below(&mut self, bound: u64) -> u64 {
-        self.next() % bound.max(1)
-    }
-}
-
-fn fresh_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("uc-scrub-e2e-{tag}-{}", std::process::id()));
-    let _ = fs::remove_dir_all(&dir);
-    fs::create_dir_all(&dir).unwrap();
-    dir
-}
 
 fn corpus(node: &str, salt: u64, records: usize) -> Vec<String> {
     let mut lines = Vec::with_capacity(records + 2);

@@ -8,9 +8,12 @@
 //! The `uc analyze --db` path rides on the same snapshot merge, so the
 //! full report text is compared too.
 
+mod common;
+
 use std::fs;
 use std::path::PathBuf;
 
+use common::fresh_dir;
 use uc_analysis::extract::fault_sort_key;
 use uc_analysis::fault::Fault;
 use uc_cluster::NodeId;
@@ -20,13 +23,6 @@ use uc_faultdb::{
 };
 use uc_parallel::with_thread_limit;
 use uc_simclock::SimTime;
-
-fn fresh_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("uc-shard-diff-{tag}-{}", std::process::id()));
-    let _ = fs::remove_dir_all(&dir);
-    fs::create_dir_all(&dir).unwrap();
-    dir
-}
 
 /// A campaign-shaped snapshot: nodes across both racks, clustered and
 /// scattered times, temp present on some rows, several flip shapes.

@@ -1,0 +1,589 @@
+//! Whole-system chaos (DESIGN.md §7.3): ingest, replication, serving and
+//! policy replay run at once under one seeded fault schedule, and the
+//! system's global invariants are checked while and after they run.
+//!
+//! Participants:
+//! - a primary: a live directory behind a role-aware ingest server and a
+//!   query server, each with 2 workers and a queue of 2, so admission
+//!   sheds;
+//! - replica R1, following the primary over a hostile link from the
+//!   start, with its own ingest server (so it ships onward) and a query
+//!   server that answers `PROMOTE`;
+//! - replica R2, chained to R1 over a hostile link;
+//! - one pusher per node, streaming its corpus over a hostile link in
+//!   short sessions over growing prefixes, some of them ending in `SEAL`;
+//! - queriers on the primary's query port and on R1's;
+//! - a policy replay of R1's current generation, over and over: a
+//!   deployed mitigation agent reading a live replica's error feed.
+//!
+//! Invariants:
+//! - every push is acked in full, with no hard error;
+//! - every `OK` answer equals a single-threaded engine's answer over some
+//!   generation `g` with `before <= g <= after`, the generations current
+//!   just before the request and just after its reply; the only `ERR` is
+//!   a typed `overloaded`;
+//! - after the final seal, R1 and R2 stand where the primary stands,
+//!   every generation file is byte-identical across the three
+//!   directories, and the last one is byte-identical to `build_db` over
+//!   the pushed corpus, whose answers both query ports give;
+//! - each policy replay conserves the evaluation window's faults, the
+//!   oracle lower-bounds every policy, and a rerun on the same generation
+//!   renders the same bytes;
+//! - failover: with the primary's ingest stopped, R1 refuses a push as
+//!   `readonly`; `PROMOTE` on its query port moves it to epoch 1 on disk;
+//!   it then takes a push and a seal, and R2 converges on epoch 1. No
+//!   node's epoch ever decreases;
+//! - after shutdown, fsck and scrub of each directory conserve bytes,
+//!   find no damage and quarantine nothing.
+//!
+//! Every wait polls against a 60 s deadline and fails with a message.
+//! Seed the schedule with `UC_CHAOS_SEED` (default 1); CI runs several
+//! seeds. Crash injection and exact replay of a failing interleaving are
+//! not covered yet (ROADMAP).
+
+mod common;
+
+use std::collections::{BTreeMap, HashMap};
+use std::fs;
+use std::net::SocketAddr;
+use std::path::Path;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::thread::{self, JoinHandle};
+use std::time::{Duration, Instant};
+
+use common::{
+    answers, assert_gens_byte_identical, await_convergence, build_oracle, chaos_seed, fresh_dir,
+    Rng, QUERIES,
+};
+use uc_cluster::NodeId;
+use uc_faultdb::{
+    fsck_live_dir, gen_file_name, scrub_live_dir, stream_lines, Catalog, Client, Engine,
+    IngestConfig, IngestServer, LiveDb, NodeAdmin, ReplicaConfig, Replication, Response, Role,
+    ScrubConfig, ServeConfig, Server, ServerAdmin, StreamOptions,
+};
+use uc_faultlog::chaos::{NetChaosConfig, NetChaosTally};
+use uc_faultlog::durable::RetryPolicy;
+use uc_policy::{render_table, run_comparison, PolicyKind, ReplayConfig};
+
+/// Pushing nodes.
+const NODES: usize = 8;
+/// Error lines per node: 4,800 faults, so the last generation spans two
+/// 4,096-row blocks.
+const RECORDS: usize = 600;
+/// Lines each push session adds to its node's prefix.
+const SESSION: usize = 50;
+/// Bound on every wait.
+const DEADLINE: Duration = Duration::from_secs(60);
+
+fn node_name(i: usize) -> String {
+    format!("{:02}-{:02}", 1 + 8 * (i / 2), 1 + i)
+}
+
+/// Node `salt`'s corpus: a session frame around `records` errors on
+/// distinct words, every seventh a 4-bit flip.
+fn corpus(node: &str, salt: u64, records: usize) -> Vec<String> {
+    let mut lines = Vec::with_capacity(records + 2);
+    lines.push(format!("START t=0 node={node} alloc=3221225472 temp=30.0"));
+    for k in 0..records {
+        let vaddr = 0x5000 + 0x240 * (k as u64) + (salt << 24);
+        let actual: u32 = if k % 7 == 3 { 0xffff_fff0 } else { 0xffff_fffe };
+        lines.push(format!(
+            "ERROR t={t} node={node} vaddr=0x{vaddr:08x} page=0x{page:06x} \
+             expected=0xffffffff actual=0x{actual:08x} temp=33.0",
+            t = 30 + 11 * salt as i64 + 6300 * k as i64,
+            page = vaddr >> 12
+        ));
+    }
+    lines.push(format!(
+        "END t={t} node={node} temp=31.0",
+        t = 6300 * records as i64 + 600
+    ));
+    lines
+}
+
+#[derive(Default)]
+struct Pushed {
+    sessions: u64,
+    seals: u64,
+    reconnects: u64,
+}
+
+/// Push `lines` in sessions over growing prefixes, each through its own
+/// hostile link; every session must be acked to its end.
+fn push_node(
+    addr: SocketAddr,
+    name: &str,
+    lines: &[String],
+    seed: u64,
+    tally: &Arc<NetChaosTally>,
+) -> Result<Pushed, String> {
+    let node = NodeId::from_name(name).unwrap();
+    let mut rng = Rng::new(seed);
+    let mut pushed = Pushed::default();
+    let mut end = 0;
+    while end < lines.len() {
+        end = (end + SESSION).min(lines.len());
+        let opts = StreamOptions {
+            batch: 8,
+            retry: RetryPolicy {
+                max_attempts: 200,
+                base_delay: Duration::from_millis(1),
+                max_delay: Duration::from_millis(20),
+            },
+            seal_at_end: rng.below(4) == 0,
+            chaos: Some(NetChaosConfig::hostile(rng.next())),
+        };
+        let report = stream_lines(addr, node, &lines[..end], &opts, Some(Arc::clone(tally)))
+            .map_err(|e| format!("{name}, lines ..{end}: {e}"))?;
+        if report.acked != end as u64 {
+            return Err(format!("{name}: {} of {end} lines acked", report.acked));
+        }
+        pushed.sessions += 1;
+        pushed.seals += u64::from(opts.seal_at_end);
+        pushed.reconnects += u64::from(report.connects - 1);
+    }
+    Ok(pushed)
+}
+
+/// One `OK` answer, with the generations current just before its request
+/// and just after its reply.
+struct Answer {
+    query: usize,
+    before: u64,
+    after: u64,
+    lines: Vec<String>,
+}
+
+/// Ask seeded picks from [`QUERIES`] on fresh connections until `stop`;
+/// the answers, and how many connections failed before any reply.
+fn query_loop(
+    live: &LiveDb,
+    addr: SocketAddr,
+    seed: u64,
+    stop: &AtomicBool,
+) -> Result<(Vec<Answer>, u64), String> {
+    let mut rng = Rng::new(seed);
+    let (mut answered, mut resets) = (Vec::new(), 0);
+    while !stop.load(Ordering::SeqCst) {
+        let query = rng.below(QUERIES.len() as u64) as usize;
+        let before = live.status().generation;
+        let reply = Client::connect(addr).and_then(|mut c| c.request(QUERIES[query]));
+        let after = live.status().generation;
+        match reply {
+            Ok(Response::Ok(lines)) => answered.push(Answer {
+                query,
+                before,
+                after,
+                lines,
+            }),
+            Ok(Response::Err { kind, .. }) if kind == "overloaded" => {}
+            Ok(Response::Err { kind, message }) => {
+                return Err(format!("{}: ERR {kind}: {message}", QUERIES[query]))
+            }
+            // A shed connection can be reset before its `ERR` is read.
+            Err(_) => resets += 1,
+        }
+        thread::sleep(Duration::from_millis(1));
+    }
+    Ok((answered, resets))
+}
+
+/// Replay the generation `live` serves, over and over, until `stop` and
+/// one rerun on an unchanged generation; how many replays ran.
+fn policy_loop(live: &LiveDb, seed: u64, stop: &AtomicBool) -> Result<u64, String> {
+    let cfg = ReplayConfig {
+        seed,
+        ..ReplayConfig::default()
+    };
+    let mut rendered: HashMap<u64, String> = HashMap::new();
+    let (mut replays, mut reruns) = (0u64, 0u64);
+    let mut stopped: Option<Instant> = None;
+    loop {
+        if stop.load(Ordering::SeqCst) {
+            if reruns > 0 {
+                return Ok(replays);
+            }
+            if stopped.get_or_insert_with(Instant::now).elapsed() > DEADLINE {
+                return Err("no policy rerun on an unchanged generation".into());
+            }
+        }
+        let before = live.status().generation;
+        let db = live.handle().current();
+        let after = live.status().generation;
+        let days = db.collect_days().map_err(|e| e.to_string())?;
+        if days.is_empty() {
+            thread::sleep(Duration::from_millis(2));
+            continue;
+        }
+        let cmp = run_comparison(&days, &PolicyKind::ALL, &cfg);
+        let oracle = cmp.oracle().ok_or("the comparison lost its oracle")?;
+        for run in &cmp.runs {
+            let label = run.kind.label();
+            if run.eval_faults() != cmp.eval_faults {
+                return Err(format!(
+                    "gen {before}: {label} accounted {} faults of {}",
+                    run.eval_faults(),
+                    cmp.eval_faults
+                ));
+            }
+            if run.eval_cost_mnh < oracle.eval_cost_mnh {
+                return Err(format!("gen {before}: {label} beat the oracle"));
+            }
+        }
+        replays += 1;
+        if before == after {
+            let table = render_table(&cmp);
+            match rendered.get(&before) {
+                Some(first) if *first != table => {
+                    return Err(format!("gen {before}: a rerun rendered other bytes"))
+                }
+                Some(_) => reruns += 1,
+                None => {
+                    rendered.insert(before, table);
+                }
+            }
+        }
+    }
+}
+
+/// Sample every node's epoch until `stop`; none may ever decrease.
+fn watch_epochs(nodes: &[Arc<LiveDb>], stop: &AtomicBool) -> Result<(), String> {
+    let mut last = vec![0u64; nodes.len()];
+    while !stop.load(Ordering::SeqCst) {
+        for (i, live) in nodes.iter().enumerate() {
+            let epoch = live.epoch();
+            if epoch < last[i] {
+                return Err(format!("node {i}: epoch fell from {} to {epoch}", last[i]));
+            }
+            last[i] = epoch;
+        }
+        thread::sleep(Duration::from_millis(1));
+    }
+    Ok(())
+}
+
+/// What a query port answers to [`QUERIES`], retrying sheds.
+fn wire_answers(addr: SocketAddr) -> Vec<Vec<String>> {
+    QUERIES
+        .iter()
+        .map(|q| {
+            let deadline = Instant::now() + DEADLINE;
+            loop {
+                match Client::connect(addr).and_then(|mut c| c.request(q)) {
+                    Ok(Response::Ok(lines)) => return lines,
+                    Ok(Response::Err { kind, message }) => {
+                        assert_eq!(kind, "overloaded", "{q}: ERR {kind}: {message}")
+                    }
+                    Err(_) => {}
+                }
+                assert!(Instant::now() < deadline, "{q}: no answer from {addr}");
+                thread::sleep(Duration::from_millis(5));
+            }
+        })
+        .collect()
+}
+
+/// The last reference to a live database, dropped so that its directory
+/// lock is released.
+fn close(live: Arc<LiveDb>, what: &str) {
+    drop(Arc::try_unwrap(live).unwrap_or_else(|_| panic!("{what} is still open elsewhere")));
+}
+
+fn join<T>(handle: JoinHandle<Result<T, String>>, what: &str) -> T {
+    match handle.join() {
+        Ok(Ok(value)) => value,
+        Ok(Err(e)) => panic!("{what}: {e}"),
+        Err(_) => panic!("{what} panicked"),
+    }
+}
+
+#[test]
+fn live_system_holds_its_invariants_under_chaos() {
+    let seed = chaos_seed();
+    let t0 = Instant::now();
+    let dirs = ["primary", "r1", "r2"].map(|n| fresh_dir(&format!("chaos-{n}-{seed}")));
+    let open = |dir: &Path| Arc::new(LiveDb::open(dir).unwrap().0);
+    let (primary, r1, r2) = (open(&dirs[0]), open(&dirs[1]), open(&dirs[2]));
+
+    let ingest_p = IngestServer::start_with_role(
+        Arc::clone(&primary),
+        &IngestConfig {
+            workers: 2,
+            queue: 2,
+            ..IngestConfig::default()
+        },
+        Some(Arc::new(Role::primary())),
+    )
+    .unwrap();
+    let query_p = Server::start(
+        primary.handle(),
+        &ServeConfig {
+            workers: 2,
+            queue: 2,
+            ..ServeConfig::default()
+        },
+    )
+    .unwrap();
+
+    let follow = |upstream: SocketAddr, salt: u64| {
+        let mut cfg = ReplicaConfig::new(&upstream.to_string());
+        cfg.poll_interval = Duration::from_millis(5);
+        cfg.chaos = Some(NetChaosConfig::hostile(seed ^ salt));
+        cfg
+    };
+    let repl1 = Arc::new(Replication::start(
+        Arc::clone(&r1),
+        follow(ingest_p.local_addr(), 0xD15E),
+    ));
+    let ingest_r1 = IngestServer::start_with_role(
+        Arc::clone(&r1),
+        &IngestConfig::default(),
+        Some(repl1.role()),
+    )
+    .unwrap();
+    let admin: Arc<dyn ServerAdmin> =
+        Arc::new(NodeAdmin::replica(Arc::clone(&r1), Arc::clone(&repl1)));
+    let query_r1 =
+        Server::start_with_admin(r1.handle(), &ServeConfig::default(), Some(admin)).unwrap();
+    let repl2 = Replication::start(Arc::clone(&r2), follow(ingest_r1.local_addr(), 0xC4A1));
+
+    // Readers and the epoch watch run until the stop flags.
+    let stop = Arc::new(AtomicBool::new(false));
+    let stop_watch = Arc::new(AtomicBool::new(false));
+    let watch = {
+        let nodes = [&primary, &r1, &r2].map(Arc::clone);
+        let stop = Arc::clone(&stop_watch);
+        thread::spawn(move || watch_epochs(&nodes, &stop))
+    };
+    let readers = [
+        (0, query_p.local_addr()),
+        (0, query_p.local_addr()),
+        (0, query_p.local_addr()),
+        (1, query_r1.local_addr()),
+    ];
+    type Asked = Result<(Vec<Answer>, u64), String>;
+    let queriers: Vec<(usize, JoinHandle<Asked>)> = readers
+        .iter()
+        .enumerate()
+        .map(|(i, &(node, addr))| {
+            let live = Arc::clone(if node == 0 { &primary } else { &r1 });
+            let stop = Arc::clone(&stop);
+            let qseed = seed ^ 0x5EED ^ (i as u64) << 32;
+            (
+                node,
+                thread::spawn(move || query_loop(&live, addr, qseed, &stop)),
+            )
+        })
+        .collect();
+    let policy = {
+        let live = Arc::clone(&r1);
+        let stop = Arc::clone(&stop);
+        thread::spawn(move || policy_loop(&live, seed, &stop))
+    };
+
+    let corpora: Vec<Vec<String>> = (0..NODES)
+        .map(|i| corpus(&node_name(i), i as u64, RECORDS))
+        .collect();
+    let tally = Arc::new(NetChaosTally::default());
+    let pushers: Vec<JoinHandle<Result<Pushed, String>>> = (0..NODES)
+        .map(|i| {
+            let (addr, lines) = (ingest_p.local_addr(), corpora[i].clone());
+            let tally = Arc::clone(&tally);
+            let pseed = seed ^ (i as u64 + 1) << 20;
+            thread::spawn(move || push_node(addr, &node_name(i), &lines, pseed, &tally))
+        })
+        .collect();
+    let mut pushed = Pushed::default();
+    for (i, p) in pushers.into_iter().enumerate() {
+        let p = join(p, &format!("pusher {}", node_name(i)));
+        pushed.sessions += p.sessions;
+        pushed.seals += p.seals;
+        pushed.reconnects += p.reconnects;
+    }
+
+    // The final seal; both replicas reach it, epochs included.
+    let last = primary.seal().unwrap();
+    await_convergence(&primary, &r1, "R1 after the final seal");
+    await_convergence(&primary, &r2, "R2 after the final seal");
+    stop.store(true, Ordering::SeqCst);
+    let mut resets = 0;
+    let asked: Vec<(usize, Vec<Answer>)> = queriers
+        .into_iter()
+        .map(|(node, q)| {
+            let (answered, reset) = join(q, "querier");
+            resets += reset;
+            (node, answered)
+        })
+        .collect();
+    let replays = join(policy, "policy replay");
+    let sheds = ingest_p.stats().rejected + query_p.stats().rejected;
+    let reconnects = [&repl1, &repl2].map(|r| r.stats().connects - 1);
+
+    assert_gens_byte_identical(&dirs[0], &dirs[1]);
+    assert_gens_byte_identical(&dirs[0], &dirs[2]);
+
+    // Every answer came from one generation in its window.
+    let mut expected: HashMap<(usize, u64), Vec<Vec<String>>> = HashMap::new();
+    let mut checked = [0usize; 2];
+    for (node, answered) in &asked {
+        for a in answered {
+            let matched = (a.before..=a.after).any(|g| {
+                let want = expected.entry((*node, g)).or_insert_with(|| {
+                    let path = dirs[*node].join(gen_file_name(g));
+                    answers(&Engine::open_auto(&path).unwrap())
+                });
+                want[a.query] == a.lines
+            });
+            assert!(
+                matched,
+                "node {node}: {:?} answered {:?}, which no generation in {}..={} gives",
+                QUERIES[a.query], a.lines, a.before, a.after
+            );
+            checked[*node] += 1;
+        }
+    }
+    assert!(
+        checked.iter().all(|&n| n > 0),
+        "answers checked per node: {checked:?}"
+    );
+
+    // The last generation is the batch build of everything pushed, and
+    // both query ports answer like it.
+    let by_node: BTreeMap<String, Vec<String>> = corpora
+        .iter()
+        .enumerate()
+        .map(|(i, lines)| (node_name(i), lines.clone()))
+        .collect();
+    let oracle_path = build_oracle(&format!("chaos-{seed}"), &by_node).unwrap();
+    assert_eq!(
+        fs::read(dirs[0].join(gen_file_name(last.generation))).unwrap(),
+        fs::read(&oracle_path).unwrap(),
+        "the last generation is not byte-identical to build_db over the pushed corpus"
+    );
+    let oracle = Engine::open_auto(&oracle_path).unwrap();
+    let want = answers(&oracle);
+    assert_eq!(wire_answers(query_p.local_addr()), want, "primary's wire");
+    assert_eq!(wire_answers(query_r1.local_addr()), want, "R1's wire");
+
+    // The list holds a predicate the zone maps prove for a whole block
+    // and one that cuts a block.
+    assert!(oracle.blocks() >= 2, "{} block(s)", oracle.blocks());
+    let plans: Vec<Vec<String>> = QUERIES.iter().map(|q| oracle.explain(q).unwrap()).collect();
+    let marks = |mark: &str, q: usize| plans[q].iter().any(|l| l.ends_with(mark));
+    assert!(
+        (0..QUERIES.len()).any(|q| QUERIES[q].contains(" where ") && marks(" whole", q)),
+        "no predicate proves a whole block"
+    );
+    assert!(
+        (0..QUERIES.len()).any(|q| marks(" scan", q)),
+        "no predicate cuts a block"
+    );
+    let _ = fs::remove_file(&oracle_path);
+
+    // Failover: the primary's ingest stops, R1 refuses pushes until it
+    // is promoted, then takes a push and a seal that R2 follows.
+    ingest_p.shutdown();
+    ingest_p.join();
+    let refused = stream_lines(
+        ingest_r1.local_addr(),
+        NodeId::from_name(&node_name(0)).unwrap(),
+        &corpora[0],
+        &StreamOptions::default(),
+        None,
+    )
+    .expect_err("a readonly replica accepted a push")
+    .to_string();
+    assert!(refused.contains("readonly"), "untyped refusal: {refused}");
+    let mut client = Client::connect(query_r1.local_addr()).unwrap();
+    assert_eq!(
+        client.request("PROMOTE").unwrap(),
+        Response::Ok(vec!["epoch 1".to_string()])
+    );
+    drop(client);
+    assert_eq!(
+        Catalog::load(&dirs[1]).map(|c| c.epoch),
+        Some(1),
+        "R1's promotion is not on disk"
+    );
+    let late = corpus(&node_name(NODES), NODES as u64, 20);
+    let report = stream_lines(
+        ingest_r1.local_addr(),
+        NodeId::from_name(&node_name(NODES)).unwrap(),
+        &late,
+        &StreamOptions {
+            seal_at_end: true,
+            ..StreamOptions::default()
+        },
+        None,
+    )
+    .unwrap();
+    assert_eq!(report.acked, late.len() as u64);
+    assert!(
+        r1.status().generation > last.generation,
+        "the promoted R1 did not seal"
+    );
+    await_convergence(&r1, &r2, "R2 after the promotion");
+    assert_gens_byte_identical(&dirs[1], &dirs[2]);
+
+    stop_watch.store(true, Ordering::SeqCst);
+    join(watch, "epoch watch");
+    assert_eq!([primary.epoch(), r1.epoch(), r2.epoch()], [0, 1, 1]);
+    ingest_r1.shutdown();
+    ingest_r1.join();
+    for server in [query_p, query_r1] {
+        server.shutdown();
+        server.join();
+    }
+    let link_faults = tally.total() + repl1.link_faults() + repl2.link_faults();
+    drop(repl2);
+    drop(repl1);
+    close(primary, "the primary");
+    close(r1, "R1");
+    close(r2, "R2");
+
+    for dir in &dirs {
+        let fsck = fsck_live_dir(dir).unwrap();
+        assert!(fsck.is_conserved(), "{}", fsck.render());
+        assert_eq!(
+            (
+                fsck.durable.files_quarantined,
+                fsck.durable.bytes_quarantined,
+                fsck.gens_quarantined,
+                fsck.catalog_rollbacks,
+                fsck.catalog_quarantined
+            ),
+            (0, 0, 0, 0, false),
+            "{}",
+            fsck.render()
+        );
+        let scrub = scrub_live_dir(dir, &ScrubConfig::default()).unwrap();
+        assert!(scrub.is_conserved(), "{}", scrub.render());
+        assert!(!scrub.found_damage(), "{}", scrub.render());
+        assert_eq!(scrub.gen_bytes_quarantined, 0, "{}", scrub.render());
+        assert!(!dir.join(".lost+found").exists(), "{}", dir.display());
+    }
+
+    println!(
+        "system chaos, seed {seed}: {:.2} s, {} generations, {} wire answers checked \
+         (primary {}, R1 {}), {} sheds, {resets} query connections reset, \
+         replica reconnects R1 {} R2 {}, \
+         {} push sessions ({} sealing, {} reconnects), {} injected link faults, \
+         {replays} policy replays",
+        t0.elapsed().as_secs_f64(),
+        last.generation,
+        checked[0] + checked[1],
+        checked[0],
+        checked[1],
+        sheds,
+        reconnects[0],
+        reconnects[1],
+        pushed.sessions,
+        pushed.seals,
+        pushed.reconnects,
+        link_faults,
+    );
+    for dir in &dirs {
+        let _ = fs::remove_dir_all(dir);
+    }
+}
