@@ -15,6 +15,12 @@
 //!   per second of campaign wall-clock on the direct path);
 //! * `text_path_e2e_seconds` / `direct_path_e2e_seconds` — end-to-end
 //!   latency of each route (plus the derived `direct_speedup`);
+//! * `direct_path_cpu_s` — process CPU seconds of one direct-path run
+//!   from an empty checkpoint directory, best of 3 in quick mode too:
+//!   the headline in CPU time, whose spread fits the guard;
+//! * `direct_checkpoint_bytes` — bytes that run leaves in its checkpoint
+//!   directory (deterministic): the campaign write path's checkpoint
+//!   size;
 //! * `ingest_mb_per_sec` — recovering text ingest throughput over the
 //!   campaign corpus;
 //! * `recover_records_per_sec` — raw records per second `recover_log`
@@ -97,13 +103,17 @@ fn text_path_once(base: &Path, tag: &str) -> (f64, u64, u64, CampaignResult) {
     write_cluster_log(&logs, &result.cluster_log()).unwrap();
     let summary = build_db(&logs, &db, &WriteOptions::default()).unwrap();
     let secs = t0.elapsed().as_secs_f64();
-    let corpus_bytes: u64 = std::fs::read_dir(&logs)
+    (secs, dir_bytes(&logs), summary.rows, result)
+}
+
+/// Total bytes of the files directly in `dir`.
+fn dir_bytes(dir: &Path) -> u64 {
+    std::fs::read_dir(dir)
         .unwrap()
         .filter_map(|e| e.ok())
         .filter_map(|e| e.metadata().ok())
         .map(|m| m.len())
-        .sum();
-    (secs, corpus_bytes, summary.rows, result)
+        .sum()
 }
 
 /// One full direct-path run: campaign → in-memory stream → sealed db.
@@ -114,6 +124,25 @@ fn direct_path_once(base: &Path, tag: &str) -> (f64, u64) {
     let t0 = Instant::now();
     let output = campaign_to_db(&cfg(), &ckpt, &db, &WriteOptions::default()).unwrap();
     (t0.elapsed().as_secs_f64(), output.summary.rows)
+}
+
+/// Process CPU seconds of one direct-path run from an empty checkpoint
+/// directory, best of 3 in quick mode too, and the bytes the run leaves
+/// in that directory (the same every time).
+fn direct_path_cpu(base: &Path) -> (f64, u64) {
+    let mut best = f64::INFINITY;
+    let mut ckpt_bytes = 0;
+    for r in 0..3 {
+        let db = base.join(format!("direct-cpu-{r}.ucfdb"));
+        let ckpt = base.join(format!("direct-cpu-ckpt-{r}"));
+        let cpu0 = process_cpu_seconds();
+        campaign_to_db(&cfg(), &ckpt, &db, &WriteOptions::default()).unwrap();
+        best = best.min(process_cpu_seconds() - cpu0);
+        ckpt_bytes = dir_bytes(&ckpt);
+        let _ = std::fs::remove_dir_all(&ckpt);
+        let _ = std::fs::remove_file(&db);
+    }
+    (best, ckpt_bytes)
 }
 
 /// p99 latency (µs) of query requests over the TCP serving layer, one
@@ -496,6 +525,7 @@ fn emit_trajectory(quick: bool) {
         direct_best = direct_best.min(secs);
         assert_eq!(n, rows, "direct path sealed a different row count");
     }
+    let (direct_cpu_s, direct_ckpt_bytes) = direct_path_cpu(&base);
 
     // Ingest throughput over the corpus the text path wrote.
     let logs = base.join("text-logs-0");
@@ -551,6 +581,8 @@ fn emit_trajectory(quick: bool) {
          \"text_path_e2e_seconds\": {text_best:.4},\n  \
          \"direct_path_e2e_seconds\": {direct_best:.4},\n  \
          \"direct_speedup\": {:.2},\n  \
+         \"direct_path_cpu_s\": {direct_cpu_s:.4},\n  \
+         \"direct_checkpoint_bytes\": {direct_ckpt_bytes},\n  \
          \"ingest_mb_per_sec\": {ingest_mb_per_sec:.1},\n  \
          \"recover_records_per_sec\": {recover_records_per_sec:.0},\n  \
          \"scan_rows_per_sec\": {scan_rows_per_sec:.0},\n  \

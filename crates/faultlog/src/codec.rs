@@ -35,8 +35,8 @@
 //! `ERRORRUN` lines were historically written with a run of 18 spaces
 //! between the `page=` and `expected=` fields (an artifact of a wrapped
 //! string literal). The writer now emits single spaces everywhere; the
-//! parser remains whitespace-tolerant, so logs and checkpoints written by
-//! older builds still ingest byte-for-byte identically.
+//! parser remains whitespace-tolerant, so logs written by older builds
+//! still ingest byte-for-byte identically.
 
 use std::fmt::Write as _;
 
@@ -147,8 +147,8 @@ pub(crate) fn push_temp(out: &mut String, temp: Option<TempC>) {
 
 /// Lossless temperature encoding: `#` plus the f32 bit pattern in hex. The
 /// human-readable `{:.1}` form rounds to a tenth of a degree, which is fine
-/// for the study logs but would break byte-identical campaign resume —
-/// checkpoint files use this form instead.
+/// for the study logs but loses bits — text that must read back to the
+/// identical in-memory log uses this form instead.
 fn push_temp_exact(out: &mut String, temp: Option<TempC>) {
     match temp {
         Some(t) => {

@@ -252,11 +252,13 @@ pub struct Recovered {
 pub struct LineRecovery {
     stats: IngestStats,
     entries: Vec<LogEntry>,
-    /// Raw bytes of the last kept line *when it was a session marker*
-    /// (reused buffer). A duplicate can only ever be marker-vs-marker —
-    /// byte equality forces equal kinds — so nothing else needs storing.
+    /// What the last kept line was, as far as duplicates go: a
+    /// duplicate can only ever be marker-vs-marker (byte equality forces
+    /// equal kinds), so nothing else needs storing.
+    last_kept: LastKept,
+    /// The last kept marker's raw line ([`LastKept::Line`]) or rendered
+    /// temperature ([`LastKept::Typed`]); a reused buffer.
     last_marker: String,
-    last_was_marker: bool,
     high_water: Option<uc_simclock::SimTime>,
     /// Largest first time among the kept entries (the high-water mark
     /// also covers the later records of a run kept whole).
@@ -265,6 +267,30 @@ pub struct LineRecovery {
     /// A live stream kept an entry earlier than one kept before it, and
     /// the entries have not been sorted since.
     unsorted: bool,
+}
+
+/// The last kept line, for duplicate-marker detection.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+enum LastKept {
+    /// Not a session marker (or nothing kept yet).
+    #[default]
+    Other,
+    /// A marker line read as text.
+    Line,
+    /// A marker the typed arm of [`recover_log`] kept. With its rendered
+    /// temperature, equal exactly when the rendered lines are.
+    Typed(MarkerKey),
+}
+
+/// A typed marker's fields, as normalized for its rendered line: START
+/// or END, the time, the node (the reparse verdict, which for a kept
+/// line is the node itself) and the allocated bytes (0 for an END).
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct MarkerKey {
+    start: bool,
+    time: uc_simclock::SimTime,
+    node: NodeId,
+    alloc_bytes: u64,
 }
 
 /// What [`LineRecovery::push_line`] did with a line it kept.
@@ -354,37 +380,19 @@ impl LineRecovery {
                 // a duplicated line. Identical consecutive ERROR lines are
                 // kept: a weak bit really can fire twice within a second
                 // at the same address and temperature.
-                let is_marker = matches!(
+                if matches!(
                     entry,
-                    LogEntry::One(LogRecord::Start(_)) | LogEntry::One(LogRecord::End(_))
-                );
-                if is_marker && self.last_was_marker && self.last_marker == line {
-                    self.stats.duplicate_lines += 1;
-                    return;
-                }
-                if let LogEntry::One(LogRecord::Start(_)) = entry {
-                    if self.in_session {
-                        self.stats.session_gaps += 1;
+                    LogEntry::One(LogRecord::Start(_) | LogRecord::End(_))
+                ) {
+                    if self.last_kept == LastKept::Line && self.last_marker == line {
+                        self.stats.duplicate_lines += 1;
+                        return;
                     }
-                    self.in_session = true;
-                } else if let LogEntry::One(LogRecord::End(_)) = entry {
-                    self.in_session = false;
-                }
-                // Compare against the high-water mark, not the previous
-                // record, so one displaced-early line counts once instead
-                // of tainting everything after it.
-                if self.high_water.is_some_and(|t| entry.first_time() < t) {
-                    self.stats.out_of_order += 1;
-                } else {
-                    self.high_water = Some(entry.first_time());
-                }
-                self.last_was_marker = is_marker;
-                if is_marker {
+                    self.last_kept = LastKept::Line;
                     self.last_marker.clear();
                     self.last_marker.push_str(line);
                 }
-                self.stats.records_kept += 1;
-                self.keep(entry);
+                self.admit(entry);
             }
             Err(e) => {
                 if final_unterminated {
@@ -410,40 +418,69 @@ impl LineRecovery {
     /// - the temperature is the one lossy field: it is rendered with the
     ///   writer's `{:.1}` encoder and re-read with the parser's decoder,
     ///   the identical normalization the text round-trip applies;
-    /// - an `ERROR` line is never a session marker, so the duplicate and
-    ///   session bookkeeping reduces to `last_was_marker = false` on keep
-    ///   (a *dropped* line leaves the marker state untouched, like the
-    ///   `Err` arm of [`LineRecovery::line`]).
+    /// - an `ERROR` line is never a session marker, so a kept one goes
+    ///   straight to [`LineRecovery::admit`] (a *dropped* line leaves
+    ///   the marker state untouched, like the `Err` arm of
+    ///   [`LineRecovery::line`]).
     fn error_record_typed(
         &mut self,
         rec: &crate::record::ErrorRecord,
         reparsed: Option<NodeId>,
         temp_buf: &mut String,
     ) {
-        self.stats.lines_read += 1;
-        let Some(node) = reparsed else {
-            self.stats.bad_node += 1;
+        if let Some((node, temp)) = self.normalize_typed(1, reparsed, rec.temp, temp_buf) {
+            self.admit(LogEntry::One(LogRecord::Error(
+                crate::record::ErrorRecord { node, temp, ..*rec },
+            )));
+        }
+    }
+
+    /// Account one in-memory `START` or `END` record without rendering
+    /// its line: the marker twin of [`LineRecovery::error_record_typed`],
+    /// byte-for-byte equivalent to feeding the rendered line through
+    /// [`LineRecovery::line`]:
+    ///
+    /// - the node verdict and the `{:.1}` temperature normalization are
+    ///   the error arm's ([`LineRecovery::normalize_typed`]), so a drop
+    ///   lands in the same category;
+    /// - a kept marker is a duplicate when the previous kept line was a
+    ///   marker with equal kind, time, node and allocated bytes and the
+    ///   same rendered temperature text — the fields the rendered line
+    ///   is made of, so the comparison holds exactly when the lines are
+    ///   byte-identical. Rendered text, not `f32`s: two NaNs render
+    ///   alike, and so do two temperatures that differ below a tenth.
+    fn marker_typed(&mut self, rec: &LogRecord, reparsed: Option<NodeId>, temp_buf: &mut String) {
+        let (start, time, alloc_bytes, temp) = match *rec {
+            LogRecord::Start(s) => (true, s.time, s.alloc_bytes, s.temp),
+            LogRecord::End(e) => (false, e.time, 0, e.temp),
+            _ => unreachable!("marker_typed takes START and END only"),
+        };
+        let Some((node, temp)) = self.normalize_typed(1, reparsed, temp, temp_buf) else {
             return;
         };
-        temp_buf.clear();
-        crate::codec::push_temp(temp_buf, rec.temp);
-        let temp = match crate::codec::val_temp(Some(temp_buf)) {
-            Ok(t) => t,
-            Err(e) => {
-                self.stats.classify(&e, 1);
-                return;
-            }
+        let key = MarkerKey {
+            start,
+            time,
+            node,
+            alloc_bytes,
         };
-        if self.high_water.is_some_and(|t| rec.time < t) {
-            self.stats.out_of_order += 1;
-        } else {
-            self.high_water = Some(rec.time);
+        if self.last_kept == LastKept::Typed(key) && self.last_marker == *temp_buf {
+            self.stats.duplicate_lines += 1;
+            return;
         }
-        self.last_was_marker = false;
-        self.stats.records_kept += 1;
-        self.keep(LogEntry::One(LogRecord::Error(
-            crate::record::ErrorRecord { node, temp, ..*rec },
-        )));
+        self.last_kept = LastKept::Typed(key);
+        self.last_marker.clear();
+        self.last_marker.push_str(temp_buf);
+        self.admit(LogEntry::One(if start {
+            LogRecord::Start(crate::record::StartRecord {
+                time,
+                node,
+                alloc_bytes,
+                temp,
+            })
+        } else {
+            LogRecord::End(crate::record::EndRecord { time, node, temp })
+        }));
     }
 
     /// Account one in-memory run of `count` `ERROR` records as one kept
@@ -474,19 +511,8 @@ impl LineRecovery {
             // `NodeLog::push_run` reject one); it renders no line.
             return;
         }
-        self.stats.lines_read += count;
-        let Some(node) = reparsed else {
-            self.stats.bad_node += count;
+        let Some((node, temp)) = self.normalize_typed(count, reparsed, first.temp, temp_buf) else {
             return;
-        };
-        temp_buf.clear();
-        crate::codec::push_temp(temp_buf, first.temp);
-        let temp = match crate::codec::val_temp(Some(temp_buf)) {
-            Ok(t) => t,
-            Err(e) => {
-                self.stats.classify(&e, count);
-                return;
-            }
         };
         let last = run.last_time();
         self.high_water = Some(match self.high_water {
@@ -496,7 +522,7 @@ impl LineRecovery {
             }
             None => last,
         });
-        self.last_was_marker = false;
+        self.last_kept = LastKept::Other;
         self.stats.records_kept += count;
         self.keep(LogEntry::ErrorRun {
             first: crate::record::ErrorRecord {
@@ -507,6 +533,64 @@ impl LineRecovery {
             count,
             period,
         });
+    }
+
+    /// Count `lines` typed records that render to one shape of line,
+    /// and normalize their two non-exact fields as the writer and parser
+    /// would, in the parser's field order: the node verdict (`None`
+    /// drops them as `bad_node`), then the `{:.1}` temperature, rendered
+    /// into `temp_buf` and read back (a failure drops them under its
+    /// category). `None` when the lines drop.
+    fn normalize_typed(
+        &mut self,
+        lines: u64,
+        reparsed: Option<NodeId>,
+        temp: Option<crate::record::TempC>,
+        temp_buf: &mut String,
+    ) -> Option<(NodeId, Option<crate::record::TempC>)> {
+        self.stats.lines_read += lines;
+        let Some(node) = reparsed else {
+            self.stats.bad_node += lines;
+            return None;
+        };
+        temp_buf.clear();
+        crate::codec::push_temp(temp_buf, temp);
+        match crate::codec::val_temp(Some(temp_buf)) {
+            Ok(t) => Some((node, t)),
+            Err(e) => {
+                self.stats.classify(&e, lines);
+                None
+            }
+        }
+    }
+
+    /// Keep one accounted entry that survived its parse and the
+    /// duplicate check — the bookkeeping every one-record arm shares:
+    /// session tracking (START inside an open session is a gap), the
+    /// out-of-order count and the high-water mark, and the kept count.
+    /// A marker's caller has recorded it in `last_kept` already; any
+    /// other entry clears it.
+    fn admit(&mut self, entry: LogEntry) {
+        match entry {
+            LogEntry::One(LogRecord::Start(_)) => {
+                if self.in_session {
+                    self.stats.session_gaps += 1;
+                }
+                self.in_session = true;
+            }
+            LogEntry::One(LogRecord::End(_)) => self.in_session = false,
+            _ => self.last_kept = LastKept::Other,
+        }
+        // Compare against the high-water mark, not the previous record,
+        // so one displaced-early line counts once instead of tainting
+        // everything after it.
+        if self.high_water.is_some_and(|t| entry.first_time() < t) {
+            self.stats.out_of_order += 1;
+        } else {
+            self.high_water = Some(entry.first_time());
+        }
+        self.stats.records_kept += 1;
+        self.keep(entry);
     }
 
     fn keep(&mut self, entry: LogEntry) {
@@ -578,15 +662,17 @@ pub fn recover_text(text: &str) -> Recovered {
 ///
 /// - the walk is `log.entries()`, the sequence [`NodeLog::to_text`]
 ///   renders one line per record of;
-/// - session markers (`START`/`END`) and `ALLOCFAIL` are rendered and
-///   fed through the real line classifier, so duplicate-marker
-///   suppression and session-gap accounting see the same bytes a file
-///   would hold (two `NaN` temperatures render identically and *are*
-///   duplicates — float equality would say otherwise);
-/// - `ERROR` records take the typed fast path
-///   (`LineRecovery::error_record_typed`): no line rendering, just the
+/// - `ERROR` records and the session markers (`START`/`END`) take
+///   typed arms (`LineRecovery::error_record_typed`,
+///   `LineRecovery::marker_typed`): no line rendering, just the
 ///   writer→parser normalization of the two non-exact fields (node name
-///   and `{:.1}` temperature);
+///   and `{:.1}` temperature). Duplicate markers are found on the
+///   fields the rendered line is made of, the temperature as its
+///   rendered text (two `NaN` temperatures render identically and *are*
+///   duplicates — float equality would say otherwise), and the session
+///   and high-water bookkeeping is the line classifier's own;
+/// - the rare `ALLOCFAIL` is rendered and fed through the line
+///   classifier;
 /// - an `ERRORRUN` stays one entry, its stats added in closed form
 ///   (`LineRecovery::error_run_typed`). The stats are the text path's;
 ///   the entries are too once runs are expanded
@@ -620,6 +706,10 @@ pub fn recover_log(log: &NodeLog) -> Recovered {
             LogEntry::One(LogRecord::Error(e)) => {
                 let reparsed = reparse(e.node, &mut scratch);
                 r.error_record_typed(e, reparsed, &mut scratch);
+            }
+            LogEntry::One(rec @ (LogRecord::Start(_) | LogRecord::End(_))) => {
+                let reparsed = reparse(rec.node(), &mut scratch);
+                r.marker_typed(rec, reparsed, &mut scratch);
             }
             LogEntry::One(rec) => {
                 line.clear();

@@ -185,6 +185,14 @@ impl NodeLog {
         NodeLog { node, entries }
     }
 
+    /// Build a log holding `entries` in the order given, unlike
+    /// [`NodeLog::from_entries`]: the exact inverse of
+    /// [`NodeLog::entries`], for restoring a log from a lossless copy
+    /// (a campaign checkpoint).
+    pub fn from_entries_unsorted(node: Option<NodeId>, entries: Vec<LogEntry>) -> NodeLog {
+        NodeLog { node, entries }
+    }
+
     /// Append a single record. Entries must be appended in order of their
     /// *first* timestamp; compressed runs may overlap later entries in time
     /// (a stuck word keeps erroring while fresh faults appear), which is

@@ -38,6 +38,8 @@ HIGHER_IS_BETTER = (
 LOWER_IS_BETTER = (
     "text_path_e2e_seconds",
     "direct_path_e2e_seconds",
+    "direct_path_cpu_s",
+    "direct_checkpoint_bytes",
     "serve_p99_us",
     "query_mix_cpu_us",
     "serve_cpu_us",

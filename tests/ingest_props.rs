@@ -7,6 +7,7 @@
 //! back.
 
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 use uc_cluster::NodeId;
 use uc_faultlog::codec::write_entry_exact_into;
 use uc_faultlog::ingest::{recover_log, recover_text};
@@ -71,6 +72,89 @@ fn arb_entry() -> impl Strategy<Value = LogEntry> {
                 },
             }
         })
+}
+
+/// Two temperatures one `f32` ulp apart whose `{:.1}` renderings differ
+/// ("35.0" and "35.1"): the last value that still rounds down, and the
+/// next one up.
+fn ulp_split() -> (f32, f32) {
+    let lo = 35.05f32;
+    let hi = f32::from_bits(lo.to_bits() + 1);
+    assert_eq!(
+        (format!("{lo:.1}"), format!("{hi:.1}")),
+        ("35.0".into(), "35.1".into())
+    );
+    (lo, hi)
+}
+
+/// Marker temperatures: `None`; NaNs with different payloads (all
+/// render "NaN"); two values that differ only below a tenth (both render
+/// "35.0"); and the ulp pair that renders "35.0" and "35.1".
+fn marker_temps() -> [Option<f32>; 7] {
+    let (lo, hi) = ulp_split();
+    [
+        None,
+        Some(f32::NAN),
+        Some(f32::from_bits(0xffc0_1234)),
+        Some(35.01),
+        Some(35.04),
+        Some(lo),
+        Some(hi),
+    ]
+}
+
+/// One entry of a marker-dense log: mostly `START`/`END` at a handful of
+/// times (so byte-identical neighbours, unmatched markers and times out
+/// of order are common), now and then an `ERROR` or `ALLOCFAIL` between
+/// them, now and then naming another node or one outside the topology.
+fn arb_marker_entry() -> impl Strategy<Value = LogEntry> {
+    (0u8..10, 0i64..4, 0usize..7, 0u8..10, 0u64..3).prop_map(|(kind, t, temp, node, alloc)| {
+        let time = SimTime::from_secs(t);
+        let node = match node {
+            8 => NodeId::from_name("01-02").unwrap(),
+            9 => NodeId(u32::MAX),
+            _ => NodeId::from_name("01-01").unwrap(),
+        };
+        let temp = marker_temps()[temp].map(TempC);
+        match kind {
+            0..=3 => LogEntry::One(LogRecord::Start(StartRecord {
+                time,
+                node,
+                alloc_bytes: alloc << 30,
+                temp,
+            })),
+            4..=7 => LogEntry::One(LogRecord::End(EndRecord { time, node, temp })),
+            8 => LogEntry::One(LogRecord::AllocFail { time, node }),
+            _ => LogEntry::One(LogRecord::Error(ErrorRecord {
+                time,
+                node,
+                vaddr: 0x100,
+                phys_page: 0,
+                expected: 0xffff_ffff,
+                actual: 0xffff_fffe,
+                temp,
+            })),
+        }
+    })
+}
+
+/// `recover_log(log)` against the text oracle `recover_text(&log.to_text())`
+/// (with the file reader's `files_read` and node fallback): the same
+/// stats and node, and the same entries once runs are expanded.
+fn assert_matches_text_round_trip(log: &NodeLog) -> Result<NodeLog, TestCaseError> {
+    let direct = recover_log(log);
+    let mut oracle = recover_text(&log.to_text());
+    oracle.stats.files_read = 1;
+    if oracle.log.node.is_none() {
+        oracle.log.node = log.node;
+    }
+    prop_assert_eq!(direct.stats, oracle.stats);
+    prop_assert_eq!(direct.log.node, oracle.log.node);
+    let compact = direct.log.clone();
+    let expanded = direct.log.into_expanded();
+    prop_assert!(!expanded.entries().iter().any(is_run));
+    prop_assert_eq!(render_exact(&expanded), render_exact(&oracle.log));
+    Ok(compact)
 }
 
 fn render_exact(log: &NodeLog) -> String {
@@ -147,26 +231,80 @@ proptest! {
         } else {
             NodeLog::from_entries(NodeId::from_name("01-01"), entries.clone())
         };
-        let direct = recover_log(&log);
-        let mut oracle = recover_text(&log.to_text());
-        oracle.stats.files_read = 1;
-        if oracle.log.node.is_none() {
-            oracle.log.node = log.node;
-        }
-        prop_assert_eq!(direct.stats, oracle.stats);
-        prop_assert_eq!(direct.log.node, oracle.log.node);
+        let direct = assert_matches_text_round_trip(&log)?;
         if !shuffled {
             let readable_runs = entries
                 .iter()
                 .filter(|e| matches!(e, LogEntry::ErrorRun { first, .. } if first.node != NodeId(u32::MAX)))
                 .count();
             prop_assert_eq!(
-                direct.log.entries().iter().filter(|e| is_run(e)).count(),
+                direct.entries().iter().filter(|e| is_run(e)).count(),
                 readable_runs
             );
         }
-        let expanded = direct.log.into_expanded();
-        prop_assert!(!expanded.entries().iter().any(is_run));
-        prop_assert_eq!(render_exact(&expanded), render_exact(&oracle.log));
+    }
+
+    /// The same differential on marker-dense logs, kept in the order
+    /// given (so markers arrive out of time order too): duplicate
+    /// detection on the typed marker arm must agree with byte equality
+    /// of the rendered lines — NaNs and temperatures equal to a tenth
+    /// are duplicates, one ulp across a rounding boundary is not — and
+    /// session gaps, out-of-order counts and drops with it.
+    #[test]
+    fn recover_log_matches_the_text_round_trip_on_marker_dense_logs(
+        entries in prop::collection::vec(arb_marker_entry(), 0..40),
+    ) {
+        let log = NodeLog::from_entries_unsorted(NodeId::from_name("01-01"), entries);
+        assert_matches_text_round_trip(&log)?;
+    }
+}
+
+/// The marker arm's edge cases, each pinned once: what the text reader
+/// counts for them is what `recover_log` counts.
+#[test]
+fn marker_edge_cases_count_as_the_text_reader_counts() {
+    let node = NodeId::from_name("01-01").unwrap();
+    let start = |t: i64, temp: Option<f32>| {
+        LogEntry::One(LogRecord::Start(StartRecord {
+            time: SimTime::from_secs(t),
+            node,
+            alloc_bytes: 3 << 30,
+            temp: temp.map(TempC),
+        }))
+    };
+    let end = |t: i64, temp: Option<f32>| {
+        LogEntry::One(LogRecord::End(EndRecord {
+            time: SimTime::from_secs(t),
+            node,
+            temp: temp.map(TempC),
+        }))
+    };
+    let (lo, hi) = ulp_split();
+    let cases: Vec<(Vec<LogEntry>, u64)> = vec![
+        // byte-identical neighbours
+        (vec![start(1, Some(35.0)), start(1, Some(35.0))], 1),
+        (vec![end(1, None), end(1, None)], 1),
+        // equal to a tenth, and two NaN payloads
+        (vec![end(1, Some(35.01)), end(1, Some(35.04))], 1),
+        (
+            vec![
+                end(1, Some(f32::NAN)),
+                end(1, Some(f32::from_bits(0x7fc0_0001))),
+            ],
+            1,
+        ),
+        // one ulp apart across the rounding boundary
+        (vec![end(1, Some(lo)), end(1, Some(hi))], 0),
+        // START vs END, and a different time
+        (vec![start(1, None), end(1, None)], 0),
+        (vec![end(1, None), end(2, None)], 0),
+    ];
+    for (entries, duplicates) in cases {
+        let log = NodeLog::from_entries_unsorted(Some(node), entries);
+        let rec = recover_log(&log);
+        assert_eq!(rec.stats.duplicate_lines, duplicates, "{log:?}");
+        let mut oracle = recover_text(&log.to_text());
+        oracle.stats.files_read = 1;
+        assert_eq!(rec.stats, oracle.stats, "{log:?}");
     }
 }
