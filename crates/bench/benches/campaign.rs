@@ -21,6 +21,13 @@
 //! * `direct_checkpoint_bytes` — bytes that run leaves in its checkpoint
 //!   directory (deterministic): the campaign write path's checkpoint
 //!   size;
+//! * `paper_direct_cpu_s` — process CPU seconds of one direct-path run at
+//!   paper scale (`CampaignConfig::paper_default(42)`, 923 scanned nodes)
+//!   from an empty checkpoint directory: the headline at the scale `uc
+//!   campaign --db` runs by default;
+//! * `simulate_cpu_s` — process CPU seconds of `run_campaign` on the
+//!   bench config with no checkpoints, best of 3 in quick mode too: the
+//!   simulation layer alone;
 //! * `ingest_mb_per_sec` — recovering text ingest throughput over the
 //!   campaign corpus;
 //! * `recover_records_per_sec` — raw records per second `recover_log`
@@ -57,7 +64,10 @@
 //! * `policy_days_per_sec` — mitigation policy replay throughput: total
 //!   policy-days (simulated days × policies compared) per second of the
 //!   full five-policy `uc policy` comparison over the sealed campaign,
-//!   day feed included.
+//!   day feed included;
+//! * `policy_compare_cpu_ms` — process CPU milliseconds of that
+//!   five-policy `run_comparison` alone, over a day feed collected outside
+//!   the timing, best of 3 in quick mode too: the policy layer.
 //!
 //! Run with `cargo bench -p uc-bench --bench campaign`; `--test` does a
 //! single quick pass (CI smoke) and still emits the JSON.
@@ -77,7 +87,9 @@ use uc_faultdb::{
 };
 use uc_faultlog::files::write_cluster_log;
 use uc_faultlog::ingest::{read_cluster_log_recovering, recover_log};
-use unprotected_computing::core::{run_campaign_checkpointed, CampaignConfig, CampaignResult};
+use unprotected_computing::core::{
+    run_campaign, run_campaign_checkpointed, CampaignConfig, CampaignResult,
+};
 use unprotected_computing::direct::campaign_to_db;
 
 fn bench_dir() -> PathBuf {
@@ -143,6 +155,35 @@ fn direct_path_cpu(base: &Path) -> (f64, u64) {
         let _ = std::fs::remove_file(&db);
     }
     (best, ckpt_bytes)
+}
+
+/// Process CPU seconds of one direct-path run at paper scale
+/// (`CampaignConfig::paper_default(42)`) from an empty checkpoint
+/// directory. One run, since it takes seconds.
+fn paper_direct_cpu_s(base: &Path) -> f64 {
+    let db = base.join("paper.ucfdb");
+    let ckpt = base.join("paper-ckpt");
+    let cfg = CampaignConfig::paper_default(42);
+    let cpu0 = process_cpu_seconds();
+    campaign_to_db(&cfg, &ckpt, &db, &WriteOptions::default()).unwrap();
+    let cpu = process_cpu_seconds() - cpu0;
+    let _ = std::fs::remove_dir_all(&ckpt);
+    let _ = std::fs::remove_file(&db);
+    cpu
+}
+
+/// Process CPU seconds of `run_campaign` on the bench config, with no
+/// checkpoints and the result dropped outside the timing: the simulation
+/// layer alone. Best of 3, in quick mode too.
+fn simulate_cpu_s() -> f64 {
+    let mut best = f64::INFINITY;
+    for _ in 0..3 {
+        let cpu0 = process_cpu_seconds();
+        let result = run_campaign(&cfg());
+        best = best.min(process_cpu_seconds() - cpu0);
+        drop(black_box(result));
+    }
+    best
 }
 
 /// p99 latency (µs) of query requests over the TCP serving layer, one
@@ -453,6 +494,22 @@ fn policy_days_per_sec(db_path: &Path, quick: bool) -> f64 {
     policy_days as f64 / best
 }
 
+/// Process CPU milliseconds of the five-policy `run_comparison` over the
+/// sealed campaign's day feed, which is collected once outside the
+/// timing: the policy layer alone. Best of 3, in quick mode too.
+fn policy_compare_cpu_ms(db_path: &Path) -> f64 {
+    let days = Engine::open_auto(db_path).unwrap().collect_days().unwrap();
+    let cfg = uc_policy::ReplayConfig::default();
+    let mut best = f64::INFINITY;
+    for _ in 0..3 {
+        let cpu0 = process_cpu_seconds();
+        let cmp = uc_policy::run_comparison(&days, &uc_policy::PolicyKind::ALL, &cfg);
+        best = best.min(process_cpu_seconds() - cpu0);
+        black_box(cmp.eval_faults);
+    }
+    best * 1e3
+}
+
 /// Warm full-scan throughput (rows/s) of `count where raw>=1` over an
 /// engine. Warm-up passes populate the block cache first (the steady
 /// state a server scans from), then best-of-N over many repetitions —
@@ -526,6 +583,8 @@ fn emit_trajectory(quick: bool) {
         assert_eq!(n, rows, "direct path sealed a different row count");
     }
     let (direct_cpu_s, direct_ckpt_bytes) = direct_path_cpu(&base);
+    let paper_cpu_s = paper_direct_cpu_s(&base);
+    let simulate_cpu = simulate_cpu_s();
 
     // Ingest throughput over the corpus the text path wrote.
     let logs = base.join("text-logs-0");
@@ -573,6 +632,7 @@ fn emit_trajectory(quick: bool) {
     let live_seal_us = live_seal_cpu_us(&base, quick);
     let push_session_us = push_session_cpu_us(&base, quick);
     let policy_dps = policy_days_per_sec(&base.join("direct-0.ucfdb"), quick);
+    let policy_cpu_ms = policy_compare_cpu_ms(&base.join("direct-0.ucfdb"));
 
     let json = format!(
         "{{\n  \"bench\": \"campaign\",\n  \"config\": {{\"seed\": 42, \"blades\": 8}},\n  \
@@ -583,6 +643,8 @@ fn emit_trajectory(quick: bool) {
          \"direct_speedup\": {:.2},\n  \
          \"direct_path_cpu_s\": {direct_cpu_s:.4},\n  \
          \"direct_checkpoint_bytes\": {direct_ckpt_bytes},\n  \
+         \"paper_direct_cpu_s\": {paper_cpu_s:.4},\n  \
+         \"simulate_cpu_s\": {simulate_cpu:.4},\n  \
          \"ingest_mb_per_sec\": {ingest_mb_per_sec:.1},\n  \
          \"recover_records_per_sec\": {recover_records_per_sec:.0},\n  \
          \"scan_rows_per_sec\": {scan_rows_per_sec:.0},\n  \
@@ -595,7 +657,8 @@ fn emit_trajectory(quick: bool) {
          \"catchup_mb_per_sec\": {catchup:.2},\n  \
          \"live_seal_cpu_us\": {live_seal_us:.2},\n  \
          \"push_session_cpu_us\": {push_session_us:.2},\n  \
-         \"policy_days_per_sec\": {policy_dps:.0}\n}}\n",
+         \"policy_days_per_sec\": {policy_dps:.0},\n  \
+         \"policy_compare_cpu_ms\": {policy_cpu_ms:.2}\n}}\n",
         rows as f64 / direct_best,
         text_best / direct_best,
     );

@@ -194,7 +194,7 @@ pub(crate) fn simulate_node(cfg: &CampaignConfig, node: NodeId) -> NodeSim {
     // 3. Render sessions into the node's log file.
     let mut log = NodeLog::new(node);
     let mut ops_rng = StreamRng::for_stream(cfg.seed, u64::from(node.0), StreamTag::Operations);
-    let thermal = &cfg.thermal;
+    let thermal = cfg.thermal.node_sampler(node);
     let mut event_cursor = 0usize;
     for s in &plan.sessions {
         let pattern = if ops_rng.chance(cfg.incrementing_fraction) {
@@ -224,7 +224,7 @@ pub(crate) fn simulate_node(cfg: &CampaignConfig, node: NodeId) -> NodeSim {
             &spec,
             &profile.transients[event_cursor..hi],
             &profile.stuck,
-            &|t| thermal.sample(node, t),
+            &|t| thermal.sample(t),
             &mut log,
         );
         event_cursor = hi;

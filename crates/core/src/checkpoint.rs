@@ -55,7 +55,7 @@ use uc_faultlog::durable::{
     scan_segment_slices, DurabilityError, Io, RetryPolicy, SealedSegment, SegmentWriter, StdIo,
 };
 use uc_faultlog::record::{EndRecord, ErrorRecord, LogRecord, StartRecord, TempC};
-use uc_faultlog::store::{LogEntry, NodeLog};
+use uc_faultlog::store::{LogEntry, NodeLog, MAX_RUN_COUNT};
 use uc_parallel::par_map_supervised;
 use uc_simclock::{SimDuration, SimTime};
 
@@ -270,7 +270,10 @@ impl Reader<'_> {
         })
     }
 
-    /// Decode one entry; `None` on an unknown tag or a short field.
+    /// Decode one entry; `None` on an unknown tag, a short field or a run
+    /// count above [`MAX_RUN_COUNT`], which the text parsers and
+    /// `NodeLog::push_run` refuse too, so no restored log can overflow the
+    /// `u64` sums of its raw record counts.
     fn entry(&mut self, state: &mut FrameState) -> Option<LogEntry> {
         let tag = self.byte()?;
         let kind = tag & KIND;
@@ -308,7 +311,7 @@ impl Reader<'_> {
             ALLOCFAIL => LogEntry::One(LogRecord::AllocFail { time, node }),
             _ => {
                 let mut first = self.error(time, node)?;
-                let count = self.varint()?;
+                let count = self.varint().filter(|&c| c <= MAX_RUN_COUNT)?;
                 let period = SimDuration::from_secs(unzigzag(self.varint()?));
                 first.temp = self.temp(tag)?;
                 LogEntry::ErrorRun {
@@ -324,8 +327,9 @@ impl Reader<'_> {
 /// Decode a checkpoint's frame payloads: the header, then the entry
 /// frames. Returns `None` on any mismatch — wrong magic (a `CKPT v1`
 /// file included), wrong seed, wrong node, an undecodable or empty entry
-/// frame, or an entry count other than the header's. Callers recompute
-/// the node in that case.
+/// frame (a run count above [`MAX_RUN_COUNT`] included), or an entry
+/// count other than the header's. Callers recompute the node in that
+/// case.
 fn decode(payloads: &[&[u8]], seed: u64, node: NodeId) -> Option<NodeSim> {
     let (header, frames) = payloads.split_first()?;
     let rest = std::str::from_utf8(header)
@@ -693,11 +697,11 @@ mod tests {
                 temp: Some(TempC(-0.0)),
             })),
             LogEntry::One(LogRecord::Error(error)),
-            // Another word than the error's: extraction would add the
-            // two counts, and u64::MAX is past `MAX_RUN_COUNT`.
+            // Another word than the error's: extraction adds the counts
+            // of one word's runs.
             LogEntry::ErrorRun {
                 first: ErrorRecord { vaddr: 0, ..error },
-                count: u64::MAX,
+                count: MAX_RUN_COUNT,
                 period: SimDuration::from_secs(i64::MIN),
             },
             LogEntry::ErrorRun {
@@ -778,6 +782,36 @@ mod tests {
         ] {
             assert!(with_frame(1, frame).is_none(), "{why}");
         }
+    }
+
+    #[test]
+    fn run_count_above_the_cap_reads_as_missing() {
+        let dir = tmpdir("run-cap");
+        let node = NodeId::from_name("01-01").unwrap();
+        let run = |count| LogEntry::ErrorRun {
+            first: ErrorRecord {
+                time: SimTime::from_secs(5),
+                node,
+                vaddr: 0x40,
+                phys_page: 0,
+                expected: 0,
+                actual: 1,
+                temp: None,
+            },
+            count,
+            period: SimDuration::from_secs(1),
+        };
+        let sim = sim_of(vec![run(MAX_RUN_COUNT)]);
+        write_node_checkpoint(&dir, 7, &sim).unwrap();
+        let back = read_node_checkpoint(&dir, 7, node).unwrap();
+        assert_eq!(back.log.entries(), sim.log.entries());
+        // The files are CRC-valid; only the decoded count is refused, so
+        // the node simulates again instead of overflowing the fold.
+        for count in [MAX_RUN_COUNT + 1, u64::MAX] {
+            write_node_checkpoint(&dir, 7, &sim_of(vec![run(count)])).unwrap();
+            assert!(read_node_checkpoint(&dir, 7, node).is_none(), "{count}");
+        }
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

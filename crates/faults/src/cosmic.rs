@@ -11,6 +11,12 @@
 //!   errors), sometimes accompanied by single-cell hits in physically
 //!   adjacent rows (-> the paper's double+single simultaneity cases), and
 //!   occasionally pure multi-word showers of single-bit hits.
+//!
+//! The multi-lane rate is normalized by the flux's mean over a
+//! representative day, 1,440 solar-position samples; each thread computes
+//! it once per flux and reuses it for every node it simulates.
+
+use std::cell::Cell;
 
 use uc_cluster::NodeId;
 use uc_dram::{Geometry, WordAddr};
@@ -90,6 +96,33 @@ impl Default for MultiBitConfig {
     }
 }
 
+/// The normalizer of the modulated rate: `flux`'s mean factor over a
+/// representative day (the equinox, day 80). It takes 1,440 solar-position
+/// samples, so each thread computes it on first use and keeps the last
+/// value, keyed by the bits of every field of the flux: a caller that
+/// swaps the flux gets a fresh value, never a stale one.
+fn mean_factor(flux: &NeutronFlux) -> f64 {
+    thread_local! {
+        static LAST: Cell<Option<([u64; 5], f64)>> = const { Cell::new(None) };
+    }
+    let site = &flux.site;
+    let key = [
+        site.latitude_deg.to_bits(),
+        site.longitude_deg.to_bits(),
+        site.altitude_m.to_bits(),
+        site.utc_offset_h.to_bits(),
+        flux.solar_gain.to_bits(),
+    ];
+    LAST.with(|last| match last.get() {
+        Some((k, mean)) if k == key => mean,
+        _ => {
+            let mean = flux.mean_factor_over_day(80);
+            last.set(Some((key, mean)));
+            mean
+        }
+    })
+}
+
 /// Draw event times for a rate that is `base * flux.factor(t) / mean_factor`
 /// inside the scan windows. Normalizing by the mean factor keeps `base` an
 /// interpretable events-per-hour rate while preserving the diurnal shape.
@@ -103,8 +136,7 @@ fn solar_modulated_times(
     if base_per_hour <= 0.0 {
         return out;
     }
-    // Mean factor over a representative day (equinox) for normalization.
-    let mean = flux.mean_factor_over_day(80).max(1e-9);
+    let mean = mean_factor(flux).max(1e-9);
     let max = flux.max_factor() / mean;
     for w in windows {
         let rate = base_per_hour / 3_600.0;
@@ -448,6 +480,35 @@ mod tests {
             .filter(|e| e.time >= lo && e.time < hi)
             .count();
         assert!(inside as f64 > hot_events.len() as f64 * 0.8);
+    }
+
+    #[test]
+    fn mean_factor_is_memoized_bit_for_bit_and_follows_a_swapped_flux() {
+        let flux = NeutronFlux::new(BARCELONA);
+        let want = flux.mean_factor_over_day(80).to_bits();
+        assert_eq!(mean_factor(&flux).to_bits(), want);
+        assert_eq!(mean_factor(&flux).to_bits(), want, "memoized value");
+        let flat = NeutronFlux::with_gain(flux.site, 0.0);
+        let flat_want = flat.mean_factor_over_day(80).to_bits();
+        assert_ne!(flat_want, want);
+        assert_eq!(mean_factor(&flat).to_bits(), flat_want, "after the swap");
+        assert_eq!(mean_factor(&flux).to_bits(), want, "after swapping back");
+
+        // Events drawn under the swapped flux on this thread equal those
+        // drawn on a fresh thread, which has nothing memoized.
+        let cfg = MultiBitConfig {
+            rate_per_hour: 0.05,
+            ..MultiBitConfig::default()
+        };
+        let events = move |flux: NeutronFlux| {
+            let mut rng = StreamRng::from_seed(8);
+            multibit_events(&cfg, NodeId(1), &windows_days(60), 1 << 28, &flux, &mut rng)
+        };
+        let here = (events.clone())(flux);
+        let swapped = (events.clone())(flat);
+        assert_ne!(here, swapped);
+        let fresh = std::thread::spawn(move || events(flat)).join().unwrap();
+        assert_eq!(swapped, fresh);
     }
 
     #[test]

@@ -24,11 +24,12 @@
 //!
 //! ## Determinism
 //!
-//! One replay is strictly sequential: days ascend, nodes ascend within
-//! a day (`BTreeMap` order), and the bandit's RNG is consumed in that
-//! fixed order. [`run_comparison`] parallelizes *across policies* with
-//! the order-preserving `uc_parallel::par_map`, so results are
-//! byte-identical at any `--threads` setting.
+//! A replay is one sequential pass: days ascend, nodes ascend within a
+//! day (`BTreeMap` order), and each (node, day) decision is built once and
+//! fed to every compared policy in kind order, so the bandit's RNG is
+//! consumed in that fixed order. Nothing fans out across policies or
+//! threads, so results are byte-identical at any `--threads` setting, and
+//! a policy's run is the same alone ([`replay`]) as inside a comparison.
 
 use std::collections::BTreeMap;
 
@@ -183,19 +184,36 @@ pub fn train_len(days: &[DayFaults], cfg: &ReplayConfig) -> i64 {
 
 /// Replay one policy over a day-ordered stream (as produced by
 /// `Engine::collect_days` — contiguous ascending days, empties included).
+/// The one-kind case of [`run_comparison`]'s single pass.
 pub fn replay(days: &[DayFaults], kind: PolicyKind, cfg: &ReplayConfig) -> PolicyRun {
-    let mut policy = kind.instantiate(cfg);
-    let mut run = PolicyRun {
-        kind,
-        train_cost_mnh: 0,
-        eval_cost_mnh: 0,
-        mitigated: 0,
-        missed: 0,
-        unmanaged_missed: 0,
-        actions: [0; 5],
-        eval_decisions: 0,
-        managed_nodes: 0,
-    };
+    let mut runs = replay_all(days, &[kind], cfg);
+    runs.pop().expect("one run per kind")
+}
+
+/// Replay every policy in `kinds` over the stream in one pass, returning
+/// their runs in `kinds` order. Each day is grouped by node once, and each
+/// managed node's [`Decision`] (features, hot-page count) is built once
+/// and fed to every policy in `kinds` order: the decision depends only on
+/// the fault stream, never on a policy's actions.
+fn replay_all(days: &[DayFaults], kinds: &[PolicyKind], cfg: &ReplayConfig) -> Vec<PolicyRun> {
+    let mut lanes: Vec<(Box<dyn Policy>, PolicyRun)> = kinds
+        .iter()
+        .map(|&kind| {
+            let run = PolicyRun {
+                kind,
+                train_cost_mnh: 0,
+                eval_cost_mnh: 0,
+                mitigated: 0,
+                missed: 0,
+                unmanaged_missed: 0,
+                actions: [0; 5],
+                eval_decisions: 0,
+                managed_nodes: 0,
+            };
+            (kind.instantiate(cfg), run)
+        })
+        .collect();
+    let debug = std::env::var("UC_POLICY_DEBUG").is_ok();
     let eval_start = days
         .first()
         .map(|d| d.day + train_len(days, cfg))
@@ -222,31 +240,33 @@ pub fn replay(days: &[DayFaults], kind: PolicyKind, cfg: &ReplayConfig) -> Polic
                 faults_today: today.len() as u64,
                 faults_on_hot_pages: hist.hot_faults(today),
             };
-            let action = policy.decide(&d);
-            let outcome = day_cost(&cfg.cost, action, d.faults_today, d.faults_on_hot_pages);
-            if std::env::var("UC_POLICY_DEBUG").is_ok() && kind == PolicyKind::Bandit {
-                eprintln!(
-                    "DBG {} day={} node={} state={} n={} hot={} action={:?} cost={} missed={}",
-                    if training { "train" } else { "eval" },
-                    d.day,
-                    d.node,
-                    d.state,
-                    d.faults_today,
-                    d.faults_on_hot_pages,
-                    action,
-                    outcome.cost_mnh,
-                    outcome.missed
-                );
-            }
-            policy.learn(&d, action, outcome.cost_mnh);
-            if training {
-                run.train_cost_mnh = run.train_cost_mnh.saturating_add(outcome.cost_mnh);
-            } else {
-                run.eval_cost_mnh = run.eval_cost_mnh.saturating_add(outcome.cost_mnh);
-                run.mitigated += outcome.mitigated;
-                run.missed += outcome.missed;
-                run.actions[action.index()] += 1;
-                run.eval_decisions += 1;
+            for (policy, run) in &mut lanes {
+                let action = policy.decide(&d);
+                let outcome = day_cost(&cfg.cost, action, d.faults_today, d.faults_on_hot_pages);
+                if debug && run.kind == PolicyKind::Bandit {
+                    eprintln!(
+                        "DBG {} day={} node={} state={} n={} hot={} action={:?} cost={} missed={}",
+                        if training { "train" } else { "eval" },
+                        d.day,
+                        d.node,
+                        d.state,
+                        d.faults_today,
+                        d.faults_on_hot_pages,
+                        action,
+                        outcome.cost_mnh,
+                        outcome.missed
+                    );
+                }
+                policy.learn(&d, action, outcome.cost_mnh);
+                if training {
+                    run.train_cost_mnh = run.train_cost_mnh.saturating_add(outcome.cost_mnh);
+                } else {
+                    run.eval_cost_mnh = run.eval_cost_mnh.saturating_add(outcome.cost_mnh);
+                    run.mitigated += outcome.mitigated;
+                    run.missed += outcome.missed;
+                    run.actions[action.index()] += 1;
+                    run.eval_decisions += 1;
+                }
             }
         }
         // Faults on not-yet-managed nodes miss at full penalty for every
@@ -256,11 +276,13 @@ pub fn replay(days: &[DayFaults], kind: PolicyKind, cfg: &ReplayConfig) -> Polic
                 continue;
             }
             let penalty = cfg.cost.miss_mnh.saturating_mul(faults.len() as u64);
-            if training {
-                run.train_cost_mnh = run.train_cost_mnh.saturating_add(penalty);
-            } else {
-                run.eval_cost_mnh = run.eval_cost_mnh.saturating_add(penalty);
-                run.unmanaged_missed += faults.len() as u64;
+            for (_, run) in &mut lanes {
+                if training {
+                    run.train_cost_mnh = run.train_cost_mnh.saturating_add(penalty);
+                } else {
+                    run.eval_cost_mnh = run.eval_cost_mnh.saturating_add(penalty);
+                    run.unmanaged_missed += faults.len() as u64;
+                }
             }
         }
         // End of day: absorb. First-fault nodes enter management here,
@@ -272,21 +294,25 @@ pub fn replay(days: &[DayFaults], kind: PolicyKind, cfg: &ReplayConfig) -> Polic
                 .absorb_day(day.day, faults);
         }
     }
-    run.managed_nodes = histories.len() as u64;
-    run
+    lanes
+        .into_iter()
+        .map(|(_, mut run)| {
+            run.managed_nodes = histories.len() as u64;
+            run
+        })
+        .collect()
 }
 
 /// Replay every requested policy over the same stream. The oracle is
-/// always included (appended if absent) so regret is well-defined.
-/// Policies run in parallel via the order-preserving `par_map`; each
-/// individual replay is sequential, so the comparison is byte-identical
-/// at any thread count.
+/// always included (appended if absent) so regret is well-defined. One
+/// sequential pass feeds every policy in `kinds` order, so the
+/// comparison is byte-identical at any thread count.
 pub fn run_comparison(days: &[DayFaults], kinds: &[PolicyKind], cfg: &ReplayConfig) -> Comparison {
     let mut kinds: Vec<PolicyKind> = kinds.to_vec();
     if !kinds.contains(&PolicyKind::Oracle) {
         kinds.push(PolicyKind::Oracle);
     }
-    let runs = uc_parallel::par_map(&kinds, |_, &k| replay(days, k, cfg));
+    let runs = replay_all(days, &kinds, cfg);
     let first_day = days.first().map(|d| d.day).unwrap_or(0);
     let last_day = days.last().map(|d| d.day).unwrap_or(-1);
     let tl = train_len(days, cfg);

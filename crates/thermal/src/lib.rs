@@ -15,6 +15,12 @@
 //!
 //! The model is deterministic: per-node offsets and slow noise derive from
 //! hashes of the node id, so a campaign re-run reproduces every sample.
+//! A campaign samples each node through a [`NodeSampler`], which computes
+//! the node's offset, noise key and overheating rise once per node and the
+//! room's seasonal term once per day, bit for bit the values
+//! [`ThermalModel::sample`] gives.
+
+use std::cell::Cell;
 
 use uc_cluster::{NodeId, OVERHEATING_SOC};
 use uc_simclock::calendar::CivilDate;
@@ -68,12 +74,21 @@ impl ThermalModel {
     /// Room temperature at an instant: mean + seasonal + daily components.
     /// Always within the paper's 18-26 C controlled band.
     pub fn room_c(&self, t: SimTime) -> f64 {
-        let day = t.day_index() as f64;
+        self.room_day_c(t.day_index()) + self.room_daily_c(t)
+    }
+
+    /// The room's mean plus its seasonal drift on day `day`.
+    fn room_day_c(&self, day: i64) -> f64 {
+        let day = day as f64;
         let seasonal =
             self.room_seasonal_amp_c * (2.0 * std::f64::consts::PI * (day - 196.0) / 365.25).cos();
+        self.room_mean_c + seasonal
+    }
+
+    /// The room's daily cycle at an instant.
+    fn room_daily_c(&self, t: SimTime) -> f64 {
         let sod = t.seconds_of_day() as f64 / 86_400.0;
-        let daily = self.room_daily_amp_c * (2.0 * std::f64::consts::PI * (sod - 0.625)).cos();
-        self.room_mean_c + seasonal + daily
+        self.room_daily_amp_c * (2.0 * std::f64::consts::PI * (sod - 0.625)).cos()
     }
 
     /// Whether the overheating position is still powered (producing heat).
@@ -92,36 +107,97 @@ impl ThermalModel {
         (u - 0.5) * 4.0
     }
 
+    /// Node temperature in C at an instant, assuming the node is powered
+    /// and running the (CPU-light) memory scanner.
+    pub fn node_c(&self, node: NodeId, t: SimTime) -> f64 {
+        self.node_sampler(node).node_c(t)
+    }
+
+    /// What the telemetry reports: `None` before logging was enabled.
+    pub fn sample(&self, node: NodeId, t: SimTime) -> Option<f32> {
+        self.node_sampler(node).sample(t)
+    }
+
+    /// One node's sampler, for taking many samples of that node.
+    pub fn node_sampler(&self, node: NodeId) -> NodeSampler<'_> {
+        let soc = node.soc();
+        let overheat_c = if soc == OVERHEATING_SOC {
+            Some(self.overheat_rise_c)
+        } else if soc.abs_diff(OVERHEATING_SOC) == 1 {
+            Some(self.neighbour_rise_c)
+        } else {
+            None
+        };
+        NodeSampler {
+            model: self,
+            offset_c: self.node_offset_c(node),
+            noise_key: self.salt ^ mix64(u64::from(node.0)),
+            overheat_c,
+            telemetry_start: telemetry_start(),
+            room_day: Cell::new(None),
+        }
+    }
+}
+
+/// One node's temperatures under a [`ThermalModel`]. What depends on the
+/// node alone (its offset, its noise key, its overheating rise) and the
+/// telemetry start are computed once, and the room's seasonal term once
+/// per day, however the sample times move. [`ThermalModel::node_c`] and
+/// [`ThermalModel::sample`] go through it, so one formula gives every
+/// temperature.
+#[derive(Clone, Debug)]
+pub struct NodeSampler<'a> {
+    model: &'a ThermalModel,
+    /// The node's static offset, [`ThermalModel::node_offset_c`].
+    offset_c: f64,
+    /// The node's part of the hourly noise hash.
+    noise_key: u64,
+    /// Extra rise while the overheating position is powered: the
+    /// position's own, or its neighbours'.
+    overheat_c: Option<f64>,
+    telemetry_start: SimTime,
+    /// The last day sampled, and the room's mean plus seasonal drift on it.
+    room_day: Cell<Option<(i64, f64)>>,
+}
+
+impl NodeSampler<'_> {
     /// Slow per-node thermal noise (+/-1.5 C), varying hour to hour.
-    fn noise_c(&self, node: NodeId, t: SimTime) -> f64 {
+    fn noise_c(&self, t: SimTime) -> f64 {
         let hour = t.as_secs().div_euclid(3_600);
-        let h = mix64(self.salt ^ mix64(u64::from(node.0)) ^ hour as u64);
+        let h = mix64(self.noise_key ^ hour as u64);
         let u = (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
         (u - 0.5) * 3.0
     }
 
-    /// Node temperature in C at an instant, assuming the node is powered
-    /// and running the (CPU-light) memory scanner.
-    pub fn node_c(&self, node: NodeId, t: SimTime) -> f64 {
+    /// The node's temperature in C at an instant: room, idle rise, node
+    /// offset and noise, plus the overheating rise while it applies.
+    fn node_c(&self, t: SimTime) -> f64 {
+        let m = self.model;
+        let day = t.day_index();
+        let room_day = match self.room_day.get() {
+            Some((d, c)) if d == day => c,
+            _ => {
+                let c = m.room_day_c(day);
+                self.room_day.set(Some((day, c)));
+                c
+            }
+        };
         let mut temp =
-            self.room_c(t) + self.idle_rise_c + self.node_offset_c(node) + self.noise_c(node, t);
-        if self.overheat_active(t) {
-            let soc = node.soc();
-            if soc == OVERHEATING_SOC {
-                temp += self.overheat_rise_c;
-            } else if soc.abs_diff(OVERHEATING_SOC) == 1 {
-                temp += self.neighbour_rise_c;
+            room_day + m.room_daily_c(t) + m.idle_rise_c + self.offset_c + self.noise_c(t);
+        if let Some(rise) = self.overheat_c {
+            if m.overheat_active(t) {
+                temp += rise;
             }
         }
         temp
     }
 
     /// What the telemetry reports: `None` before logging was enabled.
-    pub fn sample(&self, node: NodeId, t: SimTime) -> Option<f32> {
-        if t < telemetry_start() {
+    pub fn sample(&self, t: SimTime) -> Option<f32> {
+        if t < self.telemetry_start {
             None
         } else {
-            Some(self.node_c(node, t) as f32)
+            Some(self.node_c(t) as f32)
         }
     }
 }
@@ -254,7 +330,115 @@ mod tests {
         assert!(p[15] > p[4]);
     }
 
+    /// The formula as written before the sampler hoisted its node and day
+    /// terms out: every term recomputed at every call.
+    fn naive_node_c(m: &ThermalModel, node: NodeId, t: SimTime) -> f64 {
+        let day = t.day_index() as f64;
+        let seasonal =
+            m.room_seasonal_amp_c * (2.0 * std::f64::consts::PI * (day - 196.0) / 365.25).cos();
+        let sod = t.seconds_of_day() as f64 / 86_400.0;
+        let daily = m.room_daily_amp_c * (2.0 * std::f64::consts::PI * (sod - 0.625)).cos();
+        let room = m.room_mean_c + seasonal + daily;
+        let hour = t.as_secs().div_euclid(3_600);
+        let h = mix64(m.salt ^ mix64(u64::from(node.0)) ^ hour as u64);
+        let noise = ((h >> 11) as f64 * (1.0 / (1u64 << 53) as f64) - 0.5) * 3.0;
+        let mut temp = room + m.idle_rise_c + m.node_offset_c(node) + noise;
+        if m.overheat_active(t) {
+            if node.soc() == OVERHEATING_SOC {
+                temp += m.overheat_rise_c;
+            } else if node.soc().abs_diff(OVERHEATING_SOC) == 1 {
+                temp += m.neighbour_rise_c;
+            }
+        }
+        temp
+    }
+
+    /// The overheating SoC, both neighbours and three other positions.
+    fn sampled_nodes() -> Vec<NodeId> {
+        let mut nodes = Vec::new();
+        for blade in [0u32, 10, 62] {
+            for soc in [
+                OVERHEATING_SOC - 1,
+                OVERHEATING_SOC,
+                OVERHEATING_SOC + 1,
+                0,
+                2,
+                7,
+            ] {
+                nodes.push(node(blade, soc));
+            }
+        }
+        nodes
+    }
+
+    /// Checks one sampler reused over `times`, in that order, against a
+    /// fresh `sample` per call and the naive formula, by bits.
+    fn assert_sampler_matches(m: &ThermalModel, nodes: &[NodeId], times: &[SimTime]) {
+        for &n in nodes {
+            let sampler = m.node_sampler(n);
+            for &t in times {
+                let got = sampler.sample(t).map(f32::to_bits);
+                assert_eq!(got, m.sample(n, t).map(f32::to_bits), "node {n} at {t:?}");
+                let naive = (t >= telemetry_start()).then(|| naive_node_c(m, n, t) as f32);
+                assert_eq!(got, naive.map(f32::to_bits), "node {n} at {t:?}");
+                assert_eq!(
+                    sampler.node_c(t).to_bits(),
+                    naive_node_c(m, n, t).to_bits(),
+                    "node {n} at {t:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn node_sampler_matches_sample_bit_for_bit() {
+        let m = model();
+        let start = telemetry_start();
+        let shutdown = m.overheat_shutdown.unwrap();
+        let s = |base: SimTime, secs: i64| base + SimDuration::from_secs(secs);
+        let times = [
+            // Before telemetry, then across its start.
+            s(start, -86_400 * 3 - 5),
+            s(start, -1),
+            start,
+            s(start, 1),
+            // Across day boundaries, forwards then backwards.
+            s(start, 86_400 * 5 - 1),
+            s(start, 86_400 * 5),
+            s(start, 86_400 * 5 + 3_599),
+            s(start, 86_400 * 5 - 1),
+            s(start, 86_400 * 2 + 43_200),
+            // Either side of the overheating position's shutdown, with a
+            // step back over it.
+            s(shutdown, -3_600),
+            s(shutdown, -1),
+            shutdown,
+            s(shutdown, 1),
+            s(shutdown, -1),
+            s(shutdown, 86_400 * 40),
+            // Far back before the epoch, and back to the start.
+            SimTime::from_secs(-86_400 * 400 - 7),
+            start,
+        ];
+        assert_sampler_matches(&m, &sampled_nodes(), &times);
+        // A model with no shutdown keeps the rise on for good.
+        let always_hot = ThermalModel {
+            overheat_shutdown: None,
+            ..model()
+        };
+        assert_sampler_matches(&always_hot, &sampled_nodes(), &times);
+    }
+
     proptest! {
+        #[test]
+        fn node_sampler_matches_sample_on_any_walk(
+            raw in 0u32..1080,
+            times in proptest::collection::vec(-30i64 * 86_400..(425 * 86_400), 1..40),
+        ) {
+            let times: Vec<SimTime> = times.into_iter().map(SimTime::from_secs).collect();
+            assert_sampler_matches(&model(), &[NodeId(raw)], &times);
+        }
+
         #[test]
         fn node_temps_always_physical(raw in 0u32..1080, secs in 0i64..(425 * 86_400)) {
             let m = model();

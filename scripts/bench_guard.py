@@ -40,6 +40,9 @@ LOWER_IS_BETTER = (
     "direct_path_e2e_seconds",
     "direct_path_cpu_s",
     "direct_checkpoint_bytes",
+    "paper_direct_cpu_s",
+    "simulate_cpu_s",
+    "policy_compare_cpu_ms",
     "serve_p99_us",
     "query_mix_cpu_us",
     "serve_cpu_us",

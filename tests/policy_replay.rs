@@ -9,6 +9,8 @@
 //!    assignments, not merely better than our three baselines).
 //! 3. **Determinism** — byte-identical comparisons across reruns at a
 //!    fixed seed and across worker pools of 1, 2, and 8 threads.
+//! 4. **One pass** — a comparison feeds every policy the same decisions,
+//!    so each kind's run inside it equals that kind replayed alone.
 //!
 //! The end-to-end variants run through a sealed database and the real
 //! `Engine::collect_days` feed; the property tests drive `replay`
@@ -277,6 +279,39 @@ proptest! {
             prop_assert!(run.eval_cost_mnh >= oracle.eval_cost_mnh,
                 "{} ({} mNh) beat the oracle ({} mNh)",
                 run.kind.label(), run.eval_cost_mnh, oracle.eval_cost_mnh);
+        }
+    }
+
+    /// A comparison feeds every policy the same decisions in one pass:
+    /// each kind's run inside it equals that kind replayed alone, over
+    /// every kind and over a subset in reverse kind order.
+    #[test]
+    fn replay_equals_its_run_inside_a_comparison(
+        placements in placements(),
+        seed in 0u64..1_000,
+        train in 0i64..12,
+        mask in 1usize..32,
+    ) {
+        let days = stream(12, &placements);
+        let cfg = ReplayConfig { seed, train_days: Some(train), ..ReplayConfig::default() };
+        let reversed: Vec<PolicyKind> = PolicyKind::ALL
+            .iter()
+            .enumerate()
+            .rev()
+            .filter(|&(i, _)| mask >> i & 1 == 1)
+            .map(|(_, &k)| k)
+            .collect();
+        for kinds in [PolicyKind::ALL.to_vec(), reversed] {
+            let cmp = run_comparison(&days, &kinds, &cfg);
+            let mut want = kinds.clone();
+            if !want.contains(&PolicyKind::Oracle) {
+                want.push(PolicyKind::Oracle);
+            }
+            let got: Vec<PolicyKind> = cmp.runs.iter().map(|r| r.kind).collect();
+            prop_assert_eq!(got, want);
+            for run in &cmp.runs {
+                prop_assert_eq!(run, &replay(&days, run.kind, &cfg));
+            }
         }
     }
 
