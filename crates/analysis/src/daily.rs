@@ -84,9 +84,9 @@ impl NodeVolume {
     }
 }
 
-/// Split one scan session's volume across the days it spans — the same
-/// split as [`DailySeries::add_session`], minus the window — handing each
-/// (day, TBh) piece to `credit` in day order.
+/// Split one scan session's volume across the days it spans, handing
+/// each (day, TBh) piece to `credit` in day order: the one day split
+/// behind [`DayVolume`], [`NodeVolume`] and [`DailySeries`].
 fn session_pieces(
     start: SimTime,
     end: SimTime,
@@ -105,6 +105,15 @@ fn session_pieces(
         }
         day += 1;
     }
+}
+
+/// The `(start, end, alloc_bytes)` sessions of a node's log, in log
+/// order, as [`SessionPairing`] pairs them.
+fn log_sessions(log: &NodeLog) -> impl Iterator<Item = (SimTime, SimTime, u64)> + '_ {
+    let mut pairing = SessionPairing::default();
+    log.entries()
+        .iter()
+        .filter_map(move |entry| pairing.push(entry))
 }
 
 impl DayVolume {
@@ -127,11 +136,8 @@ impl DayVolume {
     /// Accumulate from a node's log: START/END pairing with the
     /// conservative hard-reboot rule, as [`DailySeries::add_node_log`].
     pub fn add_node_log(&mut self, log: &NodeLog) {
-        let mut pairing = SessionPairing::default();
-        for entry in log.entries() {
-            if let Some((start, end, alloc)) = pairing.push(entry) {
-                self.add_session(start, end, alloc);
-            }
+        for (start, end, alloc) in log_sessions(log) {
+            self.add_session(start, end, alloc);
         }
     }
 
@@ -180,42 +186,27 @@ impl DailySeries {
         self.tb_hours.len()
     }
 
-    fn day_slot(&self, t: SimTime) -> Option<usize> {
-        let idx = t.day_index() - self.first_day;
-        if idx < 0 || idx as usize >= self.days() {
-            None
-        } else {
-            Some(idx as usize)
-        }
+    /// The window slot of day index `day`, if the window holds it.
+    fn slot(&self, day: i64) -> Option<usize> {
+        let idx = usize::try_from(day.checked_sub(self.first_day)?).ok()?;
+        (idx < self.days()).then_some(idx)
     }
 
-    /// Credit one scan session's volume across the days it spans.
+    /// Credit one scan session's volume across the window days it spans.
     pub fn add_session(&mut self, start: SimTime, end: SimTime, alloc_bytes: u64) {
-        let tb = alloc_bytes as f64 / (1u64 << 40) as f64;
-        let mut day = start.day_index();
-        while day * 86_400 < end.as_secs() {
-            let day_start = SimTime::from_secs(day * 86_400);
-            let day_end = SimTime::from_secs((day + 1) * 86_400);
-            let lo = start.max(day_start);
-            let hi = end.min(day_end);
-            if hi > lo {
-                if let Some(slot) = self.day_slot(lo) {
-                    self.tb_hours[slot] += tb * (hi - lo).as_hours_f64();
-                }
+        session_pieces(start, end, alloc_bytes, |day, tbh| {
+            if let Some(slot) = self.slot(day) {
+                self.tb_hours[slot] += tbh;
             }
-            day += 1;
-        }
+        });
     }
 
     /// Accumulate scan volume from a node's log (START/END pairing with the
     /// conservative hard-reboot rule). O(entries): runs hold only ERROR
     /// records, so none is expanded.
     pub fn add_node_log(&mut self, log: &NodeLog) {
-        let mut pairing = SessionPairing::default();
-        for entry in log.entries() {
-            if let Some((start, end, alloc)) = pairing.push(entry) {
-                self.add_session(start, end, alloc);
-            }
+        for (start, end, alloc) in log_sessions(log) {
+            self.add_session(start, end, alloc);
         }
     }
 
@@ -224,11 +215,8 @@ impl DailySeries {
     /// `add_node_log` path would have produced (see [`DayVolume`]).
     pub fn add_day_volume(&mut self, volume: &DayVolume) {
         for (day, tb) in volume.iter() {
-            let Some(idx) = day.checked_sub(self.first_day) else {
-                continue;
-            };
-            if idx >= 0 && (idx as usize) < self.days() {
-                self.tb_hours[idx as usize] += tb;
+            if let Some(slot) = self.slot(day) {
+                self.tb_hours[slot] += tb;
             }
         }
     }
@@ -236,7 +224,7 @@ impl DailySeries {
     /// Accumulate fault counts.
     pub fn add_faults(&mut self, faults: &[Fault]) {
         for f in faults {
-            if let Some(slot) = self.day_slot(f.time) {
+            if let Some(slot) = self.slot(f.time.day_index()) {
                 self.faults[slot][f.bit_class() as usize] += 1;
             }
         }

@@ -229,12 +229,6 @@ pub(crate) fn simulate_node(cfg: &CampaignConfig, node: NodeId) -> NodeSim {
         );
         event_cursor = hi;
     }
-    for t in &plan.alloc_failures {
-        // Allocation failures live in a separate file in the paper's setup;
-        // keep them in-stream, tagged distinctly.
-        let _ = t;
-    }
-
     // 4. Extraction: independent faults.
     let faults = extract_node_faults(&log, &ExtractConfig::default());
 

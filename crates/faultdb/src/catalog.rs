@@ -26,14 +26,17 @@
 //! generation file is a disposable index over it, which is exactly what
 //! makes crash recovery simple — when in doubt, replay and reseal.
 //!
-//! Crash recovery (`LiveDb::open`): replay the WAL (flushed prefixes of
-//! every segment, in index order), rebuilding per-node cursors and a
-//! running CRC over the accepted record payloads. The catalog's current
-//! generation is served only if its recorded `(records, crc)` pair matches
-//! the replayed state *and* the file opens clean — any torn seal, stale
-//! catalog, or post-seal ingest makes the pair differ, and the generation
-//! is rebuilt from the WAL instead. `fsck_live_dir` extends `uc fsck` to
-//! these directories under the same conservation law.
+//! Crash recovery (`LiveDb::open`): stream the WAL through its reader
+//! (`wal::WalReader`: flushed prefixes of every segment, in index order,
+//! one segment in memory at a time) into the carry states, rebuilding
+//! per-node cursors and a running CRC over the accepted record payloads.
+//! The catalog's current generation is served only if its recorded
+//! `(records, crc)` pair matches the replayed state *and* the file opens
+//! clean — any torn seal, stale catalog, or post-seal ingest makes the
+//! pair differ, and the generation is rebuilt from the WAL instead.
+//! `fsck_live_dir` extends `uc fsck` to these directories under the same
+//! conservation law; its catalog fix-up (`Catalog::repair`) is the
+//! scrubber's too.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -49,7 +52,7 @@ use crate::error::DbError;
 use crate::format::{write_db, WriteOptions};
 use crate::lock::LiveLock;
 use crate::snapshot::Snapshot;
-use crate::wal::{encode_wal_payload, Wal, WalRecord, WalRecovery};
+use crate::wal::{encode_wal_payload, wal_index_of_name, Wal, WalReader, WalRecord, WalRecovery};
 
 /// Catalog file name inside a live directory.
 pub const CATALOG_NAME: &str = "CATALOG";
@@ -183,6 +186,33 @@ impl Catalog {
         Catalog::parse(&text)
     }
 
+    /// Drop every entry `keep` rejects, roll `current` back to the newest
+    /// survivor, and publish the result: saved in place, or — once no
+    /// entry is left to point at — moved whole to `.lost+found` (its bytes
+    /// added to `quarantined`) rather than published as an empty lie. The
+    /// catalog repair of both fsck and scrub; whether anything changed.
+    pub(crate) fn repair(
+        &mut self,
+        dir: &Path,
+        keep: impl FnMut(&GenEntry) -> bool,
+        quarantined: &mut u64,
+    ) -> Result<bool, DbError> {
+        let listed = self.generations.len();
+        self.generations.retain(keep);
+        if self.generations.len() == listed {
+            return Ok(false);
+        }
+        if self.current.is_some_and(|c| self.entry(c).is_none()) {
+            self.current = self.generations.iter().map(|g| g.index).max();
+        }
+        if self.generations.is_empty() {
+            quarantine(dir, &dir.join(CATALOG_NAME), quarantined)?;
+        } else {
+            self.save(dir)?;
+        }
+        Ok(true)
+    }
+
     /// Write atomically: tmp + fsync + rename + dir fsync, the same
     /// publish discipline as every sealed file in the repo.
     pub fn save(&self, dir: &Path) -> Result<(), DbError> {
@@ -245,10 +275,12 @@ pub struct LiveStatus {
 
 /// The per-node sequence discipline — the one shared definition of "the
 /// accepted record prefix": each node's next expected sequence number,
-/// and the count and running CRC of the records accepted so far. Recovery
-/// ([`LiveDb::open`]), the replication shipper (which must ship exactly
-/// what a replica's replay would accept, and parses no line) and the
-/// scrubber all judge records through it.
+/// and the count and running CRC of the records accepted so far. Ingest
+/// judges pushed records through it, and the WAL reader judges every
+/// recovered one — for recovery ([`LiveDb::open`]), scrub repair, and the
+/// replication shipper, which must ship exactly what a replica's replay
+/// would accept.
+#[derive(Default)]
 pub(crate) struct Sequencer {
     next: BTreeMap<u32, u64>,
     pub(crate) records: u64,
@@ -258,16 +290,6 @@ pub(crate) struct Sequencer {
 }
 
 impl Sequencer {
-    pub(crate) fn new() -> Sequencer {
-        Sequencer {
-            next: BTreeMap::new(),
-            records: 0,
-            crc: Crc32::new(),
-            duplicates: 0,
-            gaps: 0,
-        }
-    }
-
     /// Next sequence number expected from `node`.
     fn next_seq(&self, node: NodeId) -> u64 {
         self.next.get(&node.0).copied().unwrap_or(0)
@@ -314,37 +336,27 @@ impl Sequencer {
 
 /// The accepted prefix and every node's carry state: what [`LiveDb`]
 /// holds and what the scrubber replays a generation's prefix into.
+#[derive(Default)]
 pub(crate) struct LiveState {
     pub(crate) seq: Sequencer,
     nodes: BTreeMap<u32, NodeCarry>,
 }
 
 impl LiveState {
-    fn new() -> LiveState {
-        LiveState {
-            seq: Sequencer::new(),
-            nodes: BTreeMap::new(),
-        }
-    }
-
     /// Fold an accepted record's line into its node's carry state.
     fn fold(&mut self, node: NodeId, line: &str) {
         self.nodes.entry(node.0).or_default().push(line);
     }
 
-    /// Replay WAL records in order, stopping once `cap` accepted records
-    /// have been taken (`None` = all of them).
-    pub(crate) fn replay(records: &[WalRecord], cap: Option<u64>) -> LiveState {
-        let mut state = LiveState::new();
-        for rec in records {
-            if cap.is_some_and(|c| state.seq.records >= c) {
-                break;
-            }
-            if state.seq.apply(rec).is_some() {
-                state.fold(rec.node, &rec.line);
-            }
-        }
-        state
+    /// Stream the WAL in `dir` into fresh carry states, stopping once
+    /// `cap` records are accepted; with what the read found.
+    pub(crate) fn replay(dir: &Path, cap: u64) -> Result<(LiveState, WalRecovery), DbError> {
+        let mut state = LiveState::default();
+        let mut wal = WalReader::new(dir);
+        wal.pump(cap, |rec, _| state.fold(rec.node, &rec.line))?;
+        let found = wal.recovery();
+        state.seq = wal.seq;
+        Ok((state, found))
     }
 
     /// The snapshot `build_db` seals from the accepted prefix written as
@@ -377,7 +389,7 @@ pub struct LiveDb {
 /// What [`LiveDb::open`] found and did.
 #[derive(Clone, Debug)]
 pub struct OpenReport {
-    /// Raw WAL scan results.
+    /// What the WAL read found.
     pub wal: WalRecovery,
     /// Records accepted during replay.
     pub replayed: u64,
@@ -395,8 +407,8 @@ impl LiveDb {
     pub fn open(dir: &Path) -> Result<(LiveDb, OpenReport), DbError> {
         std::fs::create_dir_all(dir).map_err(|e| DbError::io(dir, e))?;
         let lock = LiveLock::acquire(dir)?;
-        let (wal, recovery) = Wal::open(dir)?;
-        let state = LiveState::replay(&recovery.records, None);
+        let (state, recovery) = LiveState::replay(dir, u64::MAX)?;
+        let wal = Wal::open(dir)?;
         let records = state.seq.records;
 
         let catalog = Catalog::load(dir).unwrap_or_default();
@@ -732,7 +744,7 @@ pub fn is_live_dir(dir: &Path) -> bool {
     rd.filter_map(|e| e.ok()).any(|e| {
         e.file_name()
             .to_str()
-            .is_some_and(|n| crate::wal::is_wal_name(n) || gen_index_of_name(n).is_some())
+            .is_some_and(|n| wal_index_of_name(n).is_some() || gen_index_of_name(n).is_some())
     })
 }
 
@@ -840,36 +852,18 @@ pub fn fsck_live_dir(dir: &Path) -> Result<LiveFsckReport, DbError> {
     if cat_path.exists() {
         let len = std::fs::metadata(&cat_path).map(|m| m.len()).unwrap_or(0);
         report.gen_bytes_in += len;
-        let parsed = std::fs::read_to_string(&cat_path)
-            .ok()
-            .and_then(|t| Catalog::parse(&t));
-        match parsed {
+        match Catalog::load(dir) {
             None => {
                 quarantine(dir, &cat_path, &mut report.gen_bytes_quarantined)?;
                 report.catalog_quarantined = true;
             }
             Some(mut cat) => {
-                let before = cat.clone();
-                cat.generations
-                    .retain(|g| surviving.iter().any(|s| s == &g.file));
-                let listed_current = cat.current;
-                if listed_current.is_some_and(|c| cat.entry(c).is_none()) {
-                    // Roll back to the newest generation that survived.
-                    cat.current = cat.generations.iter().map(|g| g.index).max();
-                }
-                if cat == before {
-                    report.gen_bytes_kept += len;
-                } else {
+                let keep = |g: &GenEntry| surviving.contains(&g.file);
+                if cat.repair(dir, keep, &mut report.gen_bytes_quarantined)? {
                     report.catalog_rollbacks += 1;
-                    if cat.generations.is_empty() {
-                        // Nothing left to point at; remove rather than
-                        // publish an empty lie. Removal is accounted as
-                        // quarantine of the old bytes.
-                        quarantine(dir, &cat_path, &mut report.gen_bytes_quarantined)?;
-                    } else {
-                        cat.save(dir)?;
-                        report.gen_bytes_kept += len;
-                    }
+                }
+                if cat_path.exists() {
+                    report.gen_bytes_kept += len;
                 }
             }
         }

@@ -26,15 +26,16 @@
 //! accepted records and the running CRC over their canonical WAL
 //! payloads, the same fingerprint the catalog stores per generation. The
 //! `(segment, offset)` pair is advisory position reporting; the primary
-//! *verifies* the cursor by replaying its own on-disk WAL through the
-//! shared sequence discipline (`Sequencer`: per-node cursors and the
-//! stream CRC, no line parsed) and checking the CRC at exactly that
-//! count. The session then reads on from where that replay stopped —
-//! each WAL byte read and each frame CRC-checked once — and answers each
-//! `PULL` with one write. A cursor the primary's history cannot
-//! reproduce is a typed [`DbError::Diverged`] — or [`DbError::Fenced`]
-//! when the peer also announces a stale epoch, the signature of an
-//! ex-primary that kept accepting writes after a failover.
+//! *verifies* the cursor by replaying its own on-disk WAL through the WAL
+//! reader recovery uses (`wal::WalReader`: the shared sequence
+//! discipline's per-node cursors and stream CRC) and checking the CRC at
+//! exactly that count. The session then reads on with that reader from
+//! where the replay stopped — each WAL byte read and each frame
+//! CRC-checked once — and answers each `PULL` with one write. A cursor
+//! the primary's history cannot reproduce is a typed
+//! [`DbError::Diverged`] — or [`DbError::Fenced`] when the peer also
+//! announces a stale epoch, the signature of an ex-primary that kept
+//! accepting writes after a failover.
 //!
 //! Durability discipline, both directions: the primary ships only bytes
 //! already written to its WAL (it flushes before every scan), and the
@@ -53,25 +54,22 @@
 //! of silently merging two histories.
 
 use std::collections::BTreeSet;
-use std::io::{self, BufReader, Read, Seek, Write};
+use std::io::{BufReader, Read, Write};
 use std::net::TcpStream;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use uc_faultlog::chaos::{ChaosStream, LinkBreaker, NetChaosConfig, NetChaosTally};
-use uc_faultlog::durable::{
-    frame_at, push_frame, write_frame, FrameDamage, FrameEvent, FrameReader, RetryPolicy,
-    FRAME_HEADER_LEN, MAGIC,
-};
+use uc_faultlog::durable::{push_frame, write_frame, FrameEvent, FrameReader, RetryPolicy, MAGIC};
 
-use crate::catalog::{LiveDb, Sequencer};
+use crate::catalog::LiveDb;
 use crate::error::{retryable, DbError};
 use crate::ingest_server::Wire;
 use crate::server::ServerAdmin;
-use crate::wal::{decode_wal_payload, list_wal_segments};
+use crate::wal::{decode_wal_payload, WalReader};
 
 // ------------------------------------------------------------------ role
 
@@ -136,153 +134,19 @@ impl Role {
     }
 }
 
-// ----------------------------------------------------------- ship cursor
-
-/// Primary-side incremental reader over the on-disk WAL: runs every
-/// durable frame through the shared sequence discipline ([`Sequencer`]:
-/// cursors and stream CRC only, no line is parsed) and hands the accepted
-/// records to a sink. Between polls it keeps its file offset and the
-/// bytes it has read past it, so each WAL byte is read, and each frame
-/// CRC-checked, once per session: a `PULL` costs what it ships.
-/// Verifying a connecting replica's cursor costs one pass over the WAL
-/// up to that cursor.
-struct ShipCursor {
-    dir: PathBuf,
-    seq: Sequencer,
-    /// Segment currently being consumed (0 = none yet).
-    seg: u64,
-    /// File offset of `buf[0]` within `seg`.
-    buf_start: u64,
-    /// Bytes of `seg` read from `buf_start` on; `buf[..pos]` is consumed
-    /// (the magic and whole frames), `buf[pos..]` waits to be — frames
-    /// past a `PULL`'s limit, or one its writer has not finished.
-    buf: Vec<u8>,
-    pos: usize,
-    /// `seg` holds damage no later write can mend (bad magic, length or
-    /// checksum): its valid prefix is all it ships.
-    seg_dead: bool,
-}
-
-impl ShipCursor {
-    fn new(dir: &Path) -> ShipCursor {
-        ShipCursor {
-            dir: dir.to_path_buf(),
-            seq: Sequencer::new(),
-            seg: 0,
-            buf_start: 0,
-            buf: Vec::new(),
-            pos: 0,
-            seg_dead: false,
-        }
-    }
-
-    /// Valid bytes (magic + consumed frames) of `seg` — the advisory
-    /// offset reported to the replica.
-    fn offset(&self) -> u64 {
-        self.buf_start + self.pos as u64
-    }
-
-    /// Consume durable WAL bytes until `limit` more records are accepted
-    /// or the WAL runs out, feeding each accepted record's canonical
-    /// payload (and the record count after it) to `sink`.
-    fn pump(&mut self, limit: u64, mut sink: impl FnMut(Vec<u8>, u64)) -> Result<u64, DbError> {
-        let mut taken = 0u64;
-        let mut segments = list_wal_segments(&self.dir)?.into_iter();
-        'segments: while let Some((idx, path)) = segments.next() {
-            if idx < self.seg {
-                continue;
-            }
-            if taken >= limit {
-                break;
-            }
-            if idx > self.seg {
-                // A later segment exists only once the writer has rotated
-                // away from this one, so this one has been read to its end.
-                self.seg = idx;
-                self.buf_start = 0;
-                self.buf.clear();
-                self.pos = 0;
-                self.seg_dead = false;
-            }
-            while !self.seg_dead && taken < limit {
-                taken += self.consume(limit - taken, &mut sink);
-                if self.seg_dead || taken >= limit {
-                    break;
-                }
-                // Out of whole frames: keep the unfinished one, read on.
-                self.buf.drain(..self.pos);
-                self.buf_start += self.pos as u64;
-                self.pos = 0;
-                match read_from(&path, self.buf_start + self.buf.len() as u64, &mut self.buf) {
-                    Ok(0) => break,
-                    Ok(_) => {}
-                    // Sealed by a rotation since the listing: list again
-                    // and read on under the sealed name. Stopping here
-                    // would make a cursor check see a short history.
-                    Err(e) if e.kind() == io::ErrorKind::NotFound => {
-                        segments = list_wal_segments(&self.dir)?.into_iter();
-                        continue 'segments;
-                    }
-                    Err(e) => return Err(DbError::io(&path, e)),
-                }
-            }
-        }
-        Ok(taken)
-    }
-
-    /// Consume whole frames from `buf[pos..]` until `limit` records are
-    /// accepted or the buffered bytes run out; the records accepted.
-    fn consume(&mut self, limit: u64, sink: &mut impl FnMut(Vec<u8>, u64)) -> u64 {
-        let mut taken = 0;
-        if self.offset() == 0 {
-            match self.buf.get(..MAGIC.len()) {
-                None => return 0,
-                Some(magic) if magic == MAGIC => self.pos = MAGIC.len(),
-                Some(_) => {
-                    self.seg_dead = true;
-                    return 0;
-                }
-            }
-        }
-        while taken < limit {
-            let payload = match frame_at(&self.buf[self.pos..]) {
-                Ok(payload) => payload,
-                Err(FrameDamage::TornHeader | FrameDamage::TornPayload) => break,
-                Err(_) => {
-                    self.seg_dead = true;
-                    break;
-                }
-            };
-            self.pos += FRAME_HEADER_LEN + payload.len();
-            if let Some(canonical) = decode_wal_payload(payload).and_then(|r| self.seq.apply(&r)) {
-                taken += 1;
-                sink(canonical, self.seq.records);
-            }
-        }
-        taken
-    }
-}
-
-/// Append `path`'s bytes from `offset` on to `buf`; how many.
-fn read_from(path: &Path, offset: u64, buf: &mut Vec<u8>) -> io::Result<usize> {
-    let mut file = std::fs::File::open(path)?;
-    file.seek(io::SeekFrom::Start(offset))?;
-    file.read_to_end(buf)
-}
-
 // --------------------------------------------------------- primary side
 
 /// Outcome of verifying a replica's announced cursor against this node's
 /// history; the epoch comparison at the call site decides whether a
 /// mismatch is [`DbError::Fenced`] or [`DbError::Diverged`].
 enum CursorCheck {
-    Ok(ShipCursor),
+    Ok(WalReader),
     TooLong { have: u64 },
     CrcMismatch { local: u32 },
 }
 
 fn check_cursor(dir: &Path, records: u64, crc: u32) -> Result<CursorCheck, DbError> {
-    let mut cursor = ShipCursor::new(dir);
+    let mut cursor = WalReader::new(dir);
     cursor.pump(records, |_, _| {})?;
     if cursor.seq.records < records {
         return Ok(CursorCheck::TooLong {
@@ -425,10 +289,8 @@ pub(crate) fn serve_shipping<R: Read>(
         };
 
         live.flush()?;
-        let mut batch: Vec<(Vec<u8>, u64)> = Vec::new();
-        cursor.pump(max.clamp(1, 65_536), |payload, after| {
-            batch.push((payload, after));
-        })?;
+        let mut batch: Vec<Vec<u8>> = Vec::new();
+        cursor.pump(max.clamp(1, 65_536), |_, payload| batch.push(payload))?;
         // Catalog snapshot AFTER reading WAL bytes: any entry sealed at
         // a count we just read past is already visible, so no crossing
         // is ever missed (the entry is persisted under the LiveDb lock
@@ -445,14 +307,15 @@ pub(crate) fn serve_shipping<R: Read>(
                 }
             }
         };
-        due(cursor.seq.records - batch.len() as u64, &mut reply);
+        let first = cursor.seq.records - batch.len() as u64;
+        due(first, &mut reply);
         let mut frame = Vec::new();
-        for (payload, after) in &batch {
+        for (after, payload) in (first + 1..).zip(&batch) {
             frame.clear();
             frame.extend_from_slice(b"W ");
             frame.extend_from_slice(payload);
             push_frame(&mut reply, &frame);
-            due(*after, &mut reply);
+            due(after, &mut reply);
         }
         let end = format!(
             "E {} {:08x} {} {} {} {}",
@@ -1043,6 +906,7 @@ mod tests {
     use crate::catalog::LiveDb;
     use crate::ingest_server::{IngestConfig, IngestServer};
     use std::fs;
+    use std::path::PathBuf;
     use uc_cluster::NodeId;
 
     fn tmpdir(tag: &str) -> PathBuf {
@@ -1068,109 +932,6 @@ mod tests {
             assert!(Instant::now() < deadline, "timed out waiting for {what}");
             thread::sleep(Duration::from_millis(10));
         }
-    }
-
-    /// Frame bytes of record `seq` of node 01-01, as the WAL writes it.
-    fn wal_frame(seq: u64) -> Vec<u8> {
-        let line = error_line("01-01", 60 + seq as i64 * 7200);
-        uc_faultlog::durable::encode_frame(&crate::wal::encode_wal_payload(n("01-01"), seq, &line))
-    }
-
-    fn append(path: &Path, bytes: &[u8]) {
-        let mut f = fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
-            .unwrap();
-        f.write_all(bytes).unwrap();
-    }
-
-    /// Pump everything there is; the sequence numbers shipped.
-    fn pump_all(cursor: &mut ShipCursor) -> Vec<u64> {
-        let mut shipped = Vec::new();
-        cursor
-            .pump(u64::MAX, |payload, _| {
-                shipped.push(decode_wal_payload(&payload).unwrap().seq)
-            })
-            .unwrap();
-        shipped
-    }
-
-    #[test]
-    fn a_frame_torn_at_the_active_tail_ships_once_when_complete() {
-        let dir = tmpdir("ship-torn");
-        fs::create_dir_all(&dir).unwrap();
-        let active = dir.join("wal-000001.dlog.tmp");
-        let (f0, f1) = (wal_frame(0), wal_frame(1));
-        let mut cursor = ShipCursor::new(&dir);
-        // Not even the whole magic yet.
-        append(&active, &MAGIC[..3]);
-        assert!(pump_all(&mut cursor).is_empty());
-        append(&active, &MAGIC[3..]);
-        append(&active, &f0);
-        append(&active, &f1[..5]);
-        assert_eq!(pump_all(&mut cursor), vec![0]);
-        append(&active, &f1[5..20]);
-        assert!(pump_all(&mut cursor).is_empty(), "still torn");
-        append(&active, &f1[20..]);
-        assert_eq!(pump_all(&mut cursor), vec![1]);
-        assert!(pump_all(&mut cursor).is_empty(), "shipped exactly once");
-        let len = fs::metadata(&active).unwrap().len();
-        assert_eq!(cursor.offset(), len);
-        assert_eq!(cursor.seq.records, 2);
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn a_segment_rotated_between_pumps_is_read_to_its_end_first() {
-        let dir = tmpdir("ship-rotate");
-        fs::create_dir_all(&dir).unwrap();
-        let first = dir.join("wal-000001.dlog.tmp");
-        append(&first, MAGIC);
-        append(&first, &wal_frame(0));
-        append(&first, &wal_frame(1));
-        let mut cursor = ShipCursor::new(&dir);
-        let mut shipped = Vec::new();
-        // A limit stops mid-segment; the rest waits in the cursor.
-        cursor
-            .pump(1, |p, _| shipped.push(decode_wal_payload(&p).unwrap().seq))
-            .unwrap();
-        assert_eq!(shipped, vec![0]);
-        // The writer finishes the segment, seals it and starts the next.
-        append(&first, &wal_frame(2));
-        fs::rename(&first, dir.join("wal-000001.dlog")).unwrap();
-        let second = dir.join("wal-000002.dlog.tmp");
-        append(&second, MAGIC);
-        append(&second, &wal_frame(3));
-        assert_eq!(pump_all(&mut cursor), vec![1, 2, 3]);
-        assert_eq!(cursor.seg, 2);
-        assert!(pump_all(&mut cursor).is_empty());
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn a_segment_sealed_mid_pump_is_read_on_under_its_sealed_name() {
-        let dir = tmpdir("ship-sealed-mid-pump");
-        fs::create_dir_all(&dir).unwrap();
-        let active = dir.join("wal-000001.dlog.tmp");
-        append(&active, MAGIC);
-        append(&active, &wal_frame(0));
-        let mut cursor = ShipCursor::new(&dir);
-        let mut shipped = Vec::new();
-        // While the pump takes the first frame, the writer appends a
-        // second and seals the segment: the pump's next read of the
-        // listed name finds nothing there.
-        cursor
-            .pump(u64::MAX, |p, _| {
-                if shipped.is_empty() {
-                    append(&active, &wal_frame(1));
-                    fs::rename(&active, dir.join("wal-000001.dlog")).unwrap();
-                }
-                shipped.push(decode_wal_payload(&p).unwrap().seq);
-            })
-            .unwrap();
-        assert_eq!(shipped, vec![0, 1], "one pump reads the whole history");
-        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

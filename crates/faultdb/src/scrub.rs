@@ -10,19 +10,22 @@
 //!
 //! One scrub pass, under the directory's PID lock:
 //!
-//! 1. **WAL segments** — every frame CRC re-verified via the durable
-//!    scanner. WAL damage is *reported, never mutated*: the WAL is the
-//!    only copy of history, and salvage decisions belong to `uc fsck`.
+//! 1. **WAL segments** — every frame CRC re-verified by streaming the WAL
+//!    through its reader (`wal::WalReader`). WAL damage is *reported,
+//!    never mutated*: the WAL is the only copy of history, and salvage
+//!    decisions belong to `uc fsck`.
 //! 2. **Generation files** — every catalog entry deep-validated (footer
 //!    and all block CRCs). A damaged file's original bytes are
 //!    quarantined to `.lost+found` (the fsck conservation law: every
 //!    byte examined is still in the directory or in `.lost+found`), then
-//!    the generation is rebuilt from the WAL and verified against the
-//!    catalog's recorded `(records, crc)` cursor. If the WAL cannot
-//!    reproduce that cursor the generation is unrecoverable: the
-//!    quarantined bytes are all that remains and the catalog entry is
-//!    dropped (rolling the current pointer back if needed) so readers
-//!    fail typed instead of reading garbage.
+//!    the generation is rebuilt by streaming the WAL through the same
+//!    reader into carry states up to the catalog's recorded `(records,
+//!    crc)` cursor. If the WAL cannot reproduce that cursor the
+//!    generation is unrecoverable: the quarantined bytes are all that
+//!    remains, and fsck's catalog repair (`Catalog::repair`) drops the
+//!    entry and rolls the current pointer back if needed, so readers fail
+//!    typed instead of reading garbage. A catalog left with no entry goes
+//!    to `.lost+found` too, its bytes on the ledger.
 //!
 //! The scrubber throttles itself by bytes read (`max_bytes_per_sec`), so
 //! a background [`Scrubber`] can patrol a large directory without
@@ -34,13 +37,11 @@ use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use uc_faultlog::durable::scan_segment_slices;
-
-use crate::catalog::{gen_is_valid, quarantine, Catalog, LiveState};
+use crate::catalog::{gen_is_valid, quarantine, Catalog, GenEntry, LiveState, CATALOG_NAME};
 use crate::error::DbError;
 use crate::format::{write_db, WriteOptions};
 use crate::lock::LiveLock;
-use crate::wal::{decode_wal_payload, list_wal_segments, WalRecord};
+use crate::wal::WalReader;
 
 /// Scrub tuning; `Default` repairs at full disk speed.
 #[derive(Clone, Debug)]
@@ -85,15 +86,17 @@ pub struct ScrubReport {
     /// Damaged entries the WAL could not reproduce; original bytes are
     /// in `.lost+found`, the catalog entry is dropped.
     pub gens_unrecoverable: u64,
-    /// Catalog edits persisted (dropped entries, current rollbacks).
+    /// Catalog repairs (dropped entries, current rollbacks, an emptied
+    /// catalog quarantined).
     pub catalog_fixups: u64,
     /// Total bytes read (WAL + generations) — the throttled quantity.
     pub bytes_scanned: u64,
-    /// Generation bytes examined.
+    /// Generation bytes examined, plus the catalog's when a fix-up
+    /// rewrote or quarantined it.
     pub gen_bytes_in: u64,
-    /// Generation bytes left in place (valid files).
+    /// Of those, bytes left in place (valid files, a rewritten catalog).
     pub gen_bytes_kept: u64,
-    /// Generation bytes moved to `.lost+found`.
+    /// Of those, bytes moved to `.lost+found`.
     pub gen_bytes_quarantined: u64,
     /// Times the throttle put the scrubber to sleep.
     pub throttle_sleeps: u64,
@@ -132,6 +135,9 @@ impl ScrubReport {
         )
     }
 }
+
+/// Records the WAL pass reads between throttle charges.
+const THROTTLE_RECORDS: u64 = 4096;
 
 /// Byte-budget throttle: charge what was read, sleep off the excess.
 struct Throttle {
@@ -173,23 +179,20 @@ pub fn scrub_live_dir(dir: &Path, cfg: &ScrubConfig) -> Result<ScrubReport, DbEr
     let mut report = ScrubReport::default();
     let mut throttle = Throttle::new(cfg.max_bytes_per_sec);
 
-    // Pass 1 — WAL segments: verify every frame CRC, collect the decoded
-    // records once for all repairs.
-    let mut records: Vec<WalRecord> = Vec::new();
-    for (_idx, path) in list_wal_segments(dir)? {
-        let bytes = std::fs::read(&path).map_err(|e| DbError::io(&path, e))?;
-        report.wal_segments += 1;
-        report.bytes_scanned += bytes.len() as u64;
-        throttle.charge(bytes.len() as u64);
-        let scan = scan_segment_slices(&bytes);
-        report.wal_frames += scan.payloads.len() as u64;
-        report.wal_damaged_bytes += scan.torn_bytes();
-        for payload in &scan.payloads {
-            if let Some(rec) = decode_wal_payload(payload) {
-                records.push(rec);
-            }
-        }
+    // Pass 1 — WAL segments: verify every frame CRC, charging the
+    // throttle as the reader goes.
+    let mut wal = WalReader::new(dir);
+    let mut taken = THROTTLE_RECORDS;
+    while taken == THROTTLE_RECORDS {
+        let read = wal.recovery().bytes;
+        taken = wal.pump(THROTTLE_RECORDS, |_, _| {})?;
+        throttle.charge(wal.recovery().bytes - read);
     }
+    let found = wal.recovery();
+    report.wal_segments = found.segments;
+    report.wal_frames = found.frames;
+    report.wal_damaged_bytes = found.torn_bytes;
+    report.bytes_scanned = found.bytes;
 
     // Pass 2 — generation files, through the catalog (files the catalog
     // never heard of are fsck's department; scrub guards what queries
@@ -220,43 +223,45 @@ pub fn scrub_live_dir(dir: &Path, cfg: &ScrubConfig) -> Result<ScrubReport, DbEr
         if path.exists() {
             quarantine(dir, &path, &mut report.gen_bytes_quarantined)?;
         }
-        if let Some(rebuilt) = rebuild_generation(dir, &records, &entry)? {
+        if rebuild_generation(dir, &entry, &mut report, &mut throttle)? {
             report.gens_repaired += 1;
-            report.bytes_scanned += rebuilt;
         } else {
             report.gens_unrecoverable += 1;
             dropped.push(entry.index);
         }
     }
-    if !dropped.is_empty() {
-        catalog.generations.retain(|g| !dropped.contains(&g.index));
-        if catalog.current.is_some_and(|c| dropped.contains(&c)) {
-            catalog.current = catalog.generations.iter().map(|g| g.index).max();
-        }
+    // The catalog's bytes join the ledger when a fix-up rewrites or
+    // quarantines them.
+    let cat_path = dir.join(CATALOG_NAME);
+    let cat_len = std::fs::metadata(&cat_path).map(|m| m.len()).unwrap_or(0);
+    let keep = |g: &GenEntry| !dropped.contains(&g.index);
+    if catalog.repair(dir, keep, &mut report.gen_bytes_quarantined)? {
         report.catalog_fixups += 1;
-        if catalog.generations.is_empty() {
-            let cat_path = dir.join(crate::catalog::CATALOG_NAME);
-            std::fs::remove_file(&cat_path).map_err(|e| DbError::io(&cat_path, e))?;
-        } else {
-            catalog.save(dir)?;
+        report.gen_bytes_in += cat_len;
+        if cat_path.exists() {
+            report.gen_bytes_kept += cat_len;
         }
     }
     report.throttle_sleeps = throttle.sleeps;
     Ok(report)
 }
 
-/// Reseal one generation from the WAL record stream. Returns the new
-/// file's size, or `None` when the WAL cannot reproduce the catalog's
-/// recorded cursor (too few records, or a CRC that says the history
-/// differs — resealing would fabricate a generation that never existed).
+/// Reseal one generation by streaming the WAL into carry states up to
+/// its recorded cursor, charging what it reads. `false` when the WAL
+/// cannot reproduce that cursor (too few records, or a CRC that says the
+/// history differs — resealing would fabricate a generation that never
+/// existed).
 fn rebuild_generation(
     dir: &Path,
-    records: &[WalRecord],
-    entry: &crate::catalog::GenEntry,
-) -> Result<Option<u64>, DbError> {
-    let mut replay = LiveState::replay(records, Some(entry.records));
+    entry: &GenEntry,
+    report: &mut ScrubReport,
+    throttle: &mut Throttle,
+) -> Result<bool, DbError> {
+    let (mut replay, found) = LiveState::replay(dir, entry.records)?;
+    report.bytes_scanned += found.bytes;
+    throttle.charge(found.bytes);
     if replay.seq.records != entry.records || replay.seq.crc.finish() != entry.stream_crc {
-        return Ok(None);
+        return Ok(false);
     }
     let snapshot = replay.snapshot();
     let path = dir.join(&entry.file);
@@ -267,8 +272,8 @@ fn rebuild_generation(
             entry.file
         )));
     }
-    let len = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
-    Ok(Some(len))
+    report.bytes_scanned += std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
+    Ok(true)
 }
 
 // ------------------------------------------------------------ scrubber
@@ -504,6 +509,38 @@ mod tests {
         let cat = Catalog::load(&dir).unwrap();
         assert!(cat.entry(gen).is_none());
         assert_eq!(cat.current, cat.generations.iter().map(|g| g.index).max());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn an_emptied_catalog_is_quarantined_and_conserved() {
+        let (dir, _) = seeded_dir("emptied");
+        // Any WAL reproduces the empty first generation, so forget it;
+        // then destroy the WAL and damage every generation left.
+        let mut cat = Catalog::load(&dir).unwrap();
+        cat.generations.retain(|g| g.records > 0);
+        cat.save(&dir).unwrap();
+        let cat_bytes = fs::read(dir.join(CATALOG_NAME)).unwrap();
+        for entry in fs::read_dir(&dir).unwrap().filter_map(|e| e.ok()) {
+            if entry.file_name().to_string_lossy().starts_with("wal-") {
+                fs::remove_file(entry.path()).unwrap();
+            }
+        }
+        for g in &cat.generations {
+            let path = dir.join(&g.file);
+            let mut bytes = fs::read(&path).unwrap();
+            let mid = bytes.len() / 2;
+            bytes[mid] ^= 0xFF;
+            fs::write(&path, &bytes).unwrap();
+        }
+
+        let report = scrub_live_dir(&dir, &ScrubConfig::default()).unwrap();
+        assert_eq!(report.gens_unrecoverable, 2, "{}", report.render());
+        assert_eq!(report.catalog_fixups, 1);
+        assert!(report.is_conserved(), "{}", report.render());
+        assert!(!dir.join(CATALOG_NAME).exists());
+        let lost = dir.join(".lost+found").join(CATALOG_NAME);
+        assert_eq!(fs::read(lost).unwrap(), cat_bytes, "old catalog bytes kept");
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -18,10 +18,10 @@ use unprotected_computing::faultdb::{FaultDb, Snapshot, WriteOptions};
 use unprotected_computing::faultlog::ingest::{recover_text, IngestStats};
 use unprotected_computing::faultlog::store::ClusterLog;
 
-/// The clean database's bytes and snapshot, built once per test binary.
-/// Tests run on parallel threads and share one scratch directory, so
-/// the build happens behind a `OnceLock` and nothing deletes the
-/// directory while another test writes into it.
+/// The clean database's bytes and snapshot, built once per test binary
+/// behind a `OnceLock`. Tests run on parallel threads, so each writes
+/// its own scratch file straight into the temp dir and removes it: no
+/// directory is shared for one test to delete under another.
 fn clean_db() -> &'static (Vec<u8>, Snapshot) {
     static CLEAN: OnceLock<(Vec<u8>, Snapshot)> = OnceLock::new();
     CLEAN.get_or_init(build_clean_db)
@@ -47,9 +47,7 @@ fn build_clean_db() -> (Vec<u8>, Snapshot) {
         logs.push(rec.log);
     }
     let snap = Snapshot::from_cluster(&ClusterLog::new(logs), stats);
-    let dir = std::env::temp_dir().join(format!("uc-fdb-dmg-{}", std::process::id()));
-    fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("clean.fdb");
+    let path = tmp_path("clean");
     write_db(
         &snap,
         &path,
@@ -59,13 +57,17 @@ fn build_clean_db() -> (Vec<u8>, Snapshot) {
         },
     )
     .unwrap();
-    (fs::read(&path).unwrap(), snap)
+    let bytes = fs::read(&path).unwrap();
+    fs::remove_file(&path).unwrap();
+    (bytes, snap)
+}
+
+fn tmp_path(tag: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("uc-fdb-dmg-{}-{tag}.fdb", std::process::id()))
 }
 
 fn write_tmp(tag: &str, bytes: &[u8]) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("uc-fdb-dmg-{}", std::process::id()));
-    fs::create_dir_all(&dir).unwrap();
-    let path = dir.join(format!("{tag}.fdb"));
+    let path = tmp_path(tag);
     fs::write(&path, bytes).unwrap();
     path
 }

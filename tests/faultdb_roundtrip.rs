@@ -79,6 +79,7 @@ fn snapshot_roundtrips_and_reports_identically() {
     let back = db.snapshot().unwrap();
     assert_eq!(back, snap);
     assert_eq!(back.report_text(), snap.report_text());
+    fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
@@ -141,6 +142,7 @@ fn queries_agree_with_brute_force_and_pruning_is_sound() {
         .map(|l| l.split_whitespace().nth(1).unwrap().parse::<u64>().unwrap())
         .sum();
     assert_eq!(total, snap.faults.len() as u64);
+    fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
@@ -170,6 +172,7 @@ fn query_results_thread_invariant_through_the_public_api() {
         let many = with_thread_limit(8, || db.query(q, &QueryOptions::default())).unwrap();
         assert_eq!(one, many, "{q}");
     }
+    fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
@@ -211,6 +214,7 @@ fn cache_counters_move_but_results_do_not() {
     // identical answers, proving the cache is invisible to results.
     let db_big = FaultDb::open(&path).unwrap();
     assert_eq!(db_big.query("group class", &opts).unwrap(), first);
+    fs::remove_dir_all(&dir).unwrap();
 }
 
 /// A hostile `ERRORRUN` count must not hang the build (the day-volume fold

@@ -22,10 +22,11 @@ use uc_faultdb::{
 };
 use uc_simclock::SimTime;
 
-fn fresh_dir() -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("uc-v2-props-{}", std::process::id()));
-    fs::create_dir_all(&dir).unwrap();
-    dir
+/// A scratch file straight in the temp dir: the three properties run on
+/// parallel threads, each case removes the files it wrote, and no
+/// directory is shared for one test to delete under another.
+fn tmp_path(name: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("uc-v2-props-{}-{name}", std::process::id()))
 }
 
 prop_compose! {
@@ -127,10 +128,9 @@ proptest! {
         faults in proptest::collection::vec(fault_strategy(), 0..300),
         rows_per_block in 1usize..96,
     ) {
-        let dir = fresh_dir();
         let snap = snapshot_of(faults);
-        let v1 = dir.join("ident-v1.ucfdb");
-        let v2 = dir.join("ident-v2.ucfdb");
+        let v1 = tmp_path("ident-v1.ucfdb");
+        let v2 = tmp_path("ident-v2.ucfdb");
         write_db(&snap, &v1, &WriteOptions { rows_per_block, encoding: FileEncoding::V1 }).unwrap();
         write_db(&snap, &v2, &WriteOptions { rows_per_block, encoding: FileEncoding::V2 }).unwrap();
         let db1 = FaultDb::open(&v1).unwrap();
@@ -149,7 +149,6 @@ proptest! {
         pred in pred_expr(3),
         act in action(),
     ) {
-        let dir = fresh_dir();
         let snap = snapshot_of(faults);
         let text = format!("{act} where {pred}");
         let q = parse_query(&text).unwrap();
@@ -158,7 +157,7 @@ proptest! {
         let opts = QueryOptions::default();
         let mut answers = Vec::new();
         for (tag, encoding) in [("v1", FileEncoding::V1), ("v2", FileEncoding::V2)] {
-            let path = dir.join(format!("kern-{tag}.ucfdb"));
+            let path = tmp_path(&format!("kern-{tag}.ucfdb"));
             write_db(&snap, &path, &WriteOptions { rows_per_block: 32, encoding }).unwrap();
             let db = FaultDb::open(&path).unwrap();
             let r = db.query(&text, &opts).unwrap();
@@ -178,9 +177,8 @@ proptest! {
         seed in any::<u64>(),
         bit in 0u8..8,
     ) {
-        let dir = fresh_dir();
         let snap = snapshot_of(faults);
-        let path = dir.join(format!("flip-{seed}-{bit}.ucfdb"));
+        let path = tmp_path(&format!("flip-{seed}-{bit}.ucfdb"));
         write_db(&snap, &path, &WriteOptions { rows_per_block: 16, encoding: FileEncoding::V2 }).unwrap();
         let mut bytes = fs::read(&path).unwrap();
         // The block region sits between the magic and the footer; the
@@ -189,6 +187,9 @@ proptest! {
         let footer_off =
             u64::from_le_bytes(bytes[trailer_at..trailer_at + 8].try_into().unwrap()) as usize;
         let magic_len = 7;
+        if footer_off <= magic_len {
+            let _ = fs::remove_file(&path);
+        }
         prop_assume!(footer_off > magic_len);
         let offset = magic_len + (seed as usize) % (footer_off - magic_len);
         bytes[offset] ^= 1 << bit;

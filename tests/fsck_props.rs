@@ -6,6 +6,7 @@
 //! left to repair, and the recovering ingestion path still reads the
 //! directory with the salvage history folded into its stats.
 
+use std::ffi::OsString;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
@@ -19,11 +20,12 @@ use uc_faultlog::store::ClusterLog;
 use unprotected_core::{run_campaign, CampaignConfig};
 
 /// A pristine durable corpus, written once: a handful of non-flood node
-/// logs plus their MANIFEST. Each proptest case copies it byte-for-byte
-/// into a fresh scratch directory before damaging it.
-fn template_dir() -> &'static PathBuf {
-    static DIR: OnceLock<PathBuf> = OnceLock::new();
-    DIR.get_or_init(|| {
+/// logs plus their MANIFEST, kept as (file name, bytes) so no scratch
+/// directory outlives the test. Each proptest case writes it
+/// byte-for-byte into a fresh scratch directory before damaging it.
+fn template() -> &'static [(OsString, Vec<u8>)] {
+    static FILES: OnceLock<Vec<(OsString, Vec<u8>)>> = OnceLock::new();
+    FILES.get_or_init(|| {
         let dir = std::env::temp_dir().join(format!("uc-fsck-template-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         let result = run_campaign(&CampaignConfig::small(42, 6));
@@ -37,18 +39,22 @@ fn template_dir() -> &'static PathBuf {
         assert_eq!(logs.len(), 5, "not enough non-flood nodes for a corpus");
         let outcome = write_cluster_log_durable(&dir, &ClusterLog::new(logs));
         assert!(outcome.is_fully_durable(), "{:?}", outcome.failures);
-        dir
+        let files = fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap())
+            .map(|e| (e.file_name(), fs::read(e.path()).unwrap()))
+            .collect();
+        fs::remove_dir_all(&dir).unwrap();
+        files
     })
 }
 
 fn fresh_copy(tag: &str) -> PathBuf {
-    let src = template_dir();
     let dir = std::env::temp_dir().join(format!("uc-fsck-props-{tag}-{}", std::process::id()));
     let _ = fs::remove_dir_all(&dir);
     fs::create_dir_all(&dir).unwrap();
-    for entry in fs::read_dir(src).unwrap() {
-        let entry = entry.unwrap();
-        fs::copy(entry.path(), dir.join(entry.file_name())).unwrap();
+    for (name, bytes) in template() {
+        fs::write(dir.join(name), bytes).unwrap();
     }
     dir
 }
