@@ -77,6 +77,7 @@ mod tests {
         let roundtripped = db.snapshot().unwrap();
         assert_eq!(roundtripped, direct);
         assert_eq!(roundtripped.report_text(), direct.report_text());
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -34,8 +34,8 @@
 //! `(records, crc)` pair matches the replayed state *and* the file opens
 //! clean — any torn seal, stale catalog, or post-seal ingest makes the
 //! pair differ, and the generation is rebuilt from the WAL instead.
-//! `fsck_live_dir` extends `uc fsck` to these directories under the same
-//! conservation law; its catalog fix-up (`Catalog::repair`) is the
+//! `uc fsck` repairs these directories under the same conservation law
+//! (the `fsck` module); its catalog fix-up (`Catalog::repair`) is the
 //! scrubber's too.
 
 use std::collections::BTreeMap;
@@ -44,7 +44,7 @@ use std::sync::Arc;
 
 use uc_cluster::NodeId;
 use uc_faultlog::durable::crc::{crc32, Crc32};
-use uc_faultlog::durable::{fsck_dir, FsckReport};
+use uc_faultlog::durable::{quarantine_file, ByteLedger};
 
 use crate::carry::{snapshot_of, NodeCarry};
 use crate::db::{DbHandle, FaultDb};
@@ -188,27 +188,32 @@ impl Catalog {
 
     /// Drop every entry `keep` rejects, roll `current` back to the newest
     /// survivor, and publish the result: saved in place, or — once no
-    /// entry is left to point at — moved whole to `.lost+found` (its bytes
-    /// added to `quarantined`) rather than published as an empty lie. The
-    /// catalog repair of both fsck and scrub; whether anything changed.
+    /// entry is left to point at — moved whole to `.lost+found` rather
+    /// than published as an empty lie. The catalog's bytes, as loaded, go
+    /// on `ledger` either way: kept, or quarantined. The catalog repair of
+    /// both fsck and scrub; whether anything changed.
     pub(crate) fn repair(
         &mut self,
         dir: &Path,
         keep: impl FnMut(&GenEntry) -> bool,
-        quarantined: &mut u64,
+        ledger: &mut ByteLedger,
     ) -> Result<bool, DbError> {
+        let path = dir.join(CATALOG_NAME);
+        let len = std::fs::metadata(&path).map_or(0, |m| m.len());
         let listed = self.generations.len();
         self.generations.retain(keep);
         if self.generations.len() == listed {
+            ledger.keep(len);
             return Ok(false);
         }
         if self.current.is_some_and(|c| self.entry(c).is_none()) {
             self.current = self.generations.iter().map(|g| g.index).max();
         }
         if self.generations.is_empty() {
-            quarantine(dir, &dir.join(CATALOG_NAME), quarantined)?;
+            quarantine_file(dir, &path, ledger)?;
         } else {
             self.save(dir)?;
+            ledger.keep(len);
         }
         Ok(true)
     }
@@ -344,19 +349,8 @@ pub(crate) struct LiveState {
 
 impl LiveState {
     /// Fold an accepted record's line into its node's carry state.
-    fn fold(&mut self, node: NodeId, line: &str) {
+    pub(crate) fn fold(&mut self, node: NodeId, line: &str) {
         self.nodes.entry(node.0).or_default().push(line);
-    }
-
-    /// Stream the WAL in `dir` into fresh carry states, stopping once
-    /// `cap` records are accepted; with what the read found.
-    pub(crate) fn replay(dir: &Path, cap: u64) -> Result<(LiveState, WalRecovery), DbError> {
-        let mut state = LiveState::default();
-        let mut wal = WalReader::new(dir);
-        wal.pump(cap, |rec, _| state.fold(rec.node, &rec.line))?;
-        let found = wal.recovery();
-        state.seq = wal.seq;
-        Ok((state, found))
     }
 
     /// The snapshot `build_db` seals from the accepted prefix written as
@@ -407,7 +401,11 @@ impl LiveDb {
     pub fn open(dir: &Path) -> Result<(LiveDb, OpenReport), DbError> {
         std::fs::create_dir_all(dir).map_err(|e| DbError::io(dir, e))?;
         let lock = LiveLock::acquire(dir)?;
-        let (state, recovery) = LiveState::replay(dir, u64::MAX)?;
+        let mut state = LiveState::default();
+        let mut reader = WalReader::new(dir);
+        reader.pump(u64::MAX, |rec, _| state.fold(rec.node, &rec.line))?;
+        let recovery = reader.recovery();
+        state.seq = reader.seq;
         let wal = Wal::open(dir)?;
         let records = state.seq.records;
 
@@ -666,72 +664,6 @@ fn seal_generation(
     Ok(db)
 }
 
-// ---------------------------------------------------------------- fsck
-
-/// `uc fsck` extended to a live directory: the durable pass (WAL salvage,
-/// orphan-tmp promotion, manifest rebuild) plus a generation pass under
-/// the same conservation law — every generation/catalog byte examined is
-/// either still in the directory or in `.lost+found`.
-#[derive(Clone, Debug, Default)]
-pub struct LiveFsckReport {
-    /// The standard durable-directory pass over the WAL segments.
-    pub durable: FsckReport,
-    /// Generation files examined (sealed and `.tmp`).
-    pub gens_checked: u64,
-    /// Complete-but-unrenamed `gen-*.ucfdb.tmp` promoted to sealed names
-    /// (the crash hit between `write_db`'s fsync and its rename).
-    pub gens_promoted: u64,
-    /// Generation files (either form) that failed deep validation and
-    /// were quarantined whole.
-    pub gens_quarantined: u64,
-    /// Catalog repairs: current pointer rolled back to the newest
-    /// surviving generation, or dead entries dropped.
-    pub catalog_rollbacks: u64,
-    /// The catalog file itself was unparseable and was quarantined.
-    pub catalog_quarantined: bool,
-    /// Bytes of generation/catalog files examined.
-    pub gen_bytes_in: u64,
-    /// Bytes of generation/catalog files kept in place.
-    pub gen_bytes_kept: u64,
-    /// Bytes of generation/catalog files moved to `.lost+found`.
-    pub gen_bytes_quarantined: u64,
-}
-
-impl LiveFsckReport {
-    /// Conservation across both passes.
-    pub fn is_conserved(&self) -> bool {
-        self.durable.is_conserved()
-            && self.gen_bytes_in == self.gen_bytes_kept + self.gen_bytes_quarantined
-    }
-
-    pub fn render(&self) -> String {
-        format!(
-            "live fsck: wal[{} checked, {} clean, {} salvaged, {} quarantined, \
-             {} promoted] gens[{} checked, {} promoted, {} quarantined] \
-             catalog[{} rollbacks{}] bytes[{} in = {} kept + {} quarantined] \
-             conserved={}",
-            self.durable.files_checked,
-            self.durable.files_clean,
-            self.durable.files_salvaged,
-            self.durable.files_quarantined,
-            self.durable.tmp_promoted,
-            self.gens_checked,
-            self.gens_promoted,
-            self.gens_quarantined,
-            self.catalog_rollbacks,
-            if self.catalog_quarantined {
-                ", catalog quarantined"
-            } else {
-                ""
-            },
-            self.durable.bytes_in + self.gen_bytes_in,
-            self.durable.bytes_salvaged + self.gen_bytes_kept,
-            self.durable.bytes_quarantined + self.gen_bytes_quarantined,
-            self.is_conserved(),
-        )
-    }
-}
-
 /// Does `dir` look like a live streaming directory (vs. a plain durable
 /// log directory)? Any WAL segment, generation file, or catalog counts.
 pub fn is_live_dir(dir: &Path) -> bool {
@@ -746,137 +678,6 @@ pub fn is_live_dir(dir: &Path) -> bool {
             .to_str()
             .is_some_and(|n| wal_index_of_name(n).is_some() || gen_index_of_name(n).is_some())
     })
-}
-
-pub(crate) fn quarantine(dir: &Path, path: &Path, report_bytes: &mut u64) -> Result<(), DbError> {
-    let lost = dir.join(".lost+found");
-    std::fs::create_dir_all(&lost).map_err(|e| DbError::io(&lost, e))?;
-    let name = path
-        .file_name()
-        .and_then(|n| n.to_str())
-        .unwrap_or("unnamed")
-        .to_string();
-    let mut dest = lost.join(&name);
-    let mut n = 1;
-    while dest.exists() {
-        dest = lost.join(format!("{name}.{n}"));
-        n += 1;
-    }
-    let len = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
-    std::fs::rename(path, &dest).map_err(|e| DbError::io(path, e))?;
-    *report_bytes += len;
-    Ok(())
-}
-
-/// Deep-validate one generation file: footer *and* every block CRC.
-pub(crate) fn gen_is_valid(path: &Path) -> bool {
-    FaultDb::open(path).is_ok_and(|db| db.verify_deep().is_ok())
-}
-
-/// Repair a live directory after a crash at any point. Idempotent; a
-/// second run finds nothing to do. Takes the directory's PID lock for
-/// the duration — repairing files under a live server would race every
-/// invariant this function restores.
-pub fn fsck_live_dir(dir: &Path) -> Result<LiveFsckReport, DbError> {
-    let _lock = if dir.is_dir() {
-        Some(LiveLock::acquire(dir)?)
-    } else {
-        None // let the durable pass report the missing directory
-    };
-    let mut report = LiveFsckReport {
-        // Pass 1 — the WAL is a plain durable directory to `fsck_dir`:
-        // salvage torn segments, promote orphan tmps, rebuild MANIFEST.
-        durable: fsck_dir(dir)?,
-        ..LiveFsckReport::default()
-    };
-
-    // Pass 2 — generation files. Collect first: renames mutate the dir.
-    let mut tmps: Vec<PathBuf> = Vec::new();
-    let mut sealed: Vec<PathBuf> = Vec::new();
-    let rd = std::fs::read_dir(dir).map_err(|e| DbError::io(dir, e))?;
-    for entry in rd.filter_map(|e| e.ok()) {
-        let path = entry.path();
-        let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
-            continue;
-        };
-        if gen_index_of_name(name).is_none() {
-            continue;
-        }
-        if name.ends_with(".tmp") {
-            tmps.push(path);
-        } else {
-            sealed.push(path);
-        }
-    }
-    for path in &tmps {
-        report.gens_checked += 1;
-        let len = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
-        report.gen_bytes_in += len;
-        let sealed_sibling = path.with_extension(""); // strips ".tmp"
-        if sealed_sibling.exists() {
-            // The rename happened and *then* a new tmp appeared — or the
-            // crash raced the rename. Either way the sealed copy is the
-            // published one; the tmp is a duplicate.
-            quarantine(dir, path, &mut report.gen_bytes_quarantined)?;
-            report.gens_quarantined += 1;
-        } else if gen_is_valid(path) {
-            // Complete but unrenamed: `write_db` crashed between fsync
-            // and rename. Finish its job.
-            std::fs::rename(path, &sealed_sibling).map_err(|e| DbError::io(path, e))?;
-            report.gens_promoted += 1;
-            report.gen_bytes_kept += len;
-            sealed.push(sealed_sibling);
-        } else {
-            quarantine(dir, path, &mut report.gen_bytes_quarantined)?;
-            report.gens_quarantined += 1;
-        }
-    }
-    let mut surviving: Vec<String> = Vec::new();
-    for path in &sealed {
-        report.gens_checked += 1;
-        let len = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
-        report.gen_bytes_in += len;
-        if gen_is_valid(path) {
-            report.gen_bytes_kept += len;
-            if let Some(name) = path.file_name().and_then(|n| n.to_str()) {
-                surviving.push(name.to_string());
-            }
-        } else {
-            quarantine(dir, path, &mut report.gen_bytes_quarantined)?;
-            report.gens_quarantined += 1;
-        }
-    }
-
-    // Pass 3 — the catalog must only reference generations that exist.
-    let cat_path = dir.join(CATALOG_NAME);
-    if cat_path.exists() {
-        let len = std::fs::metadata(&cat_path).map(|m| m.len()).unwrap_or(0);
-        report.gen_bytes_in += len;
-        match Catalog::load(dir) {
-            None => {
-                quarantine(dir, &cat_path, &mut report.gen_bytes_quarantined)?;
-                report.catalog_quarantined = true;
-            }
-            Some(mut cat) => {
-                let keep = |g: &GenEntry| surviving.contains(&g.file);
-                if cat.repair(dir, keep, &mut report.gen_bytes_quarantined)? {
-                    report.catalog_rollbacks += 1;
-                }
-                if cat_path.exists() {
-                    report.gen_bytes_kept += len;
-                }
-            }
-        }
-    }
-    // A stale `CATALOG.tmp` from a crashed save: the sealed catalog (or
-    // its absence) is authoritative; the tmp is unpublished work.
-    let cat_tmp = dir.join(format!("{CATALOG_NAME}.tmp"));
-    if cat_tmp.exists() {
-        let len = std::fs::metadata(&cat_tmp).map(|m| m.len()).unwrap_or(0);
-        report.gen_bytes_in += len;
-        quarantine(dir, &cat_tmp, &mut report.gen_bytes_quarantined)?;
-    }
-    Ok(report)
 }
 
 #[cfg(test)]
@@ -1105,84 +906,6 @@ mod tests {
     }
 
     #[test]
-    fn fsck_promotes_complete_gen_tmp_and_rolls_back_catalog() {
-        let dir = tmpdir("fsck-gen");
-        let (live, _) = LiveDb::open(&dir).unwrap();
-        for i in 0..3 {
-            live.ingest(
-                n("01-01"),
-                i,
-                &error_line("01-01", 60 + i as i64 * 7200, "0xfffffffe"),
-            )
-            .unwrap();
-        }
-        live.seal().unwrap();
-        drop(live);
-
-        // Fabricate a crash mid-seal of gen 3: complete bytes under the
-        // tmp name (rename never happened), catalog still naming gen 2.
-        let g2 = fs::read(dir.join(gen_file_name(2))).unwrap();
-        fs::write(dir.join(format!("{}.tmp", gen_file_name(3))), &g2).unwrap();
-        // And a torn tmp for gen 4 (first half only).
-        fs::write(
-            dir.join(format!("{}.tmp", gen_file_name(4))),
-            &g2[..g2.len() / 2],
-        )
-        .unwrap();
-        // And quarantine bait: corrupt sealed gen 1 (flip a payload byte).
-        let g1path = dir.join(gen_file_name(1));
-        let mut g1 = fs::read(&g1path).unwrap();
-        let mid = g1.len() / 2;
-        g1[mid] ^= 0xFF;
-        fs::write(&g1path, &g1).unwrap();
-
-        let report = fsck_live_dir(&dir).unwrap();
-        assert!(report.is_conserved(), "{}", report.render());
-        assert_eq!(report.gens_promoted, 1, "complete tmp promoted");
-        assert!(report.gens_quarantined >= 2, "torn tmp + corrupt sealed");
-        assert!(dir.join(gen_file_name(3)).exists());
-        assert!(!dir.join(format!("{}.tmp", gen_file_name(4))).exists());
-        // Catalog dropped the dead gen-1 entry.
-        let cat = Catalog::load(&dir).unwrap();
-        assert!(cat.entry(1).is_none());
-        assert_eq!(cat.current, Some(2));
-
-        // Second run: nothing left to repair.
-        let again = fsck_live_dir(&dir).unwrap();
-        assert!(again.is_conserved());
-        assert_eq!(again.gens_promoted + again.gens_quarantined, 0);
-
-        // And the live db still opens and serves the right answer.
-        let (live2, _) = LiveDb::open(&dir).unwrap();
-        assert_eq!(live2.status().records, 3);
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn fsck_quarantines_damaged_catalog() {
-        let dir = tmpdir("fsck-cat");
-        let (live, _) = LiveDb::open(&dir).unwrap();
-        live.ingest(n("01-01"), 0, &error_line("01-01", 60, "0xfffffffe"))
-            .unwrap();
-        live.seal().unwrap();
-        drop(live);
-        fs::write(
-            dir.join(CATALOG_NAME),
-            b"UCCAT1\ngarbage that is not a catalog\n",
-        )
-        .unwrap();
-        let report = fsck_live_dir(&dir).unwrap();
-        assert!(report.catalog_quarantined);
-        assert!(report.is_conserved(), "{}", report.render());
-        assert!(!dir.join(CATALOG_NAME).exists());
-        // Open reseals from the WAL; records survive.
-        let (live2, report2) = LiveDb::open(&dir).unwrap();
-        assert!(!report2.served_existing);
-        assert_eq!(live2.status().records, 1);
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn epoch_renders_only_when_set_and_promotion_persists() {
         // Epoch 0 renders exactly as the pre-replication format did.
         let plain = Catalog::default().render();
@@ -1206,6 +929,7 @@ mod tests {
 
     #[test]
     fn second_open_of_live_dir_is_refused_while_locked() {
+        use crate::fsck::fsck_live_dir;
         let dir = tmpdir("locked");
         let (live, _) = LiveDb::open(&dir).unwrap();
         match LiveDb::open(&dir) {

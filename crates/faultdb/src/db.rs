@@ -478,8 +478,16 @@ mod tests {
     }
 
     fn build_enc(tag: &str, n: usize, rows_per_block: usize, encoding: FileEncoding) -> FaultDb {
-        let dir = tempdir(tag);
-        let path = dir.join("t.fdb");
+        let path = build_file(tag, n, rows_per_block, encoding);
+        // The database holds its bytes in memory; the file can go.
+        let db = FaultDb::open(&path).unwrap();
+        fs::remove_dir_all(path.parent().unwrap()).unwrap();
+        db
+    }
+
+    /// `snapshot(n)` written to a fresh directory; the file's path.
+    fn build_file(tag: &str, n: usize, rows_per_block: usize, encoding: FileEncoding) -> PathBuf {
+        let path = tempdir(tag).join("t.fdb");
         write_db(
             &snapshot(n),
             &path,
@@ -489,7 +497,7 @@ mod tests {
             },
         )
         .unwrap();
-        FaultDb::open(&path).unwrap()
+        path
     }
 
     #[test]
@@ -631,7 +639,7 @@ mod tests {
     fn results_identical_across_thread_counts() {
         let large = CALLER_SCAN_ROWS as usize + 10_000;
         for (tag, n, rows_per_block) in [("threads", 2000, 128), ("threads-large", large, 4096)] {
-            let path = build(tag, n, rows_per_block).path().to_path_buf();
+            let path = build_file(tag, n, rows_per_block, FileEncoding::V2);
             let queries = [
                 "count",
                 "count where multibit",
@@ -661,6 +669,7 @@ mod tests {
             for threads in [2, 8] {
                 assert_eq!(runs(threads), one, "{tag} at {threads} threads");
             }
+            fs::remove_dir_all(path.parent().unwrap()).unwrap();
         }
     }
 
@@ -694,7 +703,7 @@ mod tests {
     #[test]
     fn narrowed_zone_map_is_typed_block_damage() {
         let clean = build("zone-clean", 1000, 64);
-        let bytes = fs::read(clean.path()).unwrap();
+        let bytes = clean.bytes.clone();
         let trailer_at = bytes.len() - TRAILER_LEN;
         let footer_off = clean
             .footer
@@ -723,6 +732,7 @@ mod tests {
             let path = tempdir(&format!("zone-{k}")).join("t.fdb");
             fs::write(&path, &bad).unwrap();
             let db = FaultDb::open(&path).unwrap();
+            fs::remove_dir_all(path.parent().unwrap()).unwrap();
             let is_damage = |e: DbError| {
                 matches!(
                     e,

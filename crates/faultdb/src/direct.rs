@@ -124,7 +124,8 @@ impl DirectFold {
 /// path's replacement for [`crate::build::build_db`], sharing its whole
 /// tail ([`Snapshot::from_cluster`] → [`write_db`], including the
 /// `.tmp` + fsync + atomic-rename crash discipline — a crash mid-seal
-/// leaves only a `*.tmp` for `uc fsck` to quarantine).
+/// leaves only a `*.tmp`, which [`crate::fsck::fsck`] moves to
+/// `.lost+found` through the durable layer's one quarantine move).
 pub fn seal_recovered(
     fold: DirectFold,
     out: &Path,
@@ -134,38 +135,6 @@ pub fn seal_recovered(
     let snapshot = Snapshot::from_cluster(&cluster, stats);
     let summary = write_db(&snapshot, out, opts)?;
     Ok((summary, stats))
-}
-
-/// Quarantine stray `*.ucfdb.tmp` files (the residue of a crash inside
-/// [`write_db`]'s write-then-rename window) into `<dir>/.lost+found`,
-/// mirroring the durable layer's salvage convention. Returns the moved
-/// file names with their sizes; the database files themselves are
-/// untouched — an interrupted seal never damages a sealed db.
-pub fn quarantine_db_tmps(dir: &Path) -> std::io::Result<Vec<(String, u64)>> {
-    let mut moved = Vec::new();
-    let entries = match std::fs::read_dir(dir) {
-        Ok(e) => e,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(moved),
-        Err(e) => return Err(e),
-    };
-    for entry in entries {
-        let path = entry?.path();
-        let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
-            continue;
-        };
-        // Torn seals: a half-written shard/database file, or a root
-        // catalog caught inside its write-then-rename window.
-        if !(name.ends_with(".ucfdb.tmp") || name == "ROOT.tmp") || !path.is_file() {
-            continue;
-        }
-        let bytes = std::fs::metadata(&path)?.len();
-        let lost = dir.join(".lost+found");
-        std::fs::create_dir_all(&lost)?;
-        std::fs::rename(&path, lost.join(name))?;
-        moved.push((name.to_string(), bytes));
-    }
-    moved.sort();
-    Ok(moved)
 }
 
 #[cfg(test)]
@@ -295,26 +264,5 @@ mod tests {
             "direct seal diverged from the text oracle"
         );
         let _ = std::fs::remove_dir_all(&base);
-    }
-
-    #[test]
-    fn quarantine_moves_only_ucfdb_tmps() {
-        let dir = std::env::temp_dir().join(format!("uc-direct-tmps-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(dir.join("out.ucfdb.tmp"), b"torn half-written seal").unwrap();
-        std::fs::write(dir.join("keep.ucfdb"), b"sealed").unwrap();
-        std::fs::write(dir.join("unrelated.txt"), b"hi").unwrap();
-
-        let moved = quarantine_db_tmps(&dir).unwrap();
-        assert_eq!(moved.len(), 1);
-        assert_eq!(moved[0].0, "out.ucfdb.tmp");
-        assert!(!dir.join("out.ucfdb.tmp").exists());
-        assert!(dir.join(".lost+found").join("out.ucfdb.tmp").is_file());
-        assert!(dir.join("keep.ucfdb").is_file());
-        assert!(dir.join("unrelated.txt").is_file());
-        // Idempotent: a second pass finds nothing.
-        assert!(quarantine_db_tmps(&dir).unwrap().is_empty());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -45,14 +45,16 @@
 //! * [`catalog`] — the live database: WAL replay, generation sealing
 //!   from per-node carry states that fold each line as it arrives
 //!   through the batch pipeline's own accumulators (so live answers are
-//!   byte-identical to batch answers), the generation catalog, and
-//!   `fsck` for live directories.
+//!   byte-identical to batch answers), and the generation catalog.
 //! * [`lock`] — the PID-stamped `LOCK` that keeps a live directory
 //!   single-writer.
 //! * [`ingest_server`] — `uc serve --ingest` / `uc stream`: the framed
 //!   TCP push protocol with sequence-numbered idempotent replay.
 //! * [`repl`] — WAL-shipping replicas over the ingest port, and
 //!   epoch-fenced failover.
+//! * [`mod@fsck`] — `uc fsck` for every directory kind: live, sharded
+//!   root, or durable logs and checkpoints, under one conservation
+//!   ledger, with the generation check the scrubber shares.
 //! * [`scrub`] — `uc scrub`: the rate-limited CRC scrubber that reseals
 //!   damaged generations from the WAL.
 //!
@@ -70,6 +72,7 @@ pub mod direct;
 pub mod encoding;
 pub mod error;
 pub mod format;
+pub mod fsck;
 pub mod ingest_server;
 pub mod kernel;
 mod listener;
@@ -85,15 +88,15 @@ pub mod wal;
 pub use build::{build_db, build_sharded_db};
 pub use cache::CacheStats;
 pub use catalog::{
-    fsck_live_dir, gen_file_name, is_live_dir, Catalog, GenEntry, IngestOutcome, LiveDb,
-    LiveFsckReport, LiveStatus, OpenReport,
+    gen_file_name, is_live_dir, Catalog, GenEntry, IngestOutcome, LiveDb, LiveStatus, OpenReport,
 };
 pub use days::DayFaults;
 pub use db::{BlockPlan, DbHandle, DbOptions, FaultDb, QueryOptions, QueryResult};
-pub use direct::{quarantine_db_tmps, seal_recovered, DirectFold};
+pub use direct::{seal_recovered, DirectFold};
 pub use encoding::BlockEncoding;
 pub use error::{BlockDamage, DbError};
 pub use format::{FileEncoding, WriteOptions, WriteSummary};
+pub use fsck::{fsck, fsck_live_dir, DirFsckReport};
 pub use ingest_server::{
     stream_lines, IngestConfig, IngestServer, IngestServerStats, StreamOptions, StreamReport,
 };

@@ -14,22 +14,27 @@
 //!    through its reader (`wal::WalReader`). WAL damage is *reported,
 //!    never mutated*: the WAL is the only copy of history, and salvage
 //!    decisions belong to `uc fsck`.
-//! 2. **Generation files** — every catalog entry deep-validated (footer
-//!    and all block CRCs). A damaged file's original bytes are
-//!    quarantined to `.lost+found` (the fsck conservation law: every
-//!    byte examined is still in the directory or in `.lost+found`), then
-//!    the generation is rebuilt by streaming the WAL through the same
-//!    reader into carry states up to the catalog's recorded `(records,
-//!    crc)` cursor. If the WAL cannot reproduce that cursor the
+//! 2. **Generation files** — every catalog entry through fsck's own
+//!    generation check (`fsck::check_generation`: footer and every block
+//!    CRC), on the same conservation ledger: every byte examined is still
+//!    in the directory or in `.lost+found`. A damaged file's original
+//!    bytes are quarantined.
+//! 3. **Reseal** — the damaged generations are rebuilt in one more read
+//!    of the WAL: the reader streams it into carry states in cursor order,
+//!    and each generation is resealed at its recorded `(records, crc)`
+//!    cursor. So a pass reads the WAL at most twice, however many
+//!    generations it repairs. If the WAL cannot reproduce a cursor the
 //!    generation is unrecoverable: the quarantined bytes are all that
 //!    remains, and fsck's catalog repair (`Catalog::repair`) drops the
 //!    entry and rolls the current pointer back if needed, so readers fail
 //!    typed instead of reading garbage. A catalog left with no entry goes
 //!    to `.lost+found` too, its bytes on the ledger.
 //!
-//! The scrubber throttles itself by bytes read (`max_bytes_per_sec`), so
-//! a background [`Scrubber`] can patrol a large directory without
-//! starving the serving path of disk bandwidth.
+//! The scrubber throttles itself by bytes read (`max_bytes_per_sec`).
+//! It takes the same lock a serving [`crate::LiveDb`] holds for its whole
+//! lifetime, so it never runs beside a server: the background
+//! [`Scrubber`] counts such rounds as busy skips and patrols the
+//! directory while no server holds it.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -37,9 +42,12 @@ use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use crate::catalog::{gen_is_valid, quarantine, Catalog, GenEntry, LiveState, CATALOG_NAME};
+use uc_faultlog::durable::ByteLedger;
+
+use crate::catalog::{Catalog, GenEntry, LiveState};
 use crate::error::DbError;
 use crate::format::{write_db, WriteOptions};
+use crate::fsck::{check_generation, gen_is_valid};
 use crate::lock::LiveLock;
 use crate::wal::WalReader;
 
@@ -64,8 +72,8 @@ impl Default for ScrubConfig {
 }
 
 /// What one scrub pass found and did. Conservation law: every byte of a
-/// generation file examined is accounted for — kept in place, or moved
-/// to `.lost+found`.
+/// generation file or the catalog examined is accounted for — kept in
+/// place, or moved to `.lost+found`.
 #[derive(Clone, Debug, Default)]
 pub struct ScrubReport {
     /// WAL segments scanned.
@@ -91,13 +99,10 @@ pub struct ScrubReport {
     pub catalog_fixups: u64,
     /// Total bytes read (WAL + generations) — the throttled quantity.
     pub bytes_scanned: u64,
-    /// Generation bytes examined, plus the catalog's when a fix-up
-    /// rewrote or quarantined it.
-    pub gen_bytes_in: u64,
-    /// Of those, bytes left in place (valid files, a rewritten catalog).
-    pub gen_bytes_kept: u64,
-    /// Of those, bytes moved to `.lost+found`.
-    pub gen_bytes_quarantined: u64,
+    /// Bytes of the generation files and the catalog: kept in place
+    /// (valid files, a dry run's damaged ones, the catalog as loaded or
+    /// rewritten), or moved to `.lost+found`.
+    pub bytes: ByteLedger,
     /// Times the throttle put the scrubber to sleep.
     pub throttle_sleeps: u64,
 }
@@ -105,7 +110,7 @@ pub struct ScrubReport {
 impl ScrubReport {
     /// The fsck conservation law, applied to the generation pass.
     pub fn is_conserved(&self) -> bool {
-        self.gen_bytes_in == self.gen_bytes_kept + self.gen_bytes_quarantined
+        self.bytes.is_conserved()
     }
 
     /// Did this pass find anything wrong (repaired or not)?
@@ -117,8 +122,7 @@ impl ScrubReport {
         format!(
             "scrub: wal[{} segments, {} frames ok, {} damaged bytes] \
              gens[{} checked, {} ok, {} damaged, {} repaired, {} unrecoverable] \
-             catalog[{} fixups] bytes[{} in = {} kept + {} quarantined] \
-             conserved={}",
+             catalog[{} fixups] {} conserved={}",
             self.wal_segments,
             self.wal_frames,
             self.wal_damaged_bytes,
@@ -128,9 +132,7 @@ impl ScrubReport {
             self.gens_repaired,
             self.gens_unrecoverable,
             self.catalog_fixups,
-            self.gen_bytes_in,
-            self.gen_bytes_kept,
-            self.gen_bytes_quarantined,
+            self.bytes,
             self.is_conserved(),
         )
     }
@@ -201,79 +203,73 @@ pub fn scrub_live_dir(dir: &Path, cfg: &ScrubConfig) -> Result<ScrubReport, DbEr
         report.throttle_sleeps = throttle.sleeps;
         return Ok(report);
     };
-    let mut dropped: Vec<u64> = Vec::new();
-    for entry in catalog.generations.clone() {
+    let mut damaged: Vec<GenEntry> = Vec::new();
+    for entry in &catalog.generations {
         report.gens_checked += 1;
-        let path = dir.join(&entry.file);
-        let len = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
-        report.gen_bytes_in += len;
+        let len = std::fs::metadata(dir.join(&entry.file)).map_or(0, |m| m.len());
         report.bytes_scanned += len;
         throttle.charge(len);
-        if path.exists() && gen_is_valid(&path) {
+        if check_generation(dir, &entry.file, cfg.repair, &mut report.bytes)?.is_some() {
             report.gens_ok += 1;
-            report.gen_bytes_kept += len;
-            continue;
-        }
-        report.gens_damaged += 1;
-        if !cfg.repair {
-            // Dry run: the damaged bytes stay where they are.
-            report.gen_bytes_kept += len;
-            continue;
-        }
-        if path.exists() {
-            quarantine(dir, &path, &mut report.gen_bytes_quarantined)?;
-        }
-        if rebuild_generation(dir, &entry, &mut report, &mut throttle)? {
-            report.gens_repaired += 1;
         } else {
-            report.gens_unrecoverable += 1;
-            dropped.push(entry.index);
+            report.gens_damaged += 1;
+            damaged.push(entry.clone());
         }
     }
-    // The catalog's bytes join the ledger when a fix-up rewrites or
-    // quarantines them.
-    let cat_path = dir.join(CATALOG_NAME);
-    let cat_len = std::fs::metadata(&cat_path).map(|m| m.len()).unwrap_or(0);
+    // Pass 3 — reseal; a dry run leaves the damaged bytes where they are.
+    let dropped = if cfg.repair {
+        reseal_from_wal(dir, damaged, &mut report, &mut throttle)?
+    } else {
+        Vec::new()
+    };
     let keep = |g: &GenEntry| !dropped.contains(&g.index);
-    if catalog.repair(dir, keep, &mut report.gen_bytes_quarantined)? {
+    if catalog.repair(dir, keep, &mut report.bytes)? {
         report.catalog_fixups += 1;
-        report.gen_bytes_in += cat_len;
-        if cat_path.exists() {
-            report.gen_bytes_kept += cat_len;
-        }
     }
     report.throttle_sleeps = throttle.sleeps;
     Ok(report)
 }
 
-/// Reseal one generation by streaming the WAL into carry states up to
-/// its recorded cursor, charging what it reads. `false` when the WAL
-/// cannot reproduce that cursor (too few records, or a CRC that says the
-/// history differs — resealing would fabricate a generation that never
-/// existed).
-fn rebuild_generation(
+/// Reseal `damaged` generations with one read of the WAL: stream it into
+/// carry states in cursor order, resealing each generation once its
+/// recorded record count is reached, and charging what the reader reads.
+/// Returns the indexes of the generations the WAL cannot reproduce (too
+/// few records, or a CRC that says the history differs — resealing would
+/// fabricate a generation that never existed).
+fn reseal_from_wal(
     dir: &Path,
-    entry: &GenEntry,
+    mut damaged: Vec<GenEntry>,
     report: &mut ScrubReport,
     throttle: &mut Throttle,
-) -> Result<bool, DbError> {
-    let (mut replay, found) = LiveState::replay(dir, entry.records)?;
-    report.bytes_scanned += found.bytes;
-    throttle.charge(found.bytes);
-    if replay.seq.records != entry.records || replay.seq.crc.finish() != entry.stream_crc {
-        return Ok(false);
+) -> Result<Vec<u64>, DbError> {
+    damaged.sort_by_key(|g| g.records);
+    let mut state = LiveState::default();
+    let mut wal = WalReader::new(dir);
+    let mut dropped = Vec::new();
+    for entry in damaged {
+        let before = wal.recovery().bytes;
+        let limit = entry.records.saturating_sub(wal.seq.records);
+        wal.pump(limit, |rec, _| state.fold(rec.node, &rec.line))?;
+        let read = wal.recovery().bytes - before;
+        report.bytes_scanned += read;
+        throttle.charge(read);
+        if wal.seq.records != entry.records || wal.seq.crc.finish() != entry.stream_crc {
+            report.gens_unrecoverable += 1;
+            dropped.push(entry.index);
+            continue;
+        }
+        let path = dir.join(&entry.file);
+        write_db(&state.snapshot(), &path, &WriteOptions::default())?;
+        if !gen_is_valid(&path) {
+            return Err(DbError::Catalog(format!(
+                "rebuilt generation {} failed validation immediately",
+                entry.file
+            )));
+        }
+        report.bytes_scanned += std::fs::metadata(&path).map_or(0, |m| m.len());
+        report.gens_repaired += 1;
     }
-    let snapshot = replay.snapshot();
-    let path = dir.join(&entry.file);
-    write_db(&snapshot, &path, &WriteOptions::default())?;
-    if !gen_is_valid(&path) {
-        return Err(DbError::Catalog(format!(
-            "rebuilt generation {} failed validation immediately",
-            entry.file
-        )));
-    }
-    report.bytes_scanned += std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
-    Ok(true)
+    Ok(dropped)
 }
 
 // ------------------------------------------------------------ scrubber
@@ -380,7 +376,7 @@ impl Drop for Scrubber {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::catalog::{gen_file_name, LiveDb};
+    use crate::catalog::{gen_file_name, LiveDb, CATALOG_NAME};
     use std::fs;
     use uc_cluster::NodeId;
 
@@ -458,6 +454,55 @@ mod tests {
         // Second pass: nothing left to do.
         let again = scrub_live_dir(&dir, &ScrubConfig::default()).unwrap();
         assert!(!again.found_damage());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn two_damaged_generations_are_resealed_from_two_reads_of_the_wal() {
+        let (dir, _) = seeded_dir("two");
+        let size = |path: &Path| fs::metadata(path).unwrap().len();
+        let mut wal_bytes = 0;
+        for entry in fs::read_dir(&dir).unwrap().filter_map(|e| e.ok()) {
+            if entry.file_name().to_string_lossy().starts_with("wal-") {
+                wal_bytes += size(&entry.path());
+            }
+        }
+        let cat = Catalog::load(&dir).unwrap();
+        let gen_bytes: u64 = cat
+            .generations
+            .iter()
+            .map(|g| size(&dir.join(&g.file)))
+            .sum();
+        let mut originals = Vec::new();
+        for g in cat.generations.iter().filter(|g| g.records > 0) {
+            let path = dir.join(&g.file);
+            let bytes = fs::read(&path).unwrap();
+            let mut damaged = bytes.clone();
+            damaged[bytes.len() / 2] ^= 0xFF;
+            fs::write(&path, &damaged).unwrap();
+            originals.push((path, bytes));
+        }
+        assert_eq!(originals.len(), 2);
+
+        let report = scrub_live_dir(&dir, &ScrubConfig::default()).unwrap();
+        assert_eq!(
+            (report.gens_damaged, report.gens_repaired),
+            (2, 2),
+            "{}",
+            report.render()
+        );
+        assert!(report.is_conserved(), "{}", report.render());
+        for (path, bytes) in &originals {
+            assert_eq!(&fs::read(path).unwrap(), bytes, "{}", path.display());
+        }
+        // Past the generations read and the two resealed, every byte
+        // scanned is a WAL byte: the verify pass and one reseal pass.
+        let resealed: u64 = originals.iter().map(|(_, b)| b.len() as u64).sum();
+        assert!(
+            report.bytes_scanned <= 2 * wal_bytes + gen_bytes + resealed,
+            "{} bytes scanned over a {wal_bytes}-byte WAL",
+            report.bytes_scanned
+        );
         fs::remove_dir_all(&dir).unwrap();
     }
 

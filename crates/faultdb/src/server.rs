@@ -445,7 +445,10 @@ mod tests {
             },
         )
         .unwrap();
-        Arc::new(FaultDb::open(&path).unwrap())
+        // The database holds its bytes in memory; the file can go.
+        let db = Arc::new(FaultDb::open(&path).unwrap());
+        std::fs::remove_dir_all(&dir).unwrap();
+        db
     }
 
     #[test]
@@ -516,6 +519,7 @@ mod tests {
         )
         .unwrap();
         let engine = Engine::open_auto(&dir).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
         let server = Server::start(engine, &ServeConfig::default()).unwrap();
         let mut c = Client::connect(server.local_addr()).unwrap();
 

@@ -776,12 +776,13 @@ mod tests {
 
     #[test]
     fn root_catalog_roundtrips() {
-        let (_dir, db) = build_root("roundtrip", 1000, 4);
+        let (dir, db) = build_root("roundtrip", 1000, 4);
         assert_eq!(db.rows(), 1000);
         assert!(db.shard_count() > 4, "windows × racks cells occupied");
         assert_eq!(db.catalog.windows, 4);
         let back = db.faults_all().unwrap();
         assert_eq!(back, snapshot(1000).faults, "merge restores sort order");
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -817,11 +818,12 @@ mod tests {
             single.snapshot().unwrap().report_text(),
             root.snapshot().unwrap().report_text()
         );
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn shard_pruning_skips_whole_shards() {
-        let (_dir, db) = build_root("prune", 2000, 8);
+        let (dir, db) = build_root("prune", 2000, 8);
         let r = db
             .query("count where rack=1", &QueryOptions::default())
             .unwrap();
@@ -842,11 +844,12 @@ mod tests {
         // Scan counters moved only for scanned shards.
         let scans: u64 = db.scan_counts().iter().sum();
         assert_eq!(scans, r.shards_scanned as u64);
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn root_results_identical_across_thread_counts() {
-        let (_dir, db) = build_root("threads", 1500, 5);
+        let (dir, db) = build_root("threads", 1500, 5);
         for q in [
             "count where multibit",
             "group rack",
@@ -859,6 +862,7 @@ mod tests {
                 .unwrap();
             assert_eq!(one, eight, "{q}");
         }
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -873,6 +877,7 @@ mod tests {
             Err(DbError::BadFooter(_)) | Err(DbError::BadMagic) | Err(DbError::BadVersion(_)) => {}
             other => panic!("damaged ROOT must be typed, got {other:?}"),
         }
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -890,11 +895,12 @@ mod tests {
             Err(DbError::BadFooter(msg)) => assert!(msg.contains("catalog claims"), "{msg}"),
             other => panic!("row disagreement must be typed, got {other:?}"),
         }
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn explain_reports_pruning_without_scanning() {
-        let (_dir, db) = build_root("explain", 1000, 4);
+        let (dir, db) = build_root("explain", 1000, 4);
         let engine = Engine::Root(Arc::new(db));
         let lines = engine.explain("count where rack=1").unwrap();
         assert!(lines[0].contains("count/popcount"), "{:?}", lines[0]);
@@ -918,6 +924,7 @@ mod tests {
         assert!(blocks(&window, " scan") > 0, "{window:?}");
         // Planning decodes nothing.
         assert_eq!(engine.cache_stats().misses, 0);
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -938,5 +945,6 @@ mod tests {
         assert_eq!(db.shard_count(), 0);
         let r = db.query("count", &QueryOptions::default()).unwrap();
         assert_eq!(r.lines, vec!["0".to_string()]);
+        fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -19,10 +19,16 @@
 //!   `<dir>/.fsck.report`, which `uc analyze` folds into its
 //!   [`IngestStats`](crate::ingest::IngestStats).
 //!
+//! The law and the move are shared with every other repair in the repo
+//! (live fsck, the scrubber, torn database seals): [`ByteLedger`] is the
+//! one ledger, and [`quarantine_file_with`] the one way a whole file enters
+//! `.lost+found`.
+//!
 //! fsck never panics on any directory contents; unusable *directories*
 //! (missing, not a directory) are typed [`DurabilityError`]s.
 
 use std::collections::BTreeSet;
+use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -39,6 +45,55 @@ pub const LOST_AND_FOUND: &str = ".lost+found";
 pub const FSCK_REPORT_NAME: &str = ".fsck.report";
 
 const REPORT_MAGIC: &str = "UCFSCK1";
+
+/// The conservation ledger of a repair: every byte it examines is either
+/// still in the directory or in `.lost+found`, never destroyed. A byte
+/// goes on the ledger once, when its fate is decided.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ByteLedger {
+    /// Bytes examined.
+    pub examined: u64,
+    /// Of those, bytes left in place.
+    pub kept: u64,
+    /// Of those, bytes moved to `.lost+found`.
+    pub quarantined: u64,
+}
+
+impl ByteLedger {
+    /// The conservation law: `examined == kept + quarantined`.
+    pub fn is_conserved(&self) -> bool {
+        self.examined == self.kept + self.quarantined
+    }
+
+    /// `n` bytes examined and left in place.
+    pub fn keep(&mut self, n: u64) {
+        self.examined += n;
+        self.kept += n;
+    }
+
+    fn quarantine(&mut self, n: u64) {
+        self.examined += n;
+        self.quarantined += n;
+    }
+
+    /// Add another ledger's counts to this one.
+    pub fn merge(&mut self, other: &ByteLedger) {
+        self.examined += other.examined;
+        self.kept += other.kept;
+        self.quarantined += other.quarantined;
+    }
+}
+
+/// `bytes[E in = K kept + Q quarantined]`, as every repair prints it.
+impl fmt::Display for ByteLedger {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "bytes[{} in = {} kept + {} quarantined]",
+            self.examined, self.kept, self.quarantined
+        )
+    }
+}
 
 /// What one fsck pass (or the accumulated history of passes, when read
 /// back from `.fsck.report`) found and did.
@@ -62,19 +117,16 @@ pub struct FsckReport {
     pub manifest_missing_files: u64,
     /// Times the manifest was rewritten to match the surviving state.
     pub manifest_rebuilds: u64,
-    /// Total bytes of durable files examined.
-    pub bytes_in: u64,
-    /// Bytes retained in place (valid prefixes and clean files).
-    pub bytes_salvaged: u64,
-    /// Bytes relocated to `.lost+found`.
-    pub bytes_quarantined: u64,
+    /// Bytes of durable files: examined, retained in place (valid
+    /// prefixes and clean files), and relocated to `.lost+found`.
+    pub bytes: ByteLedger,
 }
 
 impl FsckReport {
     /// The conservation law: every examined byte is either still in the
     /// directory or in `.lost+found` — fsck never destroys data.
     pub fn is_conserved(&self) -> bool {
-        self.bytes_in == self.bytes_salvaged + self.bytes_quarantined
+        self.bytes.is_conserved()
     }
 
     /// Field-wise accumulation (used to fold a new pass into the
@@ -89,9 +141,7 @@ impl FsckReport {
         self.digest_mismatches += other.digest_mismatches;
         self.manifest_missing_files += other.manifest_missing_files;
         self.manifest_rebuilds += other.manifest_rebuilds;
-        self.bytes_in += other.bytes_in;
-        self.bytes_salvaged += other.bytes_salvaged;
-        self.bytes_quarantined += other.bytes_quarantined;
+        self.bytes.merge(&other.bytes);
     }
 
     /// True when this pass found any damage at all.
@@ -124,15 +174,9 @@ impl FsckReport {
             ));
         }
         s.push_str(&format!(
-            "fsck: conservation: {} bytes in == {} salvaged + {} quarantined ({})",
-            self.bytes_in,
-            self.bytes_salvaged,
-            self.bytes_quarantined,
-            if self.is_conserved() {
-                "holds"
-            } else {
-                "VIOLATED"
-            }
+            "fsck: {} conserved={}",
+            self.bytes,
+            self.is_conserved()
         ));
         s
     }
@@ -154,9 +198,9 @@ impl FsckReport {
             self.digest_mismatches,
             self.manifest_missing_files,
             self.manifest_rebuilds,
-            self.bytes_in,
-            self.bytes_salvaged,
-            self.bytes_quarantined,
+            self.bytes.examined,
+            self.bytes.kept,
+            self.bytes.quarantined,
         )
     }
 
@@ -183,9 +227,9 @@ impl FsckReport {
                 "digest_mismatches" => r.digest_mismatches = v,
                 "manifest_missing_files" => r.manifest_missing_files = v,
                 "manifest_rebuilds" => r.manifest_rebuilds = v,
-                "bytes_in" => r.bytes_in = v,
-                "bytes_salvaged" => r.bytes_salvaged = v,
-                "bytes_quarantined" => r.bytes_quarantined = v,
+                "bytes_in" => r.bytes.examined = v,
+                "bytes_salvaged" => r.bytes.kept = v,
+                "bytes_quarantined" => r.bytes.quarantined = v,
                 _ => {}
             }
         }
@@ -209,7 +253,8 @@ fn is_tmp_name(name: &str) -> bool {
     name.ends_with(".dlog.tmp") || name.ends_with(".ckpt.tmp")
 }
 
-/// A non-colliding destination inside `.lost+found`.
+/// A non-colliding destination inside `.lost+found`: `hint` itself, or
+/// `hint.N` for the first free `N` once earlier repairs used the name.
 fn quarantine_dest(lf: &Path, hint: &str) -> PathBuf {
     let base = lf.join(hint);
     if !base.exists() {
@@ -224,82 +269,89 @@ fn quarantine_dest(lf: &Path, hint: &str) -> PathBuf {
     unreachable!("u32 quarantine suffixes exhausted")
 }
 
+/// [`quarantine_file_with`] through the production backend.
+pub fn quarantine_file(
+    dir: &Path,
+    path: &Path,
+    ledger: &mut ByteLedger,
+) -> Result<u64, DurabilityError> {
+    quarantine_file_with(dir, path, ledger, &StdIo, RetryPolicy::default())
+}
+
+/// Move the file at `path` whole into `<dir>/.lost+found`, under its own
+/// name or the first free `<name>.N`, so a file an earlier repair put
+/// there is never overwritten. One [`Io::rename`] under `policy`: the
+/// bytes are never read or copied. Its size goes on `ledger` as examined
+/// and quarantined, and is returned.
+pub fn quarantine_file_with(
+    dir: &Path,
+    path: &Path,
+    ledger: &mut ByteLedger,
+    io: &dyn Io,
+    policy: RetryPolicy,
+) -> Result<u64, DurabilityError> {
+    let lf = dir.join(LOST_AND_FOUND);
+    if !lf.is_dir() {
+        with_retry(&policy, &lf, || io.create_dir_all(&lf))?;
+    }
+    let name = path.file_name().unwrap_or_default().to_string_lossy();
+    let dest = quarantine_dest(&lf, &name);
+    let len = fs::metadata(path).map_or(0, |m| m.len());
+    with_retry(&policy, path, || io.rename(path, &dest))?;
+    ledger.quarantine(len);
+    Ok(len)
+}
+
 struct Fsck<'a> {
     dir: &'a Path,
-    lf: PathBuf,
     io: &'a dyn Io,
     policy: RetryPolicy,
     report: FsckReport,
 }
 
 impl Fsck<'_> {
-    /// Move raw bytes into `.lost+found` under `hint`.
-    fn quarantine_bytes(&mut self, hint: &str, bytes: &[u8]) -> Result<(), DurabilityError> {
-        let (io, policy) = (self.io, &self.policy);
-        with_retry(policy, &self.lf, || io.create_dir_all(&self.lf))?;
-        let dest = quarantine_dest(&self.lf, hint);
-        with_retry(policy, &dest, || io.write_file(&dest, bytes))?;
-        self.report.bytes_quarantined += bytes.len() as u64;
-        Ok(())
-    }
-
-    /// Move a whole file into `.lost+found`.
-    fn quarantine_file(&mut self, path: &Path, name: &str) -> Result<u64, DurabilityError> {
-        let bytes = with_retry(&self.policy, path, || self.io.read(path))?;
-        self.quarantine_bytes(name, &bytes)?;
-        let (io, policy) = (self.io, &self.policy);
-        with_retry(policy, path, || io.remove_file(path))?;
-        Ok(bytes.len() as u64)
-    }
-
     /// Verify/salvage the file at `path`, leaving its longest valid
     /// prefix under `keep_name` (equal to the file's own name for sealed
     /// segments; the sealed name for a promoted tmp). Returns the kept
     /// file name, or `None` when nothing was salvageable.
-    fn salvage(
-        &mut self,
-        path: &Path,
-        name: &str,
-        keep_name: &str,
-    ) -> Result<Option<String>, DurabilityError> {
+    fn salvage(&mut self, path: &Path, keep_name: &str) -> Result<Option<String>, DurabilityError> {
         let bytes = with_retry(&self.policy, path, || self.io.read(path))?;
-        self.report.bytes_in += bytes.len() as u64;
         let scan = scan_segment_bytes(&bytes);
         if scan.valid_bytes < MAGIC.len() as u64 {
             // Bad magic: not (or no longer) a durable segment at all.
-            self.quarantine_bytes(name, &bytes)?;
-            let (io, policy) = (self.io, &self.policy);
-            with_retry(policy, path, || io.remove_file(path))?;
+            let ledger = &mut self.report.bytes;
+            quarantine_file_with(self.dir, path, ledger, self.io, self.policy)?;
             self.report.files_quarantined += 1;
             return Ok(None);
         }
-        let promoted = name != keep_name;
         let keep_path = self.dir.join(keep_name);
+        let promoted = path != keep_path;
         if scan.torn_bytes() > 0 {
-            // The damaged tail moves to .lost+found; the valid prefix is
-            // rewritten via tmp + rename so a crash mid-salvage leaves a
-            // state the next fsck pass repairs the same way.
-            self.quarantine_bytes(
-                &format!("{keep_name}.tail"),
-                &bytes[scan.valid_bytes as usize..],
-            )?;
+            // The damaged tail is copied to .lost+found; the valid prefix
+            // is rewritten via tmp + rename so a crash mid-salvage leaves
+            // a state the next fsck pass repairs the same way.
+            let (io, policy) = (self.io, &self.policy);
+            let (prefix, tail) = bytes.split_at(scan.valid_bytes as usize);
+            let lf = self.dir.join(LOST_AND_FOUND);
+            with_retry(policy, &lf, || io.create_dir_all(&lf))?;
+            let dest = quarantine_dest(&lf, &format!("{keep_name}.tail"));
+            with_retry(policy, &dest, || io.write_file(&dest, tail))?;
+            self.report.bytes.quarantine(tail.len() as u64);
             // For a promoted tmp this overwrites the torn original in
             // place; for a sealed file the rename replaces it atomically.
-            let prefix = &bytes[..scan.valid_bytes as usize];
             let tmp = self.dir.join(format!("{keep_name}.tmp"));
-            let (io, policy) = (self.io, &self.policy);
             with_retry(policy, &tmp, || io.write_file(&tmp, prefix))?;
             with_retry(policy, &tmp, || io.sync(&tmp))?;
             with_retry(policy, &tmp, || io.rename(&tmp, &keep_path))?;
             self.report.files_salvaged += 1;
-            self.report.bytes_salvaged += scan.valid_bytes;
+            self.report.bytes.keep(scan.valid_bytes);
         } else {
             if promoted {
                 let (io, policy) = (self.io, &self.policy);
                 with_retry(policy, path, || io.rename(path, &keep_path))?;
             }
             self.report.files_clean += 1;
-            self.report.bytes_salvaged += bytes.len() as u64;
+            self.report.bytes.keep(bytes.len() as u64);
         }
         if promoted {
             self.report.tmp_promoted += 1;
@@ -340,7 +392,6 @@ pub fn fsck_dir_with(
     let old_manifest = read_manifest(dir, io);
     let mut fsck = Fsck {
         dir,
-        lf: dir.join(LOST_AND_FOUND),
         io,
         policy,
         report: FsckReport::default(),
@@ -354,10 +405,9 @@ pub fn fsck_dir_with(
         let path = dir.join(name);
         fsck.report.files_checked += 1;
         if names.binary_search(&sealed_name.to_string()).is_ok() {
-            let moved = fsck.quarantine_file(&path, name)?;
-            fsck.report.bytes_in += moved;
+            quarantine_file_with(dir, &path, &mut fsck.report.bytes, io, policy)?;
             fsck.report.duplicate_segments += 1;
-        } else if let Some(kept_name) = fsck.salvage(&path, name, sealed_name)? {
+        } else if let Some(kept_name) = fsck.salvage(&path, sealed_name)? {
             kept.insert(kept_name);
         }
     }
@@ -374,8 +424,7 @@ pub fn fsck_dir_with(
             e.bytes == bytes_on_disk.len() as u64 && e.crc == crc32(&bytes_on_disk)
         });
         if certified {
-            fsck.report.bytes_in += bytes_on_disk.len() as u64;
-            fsck.report.bytes_salvaged += bytes_on_disk.len() as u64;
+            fsck.report.bytes.keep(bytes_on_disk.len() as u64);
             fsck.report.files_clean += 1;
             kept.insert(name.clone());
             continue;
@@ -383,7 +432,7 @@ pub fn fsck_dir_with(
         if entry.is_some() {
             fsck.report.digest_mismatches += 1;
         }
-        if let Some(kept_name) = fsck.salvage(&path, name, name)? {
+        if let Some(kept_name) = fsck.salvage(&path, name)? {
             kept.insert(kept_name);
         }
     }
@@ -466,7 +515,7 @@ mod tests {
         assert!(!r.found_damage());
         assert_eq!(r.files_checked, 2);
         assert_eq!(r.files_clean, 2);
-        assert_eq!(r.bytes_quarantined, 0);
+        assert_eq!(r.bytes.quarantined, 0);
         assert!(!dir.join(LOST_AND_FOUND).exists());
         // Idempotent: a second pass is equally clean.
         let r2 = fsck_dir(&dir).unwrap();
@@ -485,7 +534,7 @@ mod tests {
         assert!(r.is_conserved());
         assert_eq!(r.files_salvaged, 1);
         assert_eq!(r.digest_mismatches, 1);
-        assert!(r.bytes_quarantined > 0);
+        assert!(r.bytes.quarantined > 0);
         let scan = scan_segment_bytes(&fs::read(&path).unwrap());
         assert!(scan.damage.is_none());
         assert_eq!(scan.payloads, vec![b"keep1".to_vec(), b"keep2".to_vec()]);
@@ -528,6 +577,41 @@ mod tests {
         assert_eq!(r.files_clean, 1);
         assert!(!dir.join("a.dlog.tmp").exists());
         assert!(dir.join(LOST_AND_FOUND).join("a.dlog.tmp").exists());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A whole-file quarantine is one rename, retried through transient
+    /// failures, and never lands on a file an earlier pass put there.
+    #[cfg(unix)]
+    #[test]
+    fn duplicate_tmp_is_renamed_aside_an_earlier_copy_with_retries() {
+        use std::os::unix::fs::MetadataExt;
+        let dir = tmpdir("rename");
+        write_dir(&dir, &[("a.dlog", &[b"x"])]);
+        let bytes = fs::read(dir.join("a.dlog")).unwrap();
+        let lf = dir.join(LOST_AND_FOUND);
+        fs::create_dir_all(&lf).unwrap();
+        fs::write(lf.join("a.dlog.tmp"), b"an earlier pass's copy").unwrap();
+        fs::write(dir.join("a.dlog.tmp"), &bytes).unwrap();
+        let inode = fs::metadata(dir.join("a.dlog.tmp")).unwrap().ino();
+        // `.lost+found` exists, so the pass's first write is the rename.
+        let io = crate::durable::FlakyIo::failing_first(2);
+        let r = fsck_dir_with(&dir, &io, RetryPolicy::immediate(3)).unwrap();
+        assert_eq!(io.injected_failures(), 2);
+        assert!(r.is_conserved(), "{}", r.summary());
+        assert_eq!(r.duplicate_segments, 1);
+        assert_eq!(r.bytes.quarantined, bytes.len() as u64);
+        assert_eq!(
+            fs::read(lf.join("a.dlog.tmp")).unwrap(),
+            b"an earlier pass's copy"
+        );
+        let moved = lf.join("a.dlog.tmp.1");
+        assert_eq!(fs::read(&moved).unwrap(), bytes);
+        assert_eq!(
+            fs::metadata(&moved).unwrap().ino(),
+            inode,
+            "moved, not copied"
+        );
         fs::remove_dir_all(&dir).unwrap();
     }
 

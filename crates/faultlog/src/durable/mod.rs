@@ -14,7 +14,8 @@
 //! - [`manifest`]: the per-directory index of sealed segments and their
 //!   digests;
 //! - [`fsck`]: verification and salvage (`uc fsck`), governed by the
-//!   conservation law `bytes_in == bytes_salvaged + bytes_quarantined`.
+//!   conservation law `bytes_in == bytes_salvaged + bytes_quarantined`,
+//!   with the byte ledger and the quarantine move every repair shares.
 //!
 //! This file adds the log-level glue: durable node-log file naming
 //! (`node-BB-SS.dlog`) and cluster-wide durable writers that keep going
@@ -38,7 +39,8 @@ use crate::codec::{write_entry_into, write_record_into};
 use crate::store::{ClusterLog, NodeLog};
 
 pub use fsck::{
-    fsck_dir, fsck_dir_with, read_fsck_report, FsckReport, FSCK_REPORT_NAME, LOST_AND_FOUND,
+    fsck_dir, fsck_dir_with, quarantine_file, quarantine_file_with, read_fsck_report, ByteLedger,
+    FsckReport, FSCK_REPORT_NAME, LOST_AND_FOUND,
 };
 pub use io::{with_retry, FlakyIo, Io, RetryPolicy, StdIo};
 pub use manifest::{read_manifest, write_manifest, Manifest, ManifestEntry, MANIFEST_NAME};

@@ -865,8 +865,8 @@ pub fn read_cluster_log_recovering(dir: &Path) -> Result<(ClusterLog, IngestStat
     // damage preceded this ingest.
     if let Some(fr) = durable::read_fsck_report(dir) {
         stats.fsck_files_salvaged += fr.files_salvaged;
-        stats.fsck_bytes_salvaged += fr.bytes_salvaged;
-        stats.fsck_bytes_quarantined += fr.bytes_quarantined;
+        stats.fsck_bytes_salvaged += fr.bytes.kept;
+        stats.fsck_bytes_quarantined += fr.bytes.quarantined;
     }
     Ok((ClusterLog::new(logs), stats))
 }
@@ -1497,8 +1497,8 @@ mod tests {
         assert_eq!(fr.files_salvaged, 1);
         let (_, stats) = read_cluster_log_recovering(&dir).unwrap();
         assert_eq!(stats.fsck_files_salvaged, 1);
-        assert_eq!(stats.fsck_bytes_salvaged, fr.bytes_salvaged);
-        assert_eq!(stats.fsck_bytes_quarantined, fr.bytes_quarantined);
+        assert_eq!(stats.fsck_bytes_salvaged, fr.bytes.kept);
+        assert_eq!(stats.fsck_bytes_quarantined, fr.bytes.quarantined);
         assert!(
             stats.is_conserved(),
             "fsck history does not disturb line accounting"

@@ -16,14 +16,11 @@
 //!   between — the direct path; see DESIGN.md §10), byte-identical to
 //!   `--out` + `uc build-db` for the same seed at any thread count;
 //!   with both flags one campaign run produces both artifacts;
-//! - `uc fsck <dir>` — verify a durable directory (and its
-//!   `.checkpoints`, if present): check manifests and frame checksums,
-//!   keep the longest valid prefix of each torn file, move damaged tails
-//!   to `<dir>/.lost+found`, rebuild the manifest, and print accounting
-//!   under the conservation law `bytes_in == salvaged + quarantined`.
-//!   A *live* directory (WAL segments + generations + CATALOG) gets the
-//!   extended live fsck: WAL salvage, half-sealed generation promotion
-//!   or quarantine, and catalog rollback, same conservation law;
+//! - `uc fsck <dir>` — repair a directory by its kind
+//!   (`uc_faultdb::fsck`): durable logs and their `.checkpoints`, a
+//!   sharded root, or a live directory. Damaged bytes move to
+//!   `<dir>/.lost+found`, and the accounting printed obeys the
+//!   conservation law `bytes in == kept + quarantined`;
 //! - `uc analyze <dir>` / `uc analyze --db <file>` — run
 //!   the extraction methodology and print the log-derivable analyses.
 //!   With `--db` the report comes from a sealed fault database instead of
@@ -949,64 +946,17 @@ fn seal_remote(addr: std::net::SocketAddr) -> Result<(), uc_faultdb::DbError> {
     uc_faultdb::stream_lines(addr, node, &[], &opts, None).map(drop)
 }
 
+/// `uc fsck <dir>`: repair by directory kind (`uc_faultdb::fsck`),
+/// print what it did, and fail if any byte went unaccounted for.
 fn cmd_fsck(args: &Args) -> Result<(), Fail> {
-    const VIOLATED: &str = "fsck: CONSERVATION VIOLATED — this is a bug, bytes were lost";
     let dir = PathBuf::from(&args.positional[0]);
     let what = format!("fsck {}", dir.display());
-    // Live ingest directories carry WAL segments, sealed generations, and
-    // a catalog on top of the durable segment format; their fsck enforces
-    // the same conservation law but also promotes or rolls back torn
-    // generation seals.
-    if uc_faultdb::is_live_dir(&dir) {
-        let report = uc_faultdb::fsck_live_dir(&dir).map_err(run_err(&what))?;
-        eprintln!("fsck (live) {}:", dir.display());
-        eprintln!("{}", report.render());
-        if !report.is_conserved() {
-            return Err(Fail::Run(VIOLATED.into()));
-        }
-        return Ok(());
-    }
-    // A crash inside `uc campaign --db`, `uc build-db` or a sharded
-    // build can leave a half-written `*.ucfdb.tmp` (or shard tmp, or
-    // ROOT.tmp) in its write-then-rename window; the sealed databases
-    // themselves are never damaged. Quarantine the residue into
-    // `.lost+found` like any other torn tail.
-    for (name, bytes) in uc_faultdb::quarantine_db_tmps(&dir).map_err(run_err(&what))? {
-        eprintln!("quarantined torn db seal {name} ({bytes} bytes) to .lost+found");
-    }
-    // A sharded root: validate the catalog CRC, every shard footer, the
-    // catalog-vs-shard row agreement, and every block payload CRC.
-    if uc_faultdb::is_root_dir(&dir) {
-        let db = uc_faultdb::RootDb::open(&dir)
-            .and_then(|db| {
-                db.verify_deep()?;
-                Ok(db)
-            })
-            .map_err(run_err(&what))?;
-        eprintln!("fsck (root) {}:", dir.display());
-        eprintln!(
-            "  {} shards, {} rows, {} blocks — catalog and every block CRC verified",
-            db.shard_count(),
-            db.rows(),
-            db.blocks()
-        );
-        return Ok(());
-    }
-    let mut targets = vec![dir.clone()];
-    let ckpt_dir = dir.join(".checkpoints");
-    if ckpt_dir.is_dir() {
-        targets.push(ckpt_dir);
-    }
-    let mut conserved = true;
-    for target in targets {
-        let report = uc_faultlog::durable::fsck_dir(&target)
-            .map_err(run_err(format!("fsck {}", target.display())))?;
-        eprintln!("fsck {}:", target.display());
-        eprintln!("{}", report.summary());
-        conserved &= report.is_conserved();
-    }
-    if !conserved {
-        return Err(Fail::Run(VIOLATED.into()));
+    let report = uc_faultdb::fsck(&dir).map_err(run_err(&what))?;
+    eprintln!("{what}:\n{}", report.render());
+    if !report.is_conserved() {
+        return Err(Fail::Run(
+            "fsck: CONSERVATION VIOLATED — this is a bug, bytes were lost".into(),
+        ));
     }
     Ok(())
 }

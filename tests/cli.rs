@@ -701,6 +701,37 @@ fn fsck_quarantines_torn_db_seal_tmps() {
     let _ = fs::remove_dir_all(&base);
 }
 
+/// A job that leaves the same torn seal behind twice: each fsck pass
+/// moves its copy aside without overwriting the one an earlier pass
+/// kept, and counts it on the ledger.
+#[test]
+fn fsck_keeps_both_copies_of_a_torn_seal_left_twice() {
+    let base = std::env::temp_dir().join(format!("uc-cli-dbtmp-twice-{}", std::process::id()));
+    let _ = fs::remove_dir_all(&base);
+    fs::create_dir_all(&base).unwrap();
+    let lost = base.join(".lost+found");
+    let mut logs = Vec::new();
+    for (bytes, kept_as) in [
+        (&b"first torn seal"[..], "out.ucfdb.tmp"),
+        (&b"second"[..], "out.ucfdb.tmp.1"),
+    ] {
+        fs::write(base.join("out.ucfdb.tmp"), bytes).unwrap();
+        let out = uc(&["fsck", base.to_str().unwrap()]);
+        assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+        assert_eq!(fs::read(lost.join(kept_as)).unwrap(), bytes);
+        logs.push((bytes.len(), stderr(&out)));
+    }
+    assert_eq!(
+        fs::read(lost.join("out.ucfdb.tmp")).unwrap(),
+        b"first torn seal"
+    );
+    for (n, log) in logs {
+        let ledger = format!("bytes[{n} in = 0 kept + {n} quarantined] conserved=true");
+        assert!(log.contains(&ledger), "{log}");
+    }
+    let _ = fs::remove_dir_all(&base);
+}
+
 /// `uc help` (and `--help`) print the full usage table to stdout and
 /// exit 0 — and the table must list every subcommand, because it is
 /// generated from the same table `main` dispatches on.

@@ -133,7 +133,7 @@ proptest! {
 
         // The persisted history accumulates both passes' byte totals.
         let history = read_fsck_report(&dir).expect("fsck leaves a report");
-        prop_assert_eq!(history.bytes_in, pass1.bytes_in + pass2.bytes_in);
+        prop_assert_eq!(history.bytes.examined, pass1.bytes.examined + pass2.bytes.examined);
         prop_assert!(history.is_conserved());
 
         // The repaired directory still ingests (unless every segment was
@@ -144,8 +144,8 @@ proptest! {
             let (cluster, stats) = read_cluster_log_recovering(&dir).unwrap();
             prop_assert!(stats.is_conserved(), "ingest accounting: {stats:?}");
             prop_assert!(cluster.node_logs().len() <= 5);
-            prop_assert_eq!(stats.fsck_bytes_salvaged, history.bytes_salvaged);
-            prop_assert_eq!(stats.fsck_bytes_quarantined, history.bytes_quarantined);
+            prop_assert_eq!(stats.fsck_bytes_salvaged, history.bytes.kept);
+            prop_assert_eq!(stats.fsck_bytes_quarantined, history.bytes.quarantined);
             prop_assert_eq!(stats.fsck_files_salvaged, history.files_salvaged);
         }
         fs::remove_dir_all(&dir).unwrap();

@@ -548,7 +548,7 @@ fn live_system_holds_its_invariants_under_chaos() {
         assert_eq!(
             (
                 fsck.durable.files_quarantined,
-                fsck.durable.bytes_quarantined,
+                fsck.durable.bytes.quarantined,
                 fsck.gens_quarantined,
                 fsck.catalog_rollbacks,
                 fsck.catalog_quarantined
@@ -560,7 +560,7 @@ fn live_system_holds_its_invariants_under_chaos() {
         let scrub = scrub_live_dir(dir, &ScrubConfig::default()).unwrap();
         assert!(scrub.is_conserved(), "{}", scrub.render());
         assert!(!scrub.found_damage(), "{}", scrub.render());
-        assert_eq!(scrub.gen_bytes_quarantined, 0, "{}", scrub.render());
+        assert_eq!(scrub.bytes.quarantined, 0, "{}", scrub.render());
         assert!(!dir.join(".lost+found").exists(), "{}", dir.display());
     }
 
